@@ -6,82 +6,27 @@ in terms of the classical first-kind Chebyshev T_k; only the monic variant
 is implemented).  ``fpoly(k)`` is the running sum 1 + V_1 + ... + V_k,
 monic of degree k.
 
-Each family has at least two independent construction routes (three-term
-recurrence, binomial closed form, matrix trace) so they can cross-validate
-one another; the recurrence route is the cached hot path.
+Each family has at least two independent construction routes (binomial
+closed form, matrix trace, and the three-term recurrence that the ``verify``
+sweep rolls itself) so they can cross-validate one another.  The closed
+forms are the production route; values come from Lucas-sequence doubling
+(``fpoly_value``) or, for a whole sweep, the value recurrence
+(``fpoly_values``).  Nothing is cached: every call computes its answer.
 """
 from __future__ import annotations
-
-import threading
-from math import comb
 
 from .intpoly import ONE, TWO, X, IntPoly
 
 
-def _binom(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
-
-
-class ChebCache:
-    """Append-only store of both families, grown on demand.
-
-    Extension is serialized behind a lock; reads of already-built entries
-    need no synchronization because the lists only ever grow.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._t: list[IntPoly] = [TWO, X]
-        self._f: list[IntPoly] = [ONE]
-        self._fvals: dict[int, list[int]] = {}
-
-    def _ensure(self, k: int) -> None:
-        if k < len(self._t) and k < len(self._f):
-            return
-        with self._lock:
-            t, f = self._t, self._f
-            while len(t) <= k:
-                t.append(X * t[-1] - t[-2])
-            while len(f) <= k:
-                f.append(f[-1] + t[len(f)])
-
-    def tcheb(self, k: int) -> IntPoly:
-        if k < 0:
-            raise ValueError("tcheb index must be non-negative")
-        self._ensure(k)
-        return self._t[k]
-
-    def fpoly(self, k: int) -> IntPoly:
-        if k < 0:
-            raise ValueError("fpoly index must be non-negative")
-        self._ensure(k)
-        return self._f[k]
-
-    def fpoly_value(self, k: int, x: int) -> int:
-        """F_k evaluated at the integer x, via the same three-term recurrence
-        run on values (F_{k+1}(x) = x*F_k(x) - F_{k-1}(x)); cached per x."""
-        if k < 0:
-            raise ValueError("fpoly index must be non-negative")
-        vals = self._fvals.get(x)
-        if vals is None or len(vals) <= k:
-            with self._lock:
-                vals = self._fvals.setdefault(x, [1, x + 1])
-                while len(vals) <= k:
-                    vals.append(x * vals[-1] - vals[-2])
-        return vals[k]
-
-
-_CACHE = ChebCache()
-
-
 def tcheb(k: int) -> IntPoly:
-    """Monic Chebyshev polynomial of degree k, by the recurrence
-    V_{k+1} = X V_k - V_{k-1} with V_0 = 2, V_1 = X.
+    """Monic Chebyshev polynomial of degree k: V_0 = 2, else the closed form.
 
     >>> print(tcheb(4))
     X^4 - 4*X^2 + 2
     """
-    return _CACHE.tcheb(k)
+    if k < 0:
+        raise ValueError("tcheb index must be non-negative")
+    return tcheb_closed(k) if k else TWO
 
 
 def fpoly(k: int) -> IntPoly:
@@ -90,25 +35,74 @@ def fpoly(k: int) -> IntPoly:
     >>> print(fpoly(2))
     X^2 + X - 1
     """
-    return _CACHE.fpoly(k)
+    if k < 0:
+        raise ValueError("fpoly index must be non-negative")
+    return fpoly_closed(k) if k else ONE
+
+
+def _lucas_pair(k: int, x: int) -> tuple[int, int]:
+    """(V_k(x), V_{k+1}(x)) by Lucas-sequence doubling over the bits of k:
+    V_{2m} = V_m^2 - 2 and V_{2m+1} = V_m V_{m+1} - x."""
+    a, b = 2, x  # V_m, V_{m+1} with m = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            a, b = a * b - x, b * b - 2
+        else:
+            a, b = a * a - 2, a * b - x
+    return a, b
 
 
 def fpoly_value(k: int, x: int) -> int:
-    """Integer value of fpoly(k) at x, by the value recurrence (no polynomial
-    arithmetic); the cheap route when only evaluations are needed."""
-    return _CACHE.fpoly_value(k, x)
+    """Integer value of fpoly(k) at x in O(log k) multiplications, from the
+    difference law F_k(x) = (V_{k+1}(x) - V_k(x))/(x - 2), with
+    F_k(2) = 2k + 1; no polynomial is built."""
+    if k < 0:
+        raise ValueError("fpoly index must be non-negative")
+    if x == 2:
+        return 2 * k + 1
+    v, w = _lucas_pair(k, x)
+    return (w - v) // (x - 2)
+
+
+def fpoly_values(count: int, x: int) -> list[int]:
+    """[F_0(x), ..., F_{count-1}(x)] by the value recurrence
+    F_{k+1}(x) = x*F_k(x) - F_{k-1}(x); the primitive for sweeps over k."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    vals = [1, x + 1][:count]
+    while len(vals) < count:
+        vals.append(x * vals[-1] - vals[-2])
+    return vals
+
+
+def _ucheb(n: int) -> IntPoly:
+    """U_n = sum (-1)^m C(n-m, m) X^{n-2m}, the monic second-kind Chebyshev
+    polynomial (zero for n < 0); each binomial comes from the previous one
+    by the ratio (n-2m+2)(n-2m+1) / (m(n-m+1)), one small product each."""
+    out = [0] * (n + 1)
+    c = 1
+    for m in range(n // 2 + 1):
+        if m:
+            c = c * (n - 2 * m + 2) * (n - 2 * m + 1) // (m * (n - m + 1))
+        out[n - 2 * m] = -c if m & 1 else c
+    return IntPoly(tuple(out))
 
 
 def tcheb_closed(k: int) -> IntPoly:
     """Closed form of tcheb(k) for k >= 1: the coefficient of X^{k-2m} is
-    (-1)^m * (C(k-m, m) + C(k-m-1, m-1)), i.e. (-1)^m * k/(k-m) * C(k-m, m)."""
+    (-1)^m * (C(k-m, m) + C(k-m-1, m-1)), i.e. V_k = U_k - U_{k-2}."""
     if k < 1:
         raise ValueError("closed form is stated for k >= 1")
-    out = [0] * (k + 1)
-    for m in range(k // 2 + 1):
-        c = _binom(k - m, m) + _binom(k - m - 1, m - 1)
-        out[k - 2 * m] = -c if m & 1 else c
-    return IntPoly(tuple(out))
+    return _ucheb(k) - _ucheb(k - 2)
+
+
+def fpoly_closed(k: int) -> IntPoly:
+    """Closed form of fpoly(k) for k >= 1 as two interleaved binomial sums:
+    sum (-1)^m C(k-m, m) X^{k-2m}  +  sum (-1)^m C(k-m-1, m) X^{k-2m-1},
+    i.e. F_k = U_k + U_{k-1}."""
+    if k < 1:
+        raise ValueError("closed form is stated for k >= 1")
+    return _ucheb(k) + _ucheb(k - 1)
 
 
 def tcheb_trace(k: int) -> IntPoly:
@@ -129,28 +123,13 @@ def tcheb_trace(k: int) -> IntPoly:
     return a + d
 
 
-def fpoly_closed(k: int) -> IntPoly:
-    """Closed form of fpoly(k) for k >= 1 as two interleaved binomial sums:
-    sum (-1)^m C(k-m, m) X^{k-2m}  +  sum (-1)^m C(k-m-1, m) X^{k-2m-1}."""
-    if k < 1:
-        raise ValueError("closed form is stated for k >= 1")
-    out = [0] * (k + 1)
-    for m in range(k // 2 + 1):
-        c = _binom(k - m, m)
-        out[k - 2 * m] += -c if m & 1 else c
-    for m in range((k - 1) // 2 + 1):
-        c = _binom(k - m - 1, m)
-        out[k - 2 * m - 1] += -c if m & 1 else c
-    return IntPoly(tuple(out))
-
-
 def fpoly_constant_term(k: int) -> int:
     """The constant term of fpoly(k), which is (-1)^(k//2); checked against
-    the cached polynomial before returning."""
+    the value F_k(0) from ``fpoly_value`` before returning."""
     if k < 0:
         raise ValueError("fpoly index must be non-negative")
     expected = -1 if (k // 2) & 1 else 1
-    actual = fpoly(k).coeff(0)
+    actual = fpoly_value(k, 0)
     if actual != expected:
         raise RuntimeError(
             f"constant-term law broken at k={k}: {actual} != {expected}")

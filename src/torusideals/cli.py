@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from . import chebfam, hilbert, zeta
-from .divisors import a_coeff
+from .divisors import a_coeffs, odd_divisor_terms
 from .intpoly import IntPoly, LaurentPoly, format_laurent, format_poly
-from .oeis import SEQUENCES, BFileError, check_sequence, emit_bfile, parse_bfile
+from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
 TABLE_DEFAULTS = {"values": 16, "pg": 12, "tcheb": 12, "fpoly": 11, "decomp": 16}
@@ -48,6 +48,15 @@ def _text_table(headers: list[str], rows: list[list[str]]) -> str:
 
 # -- compute --------------------------------------------------------------------
 
+_OBJECTS = {
+    "tcheb": chebfam.tcheb,
+    "fpoly": chebfam.fpoly,
+    "pg": lambda n: hilbert.pg_via_odd_divisors(n).polynomial,
+    "cn": lambda n: hilbert.cn_via_odd_divisors(n).full,
+    "pn": hilbert.pn_from_cn,
+}
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     kind, n = args.object, args.n
     min_n = 0 if kind in ("tcheb", "fpoly") else 1
@@ -70,20 +79,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(zeta.format_local_zeta(z) + "\n", args.out)
         return 0
 
-    obj: IntPoly | LaurentPoly
-    if kind == "tcheb":
-        obj = chebfam.tcheb(n)
-    elif kind == "fpoly":
-        obj = chebfam.fpoly(n)
-    elif kind == "pg":
-        obj = hilbert.pg_via_interval(n)
-    elif kind == "cn":
-        obj = hilbert.cn_via_odd_divisors(n).full
-    else:  # pn
-        obj = hilbert.pn_from_cn(n)
-
     if args.eval is not None:
-        value = obj.eval_int(args.eval)
+        x = args.eval
+        value = (hilbert.pg_eval_int(n, x) if kind == "pg"
+                 else chebfam.fpoly_value(n, x) if kind == "fpoly"
+                 else _OBJECTS[kind](n).eval_int(x))
         if args.format == "json":
             payload = {"kind": kind, "n": n, "eval_at": args.eval,
                        "value": str(value)}
@@ -95,6 +95,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(str(value) + "\n", args.out)
         return 0
 
+    obj = _OBJECTS[kind](n)
     if args.format == "json":
         payload: dict = {"kind": kind, "n": n}
         if isinstance(obj, LaurentPoly):
@@ -119,12 +120,13 @@ _REL_LABEL = {0: "equal", 1: "off_by_one"}
 def values_rows(max_n: int, points: list[int]) -> list[dict]:
     """Paired values of the ideal-count and running-sum families at each
     point, with the equal / off-by-one / other relation annotated."""
+    cols = {x: (hilbert.pg_values(max_n, x), chebfam.fpoly_values(max_n, x))
+            for x in points}
     rows = []
     for n in range(1, max_n + 1):
         row: dict = {"n": n}
-        for x in points:
-            pg = hilbert.pg_eval_int(n, x)
-            f = chebfam.fpoly_value(n - 1, x)
+        for x, (pgs, fs) in cols.items():
+            pg, f = pgs[n - 1], fs[n - 1]
             row[x] = (pg, f, _REL_LABEL.get(abs(pg - f), "other"))
         rows.append(row)
     return rows
@@ -134,13 +136,12 @@ def tsum_string(n: int) -> str:
     """The interval-count combination, constants folded: an even constant
     2m renders as m*T0 (T0 = 2), an odd one keeps a bare 1."""
     parts = []
-    a0 = a_coeff(n, 0)
+    a0, *rest = a_coeffs(n)
     if a0 % 2:
         parts.append("1")
     if a0 // 2:
         parts.append("T0" if a0 // 2 == 1 else f"{a0 // 2}*T0")
-    for i in range(1, n):
-        ai = a_coeff(n, i)
+    for i, ai in enumerate(rest, 1):
         if ai:
             parts.append(f"T{i}" if ai == 1 else f"{ai}*T{i}")
     return " + ".join(parts)
@@ -149,8 +150,7 @@ def tsum_string(n: int) -> str:
 def fdecomp_string(n: int) -> str:
     """The odd-divisor decomposition as a signed F-sum, highest index first,
     e.g. 'F14 - F6 + F3 + F0'."""
-    terms = sorted(hilbert.pg_via_odd_divisors(n).terms,
-                   key=lambda t: -t.f_index)
+    terms = sorted(odd_divisor_terms(n), key=lambda t: -t.f_index)
     parts = []
     for t in terms:
         if not parts:
@@ -208,9 +208,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     # polynomial tables
     start = 1 if which == "pg" else 0
-    fn = {"pg": hilbert.pg_via_interval, "tcheb": chebfam.tcheb,
-          "fpoly": chebfam.fpoly}[which]
-    polys = [(n, fn(n)) for n in range(start, max_n + 1)]
+    polys = [(n, _OBJECTS[which](n)) for n in range(start, max_n + 1)]
     if args.format == "json":
         payload = [{"n": n, "coeffs": [str(c) for c in p.coeffs]}
                    for n, p in polys]
@@ -228,6 +226,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # -- verify -----------------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        print("error: --max-n must be >= 1", file=sys.stderr)
+        return 2
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.max_n)
     if args.format == "json":
@@ -262,7 +263,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         return 2
     if args.emit:
         count = emit_bfile(args.sequence, args.emit, at=args.at,
-                           max_index=args.max_n if args.max_n else 100)
+                           max_index=100 if args.max_n is None else args.max_n)
         print(f"wrote {count} terms to {args.emit}")
         if args.bfile is None:
             return 0
@@ -355,11 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BFileError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # BFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory; try a smaller size", file=sys.stderr)
         return 2
 
 

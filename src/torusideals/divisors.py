@@ -6,7 +6,8 @@ polynomial modules lean on:
 * the interval-count coefficients ``a_coeff(n, i)``: the number of divisors
   d of n with (i + sqrt(2n+i^2))/2 < d <= i + sqrt(2n+i^2), decided purely
   in integer arithmetic (floating-point square roots would misclassify
-  divisors that sit exactly on the boundary);
+  divisors that sit exactly on the boundary), and all of them for one n at
+  once, ``a_coeffs(n)``;
 
 * runs of consecutive integers summing to n (``IncreasingSequence``) and the
   involution pairing the odd-length run for each odd divisor with an
@@ -20,6 +21,7 @@ logic with the polynomial side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 
@@ -74,6 +76,26 @@ def a_coeff(n: int, i: int) -> int:
         if d * (d - 2 * i) <= 2 * n and 2 * d - i > 0 and 2 * d * (d - i) > n:
             count += 1
     return count
+
+
+def a_coeffs(n: int) -> list[int]:
+    """[a_coeff(n, 0), ..., a_coeff(n, n-1)] from one divisor list.
+
+    Solved for i, the conditions of ``a_coeff`` say that d counts exactly
+    for ceil((d^2 - 2n)/(2d)) <= i < (2d^2 - n)/(2d) (the bound 2d - i > 0
+    follows from the upper one); each divisor adds 1 on that range of a
+    difference array.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    diff = [0] * (n + 1)
+    for d in divisors(n):
+        lo = max(0, -((2 * n - d * d) // (2 * d)))
+        hi = min(n - 1, (2 * d * d - n - 1) // (2 * d))
+        if lo <= hi:
+            diff[lo] += 1
+            diff[hi + 1] -= 1
+    return list(accumulate(diff[:n]))
 
 
 def r_nd(n: int, d: int) -> int:
@@ -213,3 +235,8 @@ def odd_divisor_term(n: int, d: int) -> OddDivisorTerm:
     if r >= 0:
         return OddDivisorTerm(d, r, 1, r)
     return OddDivisorTerm(d, r, -1, -r - 1)
+
+
+def odd_divisor_terms(n: int) -> list[OddDivisorTerm]:
+    """One term per odd divisor of n, ascending in d."""
+    return [odd_divisor_term(n, d) for d in odd_divisors(n)]

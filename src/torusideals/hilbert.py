@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .chebfam import fpoly, fpoly_value, tcheb
+from .chebfam import fpoly, fpoly_value, fpoly_values
 from .divisors import (
     OddDivisorTerm,
-    a_coeff,
+    a_coeffs,
     divisors,
     is_prime,
-    odd_divisor_term,
+    odd_divisor_terms,
     odd_divisors,
     r_nd,
     sequence_for_divisor,
@@ -36,8 +36,10 @@ from .divisors import (
 from .intpoly import (
     ONE,
     X,
+    ZERO,
     IntPoly,
     LaurentPoly,
+    chebyshev_sum,
     exact_div,
     laurent_to_x_basis,
 )
@@ -80,16 +82,7 @@ def pg_via_interval(n: int) -> IntPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    acc = [a_coeff(n, 0)]
-    for i in range(1, n):
-        ai = a_coeff(n, i)
-        if ai:
-            for j, c in enumerate(tcheb(i).coeffs):
-                if j < len(acc):
-                    acc[j] += ai * c
-                else:
-                    acc.append(ai * c)
-    return IntPoly(tuple(acc))
+    return chebyshev_sum(a_coeffs(n))
 
 
 def pg_via_odd_divisors(n: int) -> PgDecomposition:
@@ -97,15 +90,9 @@ def pg_via_odd_divisors(n: int) -> PgDecomposition:
     +F_{r} for divisors with offset r >= 0, -F_{-r-1} for the rest."""
     if n < 1:
         raise ValueError("n must be positive")
-    terms = tuple(odd_divisor_term(n, d) for d in odd_divisors(n))
-    acc: list[int] = []
-    for t in terms:
-        for j, c in enumerate(fpoly(t.f_index).coeffs):
-            if j < len(acc):
-                acc[j] += t.sign * c
-            else:
-                acc.append(t.sign * c)
-    return PgDecomposition(n, terms, IntPoly(tuple(acc)))
+    terms = tuple(odd_divisor_terms(n))
+    poly = sum((fpoly(t.f_index) * t.sign for t in terms), ZERO)
+    return PgDecomposition(n, terms, poly)
 
 
 def cn_via_odd_divisors(n: int) -> CnPolynomial:
@@ -185,12 +172,21 @@ def pg_roundtrip(n: int) -> IntPoly:
 
 
 def pg_eval_int(n: int, x: int) -> int:
-    """Integer value of G_n at x via the odd-divisor decomposition and the
-    F-value recurrence; no polynomial is materialized."""
+    """Integer value of G_n at x: the odd-divisor decomposition summed over
+    ``fpoly_value``, O(log n) multiplications per term; no polynomial is
+    built."""
     if n < 1:
         raise ValueError("n must be positive")
     return sum(t.sign * fpoly_value(t.f_index, x)
-               for t in (odd_divisor_term(n, d) for d in odd_divisors(n)))
+               for t in odd_divisor_terms(n))
+
+
+def pg_values(max_n: int, x: int) -> list[int]:
+    """[G_1(x), ..., G_max_n(x)], the same sums read off one list of
+    F-values (every index is below max_n); the primitive for sweeps."""
+    fvals = fpoly_values(max_n, x)
+    return [sum(t.sign * fvals[t.f_index] for t in odd_divisor_terms(n))
+            for n in range(1, max_n + 1)]
 
 
 def approx_defect(n: int) -> IntPoly:
@@ -204,16 +200,7 @@ def approx_defect(n: int) -> IntPoly:
     """
     if n < 2:
         raise ValueError("defect is defined for n >= 2")
-    acc = [a_coeff(n, 0) - 1]
-    for i in range(1, n):
-        ai = a_coeff(n, i) - 1
-        if ai:
-            for j, c in enumerate(tcheb(i).coeffs):
-                if j < len(acc):
-                    acc[j] += ai * c
-                else:
-                    acc.append(ai * c)
-    defect = IntPoly(tuple(acc))
+    defect = chebyshev_sum([a - 1 for a in a_coeffs(n)])
     if defect.degree is not None and 2 * defect.degree >= n - 2:
         raise RuntimeError(f"defect degree {defect.degree} too high at n={n}")
     if defect.is_zero() != (n & (n - 1) == 0):
@@ -397,7 +384,7 @@ def special_family_check(n: int) -> SpecialFamilyReport:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    terms = [odd_divisor_term(n, d) for d in odd_divisors(n)]
+    terms = odd_divisor_terms(n)
     extra = [t for t in terms if t.d > 1]
     if not extra:
         kind = "zero"

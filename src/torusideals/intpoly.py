@@ -14,7 +14,7 @@ q + q^{-1}.  The inverse substitution is therefore exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class NonDivisibleError(ArithmeticError):
@@ -351,32 +351,50 @@ def laurent_to_x_basis(lp: LaurentPoly) -> IntPoly:
 
     With b_i the coefficient of q^i (equal to that of q^{-i} by symmetry),
     the result is b_0 + sum_{i>=1} b_i * V_i(X) where V_i is the monic
-    degree-i polynomial with V_i(q + q^{-1}) = q^i + q^{-i}; the V_i are
-    generated here by the three-term recurrence V_{i+1} = X V_i - V_{i-1}.
-    Substituting X := q + q^{-1} back reproduces the input exactly.
+    degree-i polynomial with V_i(q + q^{-1}) = q^i + q^{-i} (see
+    ``chebyshev_sum``).  Substituting X := q + q^{-1} back reproduces the
+    input exactly.
     """
-    if lp.is_zero():
-        return ZERO
     if not lp.is_palindromic():
         raise ValueError("not palindromic: cannot change basis to X = q + 1/q")
     if not lp.is_centered():
         raise ValueError(
             f"support not centered about q^0 (min_exp={lp.min_exp}, "
             f"max_exp={lp.max_exp}); divide out the middle power of q first")
-    m = lp.max_exp
-    acc = [lp.coeff(0)]
-    v_prev, v_cur = TWO, X  # V_0, V_1
+    return chebyshev_sum(lp.coeffs[len(lp.coeffs) // 2:])
+
+
+def chebyshev_sum(b: Sequence[int]) -> IntPoly:
+    """b[0] + sum_{i>=1} b[i] * V_i(X), V_i the monic degree-i polynomial
+    with V_i(q + q^{-1}) = q^i + q^{-i}.
+
+    The one kernel for this sum: V_i is rolled by V_{i+1} = X V_i - V_{i-1}
+    on coefficient lists, up to the last nonzero b[i].  V_i has only powers
+    X^j with j = i mod 2, so V_i and each parity half of the result are kept
+    as the lists of those coefficients alone.
+
+    >>> print(chebyshev_sum([1, 0, 1]))
+    X^2 - 1
+    """
+    m = max((i for i, c in enumerate(b) if c), default=-1)
+    if m < 0:
+        return ZERO
+    halves = [[b[0]] + [0] * (m // 2), [0] * ((m + 1) // 2)]
+    prev, cur = [2], [1]  # V_0, V_1: the coefficients of X^0 and X^1
     for i in range(1, m + 1):
-        b = lp.coeff(i)
-        if b:
-            for j, c in enumerate(v_cur.coeffs):
-                if j < len(acc):
-                    acc[j] += b * c
-                else:
-                    acc.append(b * c)
+        bi = b[i]
+        if bi:
+            acc = halves[i & 1]
+            acc[:len(cur)] = [a + bi * c for a, c in zip(acc, cur)]
         if i < m:
-            v_prev, v_cur = v_cur, X * v_cur - v_prev
-    return IntPoly(tuple(acc))
+            # X * V_i on the powers of parity i + 1; for odd i these start
+            # at X^0, where X * V_i has no term
+            shifted = [0] + cur if i & 1 else cur
+            nxt = [s - p for s, p in zip(shifted, prev)] + shifted[len(prev):]
+            prev, cur = cur, nxt
+    out = [0] * (m + 1)
+    out[0::2], out[1::2] = halves
+    return IntPoly(tuple(out))
 
 
 # -- JSON encoding ------------------------------------------------------------

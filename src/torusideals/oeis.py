@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .chebfam import fpoly_value
+from .chebfam import fpoly_values
 from .divisors import odd_divisors
-from .hilbert import pg_eval_int
+from .hilbert import pg_values
 
 
 class BFileError(ValueError):
@@ -71,32 +71,34 @@ def parse_bfile(path: str | Path, sequence_id: str = "") -> BFile:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A checkable sequence: how a b-file index maps to a computed value."""
+    """A checkable sequence: ``values(at, top)`` lists the computed values
+    at the b-file indices min_index..top, as one sweep."""
 
     key: str
     description: str
     needs_eval_point: bool
     min_index: int
-    make: Callable[[int | None], Callable[[int], int]]
+    values: Callable[[int | None, int], list[int]]
     default_oeis_id: str = ""
 
 
 SEQUENCES: dict[str, SequenceSpec] = {
     "pg3": SequenceSpec(
         "pg3", "ideal-count polynomial values G_n(3)", False, 1,
-        lambda at: lambda n: pg_eval_int(n, 3), "A329156"),
+        lambda at, top: pg_values(top, 3), "A329156"),
     "pg_eval": SequenceSpec(
         "pg_eval", "ideal-count polynomial values G_n(x)", True, 1,
-        lambda at: lambda n: pg_eval_int(n, at)),
+        lambda at, top: pg_values(top, at)),
     "f_eval": SequenceSpec(
         "f_eval", "running-sum family values F_k(x)", True, 0,
-        lambda at: lambda k: fpoly_value(k, at)),
+        lambda at, top: fpoly_values(top + 1, at)),
     "sigma": SequenceSpec(
         "sigma", "sum of divisors via G_n(2)", False, 1,
-        lambda at: lambda n: pg_eval_int(n, 2), "A000203"),
+        lambda at, top: pg_values(top, 2), "A000203"),
     "odd_div_count": SequenceSpec(
         "odd_div_count", "number of odd divisors", False, 1,
-        lambda at: lambda n: len(odd_divisors(n)), "A001227"),
+        lambda at, top: [len(odd_divisors(n)) for n in range(1, top + 1)],
+        "A001227"),
 }
 
 
@@ -133,18 +135,13 @@ def check_sequence(key: str, bfile: BFile, at: int | None = None,
     spec = SEQUENCES[key]
     if spec.needs_eval_point and at is None:
         raise ValueError(f"sequence {key!r} needs an evaluation point")
-    value_at = spec.make(at)
-    report = SequenceCheckReport(key, bfile.sequence_id, 0)
-    for idx, val in bfile.entries:
-        if idx < spec.min_index:
-            continue
-        if max_index is not None and idx > max_index:
-            break
-        computed = value_at(idx)
-        report.compared += 1
-        if computed != val:
-            report.mismatches.append((idx, val, computed))
-    return report
+    wanted = [(idx, val) for idx, val in bfile.entries
+              if idx >= spec.min_index
+              and (max_index is None or idx <= max_index)]
+    values = spec.values(at, max(i for i, _ in wanted)) if wanted else []
+    pairs = [(idx, val, values[idx - spec.min_index]) for idx, val in wanted]
+    return SequenceCheckReport(key, bfile.sequence_id, len(wanted),
+                               [p for p in pairs if p[1] != p[2]])
 
 
 def emit_bfile(key: str, path: str | Path, at: int | None = None,
@@ -154,7 +151,8 @@ def emit_bfile(key: str, path: str | Path, at: int | None = None,
     spec = SEQUENCES[key]
     if spec.needs_eval_point and at is None:
         raise ValueError(f"sequence {key!r} needs an evaluation point")
-    value_at = spec.make(at)
-    lines = [f"{i} {value_at(i)}" for i in range(spec.min_index, max_index + 1)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    top = max(max_index, spec.min_index - 1)  # no lines below min_index
+    lines = [f"{i} {v}\n"
+             for i, v in enumerate(spec.values(at, top), spec.min_index)]
+    Path(path).write_text("".join(lines), encoding="utf-8")
     return len(lines)

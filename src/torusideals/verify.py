@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import chebfam, divisors, hilbert, series, zeta
-from .intpoly import LaurentPoly, ONE, TWO, X, monomial
+from .intpoly import LaurentPoly, ONE, TWO, X, ZERO, monomial
 
 
 @dataclass
@@ -43,7 +43,12 @@ class VerifySuiteReport:
             self.passed += 1
         else:
             self.failures.append(
-                Failure(case, str(expected), str(actual if actual is not None else not ok)))
+                Failure(case, str(expected), str(ok if actual is None else actual)))
+
+    def equal(self, case: str, expected: object, actual: object) -> None:
+        """Check actual == expected; each side is evaluated once, by the
+        caller, and both are reported on failure."""
+        self.check(case, actual == expected, expected, actual)
 
     def to_json(self) -> dict:
         return {
@@ -77,13 +82,11 @@ def verify_routes(max_n: int = 200) -> VerifySuiteReport:
     for n in range(1, max_n + 1):
         p_interval = hilbert.pg_via_interval(n)
         decomp = hilbert.pg_via_odd_divisors(n)
-        rep.check(f"pg interval=odd_divisors n={n}",
-                  p_interval == decomp.polynomial, p_interval, decomp.polynomial)
-        roundtrip = hilbert.pg_roundtrip(n)
-        rep.check(f"pg interval=roundtrip n={n}",
-                  p_interval == roundtrip, p_interval, roundtrip)
-        rep.check(f"pg interval=series n={n}",
-                  p_interval == series_pgs[n - 1], p_interval, series_pgs[n - 1])
+        rep.equal(f"pg interval=odd_divisors n={n}", p_interval,
+                  decomp.polynomial)
+        rep.equal(f"pg interval=roundtrip n={n}", p_interval,
+                  hilbert.pg_roundtrip(n))
+        rep.equal(f"pg interval=series n={n}", p_interval, series_pgs[n - 1])
         rep.check(f"pg monic degree n={n}",
                   p_interval.is_monic() and p_interval.degree == n - 1,
                   f"monic, degree {n - 1}", p_interval)
@@ -95,8 +98,7 @@ def verify_routes(max_n: int = 200) -> VerifySuiteReport:
         # full count: two routes and structure
         cn_a = hilbert.cn_via_odd_divisors(n)
         cn_b = hilbert.cn_via_coeff_formula(n)
-        rep.check(f"cn two-route n={n}", cn_a.full == cn_b.full,
-                  cn_a.full, cn_b.full)
+        rep.equal(f"cn two-route n={n}", cn_a.full, cn_b.full)
         rep.check(f"cn palindromic monic deg 2n n={n}",
                   cn_a.full.is_palindromic() and cn_a.full.min_exp == 0
                   and cn_a.full.max_exp == 2 * n and cn_a.full.coeff(2 * n) == 1,
@@ -107,19 +109,15 @@ def verify_routes(max_n: int = 200) -> VerifySuiteReport:
                   and pn.max_exp == 2 * n - 2
                   and all(c >= 0 for c in pn.coeffs),
                   "palindromic degree 2n-2, coefficients >= 0", pn)
-        rep.check(f"pn value at 1 n={n}",
-                  pn.eval_int(1) == sum(divisors.divisors(n)),
-                  sum(divisors.divisors(n)), pn.eval_int(1))
-        odd_count = len(divisors.odd_divisors(n))
-        coeff_sum = sum(abs(c) for c in cn_a.centered.coeffs)
-        rep.check(f"cn coefficient-sum law n={n}",
-                  coeff_sum == 4 * odd_count, 4 * odd_count, coeff_sum)
+        rep.equal(f"pn value at 1 n={n}", sum(divisors.divisors(n)),
+                  pn.eval_int(1))
+        rep.equal(f"cn coefficient-sum law n={n}",
+                  4 * len(divisors.odd_divisors(n)),
+                  sum(abs(c) for c in cn_a.centered.coeffs))
 
         # monomial route over run differences
-        seq_route = hilbert.pg_via_sequences(n)
-        centered_pn = pn.shift(-(n - 1))
-        rep.check(f"pg sequence route n={n}", seq_route == centered_pn,
-                  centered_pn, seq_route)
+        rep.equal(f"pg sequence route n={n}", pn.shift(-(n - 1)),
+                  hilbert.pg_via_sequences(n))
 
         # run/divisor bijection, involution, parity, containment
         odd = divisors.odd_divisors(n)
@@ -151,54 +149,49 @@ def verify_routes(max_n: int = 200) -> VerifySuiteReport:
                   "divisor pairs exhaust the representations", produced)
 
         # interval counts are 1 on the top half of the index range
-        tail_ok = all(divisors.a_coeff(n, i) == 1
-                      for i in range((n - 1) // 2, n))
-        rep.check(f"a_coeff tail of ones n={n}", tail_ok, "all 1",
-                  [divisors.a_coeff(n, i) for i in range((n - 1) // 2, n)])
+        tail = [divisors.a_coeff(n, i) for i in range((n - 1) // 2, n)]
+        rep.check(f"a_coeff tail of ones n={n}",
+                  all(a == 1 for a in tail), "all 1", tail)
     return rep
 
 
 def verify_cheb(max_n: int = 64) -> VerifySuiteReport:
-    """Both polynomial families agree across all construction routes and
+    """Both polynomial families, built from their closed forms, agree with
+    the three-term recurrence rolled here and with the matrix trace, and
     satisfy their recurrences and substitution identities."""
     rep = VerifySuiteReport("cheb", max_n)
+    v_prev, v = X, TWO  # V_{-1} = V_1, V_0
+    f_rec = ZERO  # the running sum F_k = F_{k-1} + V_k, with F_{-1} = 0
+    f_prev, f, t = ZERO, chebfam.fpoly(0), chebfam.tcheb(0)
     for k in range(max_n + 1):
-        t = chebfam.tcheb(k)
-        f = chebfam.fpoly(k)
+        f_rec = f_rec + (v if k else ONE)
         if k >= 1:
-            rep.check(f"tcheb closed k={k}", chebfam.tcheb_closed(k) == t,
-                      t, chebfam.tcheb_closed(k))
-            rep.check(f"fpoly closed k={k}", chebfam.fpoly_closed(k) == f,
-                      f, chebfam.fpoly_closed(k))
-        rep.check(f"tcheb trace k={k}", chebfam.tcheb_trace(k) == t,
-                  t, chebfam.tcheb_trace(k))
-        rep.check(f"constant term k={k}",
-                  chebfam.fpoly_constant_term(k) == f.coeff(0),
-                  f.coeff(0), chebfam.fpoly_constant_term(k))
+            rep.equal(f"tcheb closed k={k}", v, t)
+            rep.equal(f"fpoly closed k={k}", f_rec, f)
+        rep.equal(f"tcheb trace k={k}", v, chebfam.tcheb_trace(k))
+        rep.equal(f"constant term k={k}", f.coeff(0),
+                  chebfam.fpoly_constant_term(k))
         # substitution: t(q + 1/q) == q^k + q^-k
-        expected = monomial(k) + monomial(-k) if k else monomial(0, 2)
-        rep.check(f"tcheb substitution k={k}",
-                  t.eval_q_plus_qinv() == expected, expected,
+        rep.equal(f"tcheb substitution k={k}",
+                  monomial(k) + monomial(-k) if k else monomial(0, 2),
                   t.eval_q_plus_qinv())
+        f_next, t_next = chebfam.fpoly(k + 1), chebfam.tcheb(k + 1)
         if k >= 1:
-            rep.check(f"f recurrence k={k}",
-                      chebfam.fpoly(k + 1) == X * f - chebfam.fpoly(k - 1),
-                      chebfam.fpoly(k + 1), X * f - chebfam.fpoly(k - 1))
+            rep.equal(f"f recurrence k={k}", f_next, X * f - f_prev)
         # difference law: V_{r+1} - V_r = (X - 2) F_r, and its Laurent form
-        diff = chebfam.tcheb(k + 1) - t
-        rep.check(f"difference law k={k}", diff == (X - TWO) * f,
-                  (X - TWO) * f, diff)
-        lhs = (monomial(k + 1) + monomial(-k - 1)
-               - monomial(k) - monomial(-k))
-        rhs = LaurentPoly(-1, (1, -2, 1)) * f.eval_q_plus_qinv()
-        rep.check(f"difference law (Laurent) k={k}", lhs == rhs, rhs, lhs)
+        rep.equal(f"difference law k={k}", (X - TWO) * f, t_next - t)
+        rep.equal(f"difference law (Laurent) k={k}",
+                  LaurentPoly(-1, (1, -2, 1)) * f.eval_q_plus_qinv(),
+                  monomial(k + 1) + monomial(-k - 1)
+                  - monomial(k) - monomial(-k))
         # leading-coefficient pattern of the running sums
         if k >= 5:
-            want = [1, 1, -(k - 1), -(k - 2),
-                    (k - 2) * (k - 3) // 2, (k - 3) * (k - 4) // 2]
-            got = [f.coeff(k - j) for j in range(6)]
-            rep.check(f"fpoly leading coefficients k={k}", got == want,
-                      want, got)
+            rep.equal(f"fpoly leading coefficients k={k}",
+                      [1, 1, -(k - 1), -(k - 2),
+                       (k - 2) * (k - 3) // 2, (k - 3) * (k - 4) // 2],
+                      [f.coeff(k - j) for j in range(6)])
+        v_prev, v = v, X * v - v_prev
+        f_prev, f, t = f, f_next, t_next
     return rep
 
 
@@ -209,10 +202,8 @@ def verify_series(max_n: int = 64) -> VerifySuiteReport:
     f_gf = series.expand_f_gf(max_n)
     t_gf = series.expand_tcheb_gf(max_n)
     for k in range(max_n + 1):
-        rep.check(f"f gf k={k}", f_gf.coeffs[k] == chebfam.fpoly(k),
-                  chebfam.fpoly(k), f_gf.coeffs[k])
-        rep.check(f"tcheb gf k={k}", t_gf.coeffs[k] == chebfam.tcheb(k),
-                  chebfam.tcheb(k), t_gf.coeffs[k])
+        rep.equal(f"f gf k={k}", chebfam.fpoly(k), f_gf.coeffs[k])
+        rep.equal(f"tcheb gf k={k}", chebfam.tcheb(k), t_gf.coeffs[k])
     # (1 - t^2) / (1 - Xt + t^2) == (1 - t) * (f-family gf)
     den = series.series_from_terms(max_n, {0: ONE, 1: -X, 2: ONE})
     lhs = series.series_mul(
@@ -229,8 +220,7 @@ def verify_series(max_n: int = 64) -> VerifySuiteReport:
               "orders agree on shared terms", half)
     # product expansion against the interval route
     for n, p in enumerate(series.pg_from_series(min(max_n, 64)), start=1):
-        rep.check(f"pg series n={n}", p == hilbert.pg_via_interval(n),
-                  hilbert.pg_via_interval(n), p)
+        rep.equal(f"pg series n={n}", hilbert.pg_via_interval(n), p)
     return rep
 
 
@@ -254,11 +244,10 @@ def verify_mult(max_n: int = 60) -> VerifySuiteReport:
     for m in range(1, 101):
         for k in range(m + 1, 101):
             if gcd(m, k) == 1:
-                lhs = len(divisors.odd_divisors(m * k))
-                rhs = (len(divisors.odd_divisors(m))
-                       * len(divisors.odd_divisors(k)))
-                rep.check(f"odd-divisor count multiplicative m={m} k={k}",
-                          lhs == rhs, rhs, lhs)
+                rep.equal(f"odd-divisor count multiplicative m={m} k={k}",
+                          len(divisors.odd_divisors(m))
+                          * len(divisors.odd_divisors(k)),
+                          len(divisors.odd_divisors(m * k)))
     return rep
 
 
@@ -280,12 +269,9 @@ def verify_zeta(max_n: int = 500) -> VerifySuiteReport:
         rep.check(f"coefficient consistency n={n}",
                   zeta.zeta_consistency_with_cn(n).ok, True)
     z3, z4 = zeta.local_zeta_factors(3), zeta.local_zeta_factors(4)
-    rep.check("n=3 factors", (z3.numerator, z3.denominator)
-              == ((1, 2, 4, 5), (0, 3, 3, 6)),
-              ((1, 2, 4, 5), (0, 3, 3, 6)), (z3.numerator, z3.denominator))
-    rep.check("n=4 factors", (z4.numerator, z4.denominator)
-              == ((1, 7), (0, 8)),
-              ((1, 7), (0, 8)), (z4.numerator, z4.denominator))
+    rep.equal("n=3 factors", ((1, 2, 4, 5), (0, 3, 3, 6)),
+              (z3.numerator, z3.denominator))
+    rep.equal("n=4 factors", ((1, 7), (0, 8)), (z4.numerator, z4.denominator))
     return rep
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from refdata import F_TABLE, TCHEB_TABLE
 from torusideals.chebfam import (
-    ChebCache,
     fpoly,
     fpoly_closed,
     fpoly_constant_term,
     fpoly_value,
+    fpoly_values,
     tcheb,
     tcheb_closed,
     tcheb_trace,
@@ -99,29 +99,14 @@ def test_value_recurrence_matches_polynomial(k, x):
     assert fpoly_value(k, x) == fpoly(k).eval_int(x)
 
 
+@pytest.mark.parametrize("x", range(-8, 9))
+def test_value_list_matches_doubling(x):
+    assert fpoly_values(130, x) == [fpoly_value(k, x) for k in range(130)]
+    assert fpoly_values(0, x) == [] and fpoly_values(1, x) == [1]
+
+
 def test_fresh_cache_is_consistent():
-    cache = ChebCache()
-    assert cache.tcheb(7).coeffs == TCHEB_TABLE[7]
-    assert cache.fpoly(9).coeffs == F_TABLE[9]
-    assert cache.fpoly_value(14, 3) == 1149851
-
-
-def test_cache_concurrent_extension():
-    # many threads growing one fresh cache must agree with a serial build
-    import threading
-
-    cache = ChebCache()
-    results: dict[int, object] = {}
-
-    def worker(k0):
-        for k in range(k0, 120, 8):
-            results[k] = (cache.tcheb(k), cache.fpoly(k),
-                          cache.fpoly_value(k, 3))
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for k in range(120):
-        assert results[k] == (tcheb(k), fpoly(k), fpoly_value(k, 3)), k
+    # the module keeps no state, so these are fresh computations every time
+    assert tcheb(7).coeffs == TCHEB_TABLE[7]
+    assert fpoly(9).coeffs == F_TABLE[9]
+    assert fpoly_value(14, 3) == 1149851

@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
+from torusideals import cli, hilbert, verify
+from torusideals.chebfam import fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.intpoly import intpoly_from_json, laurent_from_json
 from torusideals.zeta import local_zeta_factors, zeta_from_json
@@ -64,6 +71,40 @@ class TestCompute:
         assert code == 2
         code, _ = run(capsys, "compute", "tcheb", "--n", "-1")
         assert code == 2
+
+    def test_memory_error_exits_two(self, capsys, monkeypatch):
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setattr(hilbert, "pg_via_odd_divisors", exhausted)
+        code = main(["compute", "pg", "--n", "5"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: out of memory")
+
+    def test_large_sizes_in_bounded_memory(self):
+        # 512 MB of address space, limited in the child only
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def run_limited(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "torusideals.cli", *argv],
+                capture_output=True, text=True, env=env, preexec_fn=limit,
+                timeout=120)
+
+        proc = run_limited("compute", "pg", "--n", "3000", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        pg = intpoly_from_json(json.loads(proc.stdout))
+        assert pg.degree == 2999 and pg.is_monic()
+        assert pg.eval_int(2) == sum(d for d in range(1, 3001) if 3000 % d == 0)
+        assert pg.eval_int(3) == hilbert.pg_eval_int(3000, 3)
+
+        proc = run_limited("compute", "fpoly", "--n", "6000", "--eval", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{fpoly_values(6001, 3)[-1]}\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -124,6 +165,25 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 6
 
+    def test_failed_boolean_check_shows_outcome(self, capsys, monkeypatch):
+        def failing(max_n):
+            rep = verify.VerifySuiteReport("cheb", max_n)
+            rep.check("demo", False)
+            return rep
+
+        monkeypatch.setitem(verify.SUITES, "cheb", failing)
+        code, out = run(capsys, "verify", "cheb", "--max-n", "3")
+        assert code == 1
+        assert "  demo: expected True, got False\n" in out
+
+    @pytest.mark.parametrize("suite", ["special", "series", "all"])
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_range_below_one_is_usage_error(self, capsys, suite, max_n):
+        code = main(["verify", suite, "--max-n", max_n])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --max-n must be >= 1\n"
+
     def test_json_report(self, capsys):
         code, out = run(capsys, "verify", "zeta", "--max-n", "10",
                         "--format", "json")
@@ -163,6 +223,16 @@ class TestOeisCheck:
         assert code == 0
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "1 1" and len(lines) == 8
+
+    def test_emit_max_n_zero(self, capsys, tmp_path):
+        out_file = tmp_path / "cand.txt"
+        code, out = run(capsys, "oeis-check", "sigma", "--emit",
+                        str(out_file), "--max-n", "0")
+        assert code == 0 and out.startswith("wrote 0 terms")
+        assert out_file.read_text() == ""
+        code, out = run(capsys, "oeis-check", "f_eval", "--at", "3", "--emit",
+                        str(out_file), "--max-n", "0")
+        assert code == 0 and out_file.read_text() == "0 1\n"
 
     def test_no_bfile_no_emit(self, capsys):
         code, _ = run(capsys, "oeis-check", "sigma")

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from torusideals.divisors import (
     IncreasingSequence,
     a_coeff,
+    a_coeffs,
     divisors,
     involute,
     is_prime,
@@ -92,6 +93,12 @@ class TestACoeff:
         for n in range(1, 200):
             for i in range((n - 1) // 2, n):
                 assert a_coeff(n, i) == 1, (n, i)
+
+    def test_all_coefficients_at_once(self):
+        for n in range(1, 501):
+            assert a_coeffs(n) == [a_coeff(n, i) for i in range(n)], n
+        with pytest.raises(ValueError):
+            a_coeffs(0)
 
 
 class TestRnd:

@@ -15,6 +15,7 @@ from torusideals.hilbert import (
     mult_factor_identities,
     pg_eval_int,
     pg_roundtrip,
+    pg_values,
     pg_via_interval,
     pg_via_odd_divisors,
     pg_via_sequences,
@@ -138,6 +139,11 @@ class TestValues:
     @settings(max_examples=60)
     def test_eval_matches_polynomial(self, n, x):
         assert pg_eval_int(n, x) == pg_via_interval(n).eval_int(x)
+
+    @pytest.mark.parametrize("x", range(-6, 7))
+    def test_value_list_matches_single_values(self, x):
+        assert pg_values(300, x) == [pg_eval_int(n, x) for n in range(1, 301)]
+        assert pg_values(0, x) == []
 
     def test_root_of_unity_values(self):
         from torusideals.divisors import (
