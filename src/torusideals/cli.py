@@ -274,6 +274,12 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     bfile = parse_bfile(args.bfile)
     report = check_sequence(args.sequence, bfile, at=args.at,
                             max_index=args.max_n)
+    if not report.compared:
+        span = (f">= {spec.min_index}" if args.max_n is None
+                else f"in {spec.min_index}..{args.max_n}")
+        print(f"error: no b-file index {span}: nothing to compare",
+              file=sys.stderr)
+        return 2
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     elif args.format == "csv":
@@ -353,7 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # argparse fills the optional b-file positional together with the
+    # sequence, so a b-file given after an option comes back unparsed
+    if (args.command == "oeis-check" and args.bfile is None and extra
+            and not extra[0].startswith("-")):
+        args.bfile = extra.pop(0)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:  # BFileError is a ValueError

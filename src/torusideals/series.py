@@ -12,7 +12,10 @@ exact through t^N, no identities from the other modules.
 
 A series of order N keeps exactly the coefficients of t^0..t^N.  Any factor
 (1 - t^i)^2/(1 - X t^i + t^{2i}) with i > N is 1 + O(t^{N+1}), so the
-product needs only the factors with i <= N.
+product needs only the factors with i <= N.  The product is expanded by
+multiplying out the integer numerator and then dividing it in place by one
+sparse denominator factor at a time (O(N^3)); the dense ``series_div``
+serves the two rational families and ``series_inverse``.
 """
 from __future__ import annotations
 
@@ -132,11 +135,19 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
 def expand_pg_product(order: int) -> TruncatedSeries:
     """Expand prod_{i=1..order} (1 - t^i)^2 / (1 - X t^i + t^{2i}).
 
-    The numerators are multiplied out into one integer series and the
-    denominators into one polynomial series (each factor is sparse, so both
-    passes are in-place and cheap); one exact series division then yields
-    the same result as multiplying the per-factor inverses, at a fraction
-    of the cost.
+    The numerators are multiplied out into one integer series, which is
+    then divided in place by each sparse denominator factor in turn: S
+    divided by (1 - X t^i + t^{2i}) is S_m += X S_{m-i} - S_{m-2i} for
+    m = i..order in ascending order, a shift and two list additions per
+    step, so O(order^3) coefficient operations in all.
+
+    >>> for c in expand_pg_product(4).coeffs:
+    ...     print(c)
+    1
+    X - 2
+    X^2 - X - 2
+    X^3 - X^2 - 4*X + 4
+    X^4 - X^3 - 4*X^2 + 3*X + 2
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -148,18 +159,17 @@ def expand_pg_product(order: int) -> TruncatedSeries:
         for _ in range(2):
             for m in range(n, i - 1, -1):
                 num[m] -= num[m - i]
-    # denominator: prod (1 - X t^i + t^{2i})
-    den: list[IntPoly] = [ONE] + [ZERO] * n
+    # S_m as the coefficients of X^0..X^m: no factor raises the X-degree
+    # of a t^m coefficient above m
+    s = [[c] + [0] * m for m, c in enumerate(num)]
     for i in range(1, n + 1):
-        for m in range(n, i - 1, -1):
-            d = den[m] - X * den[m - i]
+        for m in range(i, n + 1):
+            acc, low = s[m], s[m - i]
+            acc[1:len(low) + 1] = [a + c for a, c in zip(acc[1:], low)]
             if m >= 2 * i:
-                d = d + den[m - 2 * i]
-            den[m] = d
-    return series_div(
-        TruncatedSeries(n, tuple(IntPoly((c,)) for c in num)),
-        TruncatedSeries(n, tuple(den)),
-    )
+                low = s[m - 2 * i]
+                acc[:len(low)] = [a - c for a, c in zip(acc, low)]
+    return TruncatedSeries(n, tuple(IntPoly(tuple(c)) for c in s))
 
 
 _X_MINUS_2 = X - TWO

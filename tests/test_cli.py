@@ -238,6 +238,44 @@ class TestOeisCheck:
         code, _ = run(capsys, "oeis-check", "sigma")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_nothing_compared_is_an_error(self, capsys, tmp_path, fmt):
+        b = tmp_path / "b.txt"
+        b.write_text("5 6\n7 8\n", encoding="utf-8")
+        code = main(["oeis-check", "sigma", str(b), "--max-n", "3",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == \
+            "error: no b-file index in 1..3: nothing to compare\n"
+        b.write_text("0 1\n", encoding="utf-8")
+        code = main(["oeis-check", "sigma", str(b), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == \
+            "error: no b-file index >= 1: nothing to compare\n"
+
+    @pytest.mark.parametrize("order", ["before", "after", "between"])
+    def test_bfile_before_or_after_options(self, capsys, tmp_path, order):
+        b = tmp_path / "b002878.txt"
+        b.write_text("0 1\n1 4\n2 11\n3 29\n", encoding="utf-8")
+        argv = {
+            "before": ["f_eval", str(b), "--at", "3", "--max-n", "2"],
+            "after": ["f_eval", "--at", "3", "--max-n", "2", str(b)],
+            "between": ["f_eval", "--at", "3", str(b), "--max-n", "2"],
+        }[order]
+        code, out = run(capsys, "oeis-check", *argv)
+        assert code == 0
+        assert out == "f_eval vs b002878: 3 terms compared, 0 mismatches: PASS\n"
+
+    def test_second_bfile_is_rejected(self, capsys, tmp_path):
+        b = tmp_path / "b.txt"
+        b.write_text("1 1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["oeis-check", "sigma", "--max-n", "1", str(b), "other.txt"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: other.txt" in capsys.readouterr().err
+
 
 class TestOutputFile:
     def test_out_flag_writes_file(self, capsys, tmp_path):

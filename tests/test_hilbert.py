@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from refdata import PG_TABLE, VALUES_TABLE
 from torusideals.chebfam import fpoly
-from torusideals.divisors import divisors, odd_divisors
+from torusideals.divisors import a_coeffs, divisors, odd_divisors
 from torusideals.hilbert import (
     approx_defect,
     cn_via_coeff_formula,
@@ -22,7 +22,7 @@ from torusideals.hilbert import (
     pn_from_cn,
     special_family_check,
 )
-from torusideals.intpoly import IntPoly, LaurentPoly, ZERO
+from torusideals.intpoly import IntPoly, LaurentPoly, ZERO, chebyshev_sum
 
 
 @pytest.mark.parametrize("n,coeffs", sorted(PG_TABLE.items()))
@@ -125,6 +125,12 @@ class TestApproxDefect:
             d = approx_defect(n)
             if d.degree is not None:
                 assert 2 * d.degree < n - 2
+
+    def test_matches_v_basis_sum(self):
+        # the Abel-summed F-terms equal the plain V-basis sum they replace
+        for n in range(2, 401):
+            assert approx_defect(n) == \
+                chebyshev_sum([a - 1 for a in a_coeffs(n)])
 
 
 class TestValues:

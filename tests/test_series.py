@@ -13,6 +13,7 @@ from torusideals.series import (
     expand_pg_product,
     expand_tcheb_gf,
     pg_from_series,
+    series_div,
     series_from_terms,
     series_inverse,
     series_mul,
@@ -88,6 +89,21 @@ class TestProductExpansion:
         assert pgs[6] == poly(0, 2, 5, -4, -5, 1, 1)
         for n in range(1, 13):
             assert pgs[n - 1] == pg_via_interval(n)
+
+    def test_matches_dense_division(self):
+        # reference: numerator and denominator multiplied out, then one
+        # dense series division; the factors with i > N are 1 + O(t^{N+1}),
+        # so truncating the order-60 reference gives the order-N one
+        top = 60
+        num = den = series_one(top)
+        for i in range(1, top + 1):
+            factor = series_from_terms(top, {0: ONE, i: -ONE})
+            num = series_mul(series_mul(num, factor), factor)
+            den = series_mul(den, series_from_terms(
+                top, {0: ONE, i: -X, 2 * i: ONE}))
+        reference = series_div(num, den)
+        for order in range(1, top + 1):
+            assert expand_pg_product(order) == reference.truncate(order)
 
     def test_truncation_stability(self):
         deep = expand_pg_product(24)
