@@ -11,11 +11,53 @@ closed form, matrix trace, and the three-term recurrence that the ``verify``
 sweep rolls itself) so they can cross-validate one another.  The closed
 forms are the production route; values come from Lucas-sequence doubling
 (``fpoly_value``) or, for a whole sweep, the value recurrence
-(``fpoly_values``).  Nothing is cached: every call computes its answer.
+(``fpoly_values``), for any number type: the CLI prints values computed
+in ``decimal_radix`` (linear-time ``str()``).  Nothing is cached.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                     DivisionByZero, Inexact, InvalidOperation, Overflow,
+                     Rounded, localcontext)
+
 from .intpoly import ONE, TWO, X, IntPoly
+
+#: Exact decimal arithmetic, entered only through ``localcontext``.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[
+    Inexact, Rounded, InvalidOperation, Overflow, DivisionByZero])
+MAX_DIGITS = 10 ** 8  #: the most digits an answer (summed over a sweep) may have
+
+
+@contextmanager
+def decimal_radix(x: int) -> Iterator[Decimal]:
+    """The point x as an exact ``Decimal`` inside ``EXACT``, so that values
+    computed from it in the block print in linear time.
+
+    >>> with decimal_radix(3) as x:
+    ...     big = fpoly_value(20000, x)
+    ...     print(len(str(big)), big % 10**9 == fpoly_value(20000, 3) % 10**9)
+    8360 True
+    """
+    with localcontext(EXACT):
+        yield Decimal(x)
+
+
+def check_digits(digits: float) -> None:
+    """Refuse an answer estimated at more than ``MAX_DIGITS`` digits."""
+    if digits > MAX_DIGITS:
+        raise ValueError(f"answer would have about {digits:,.0f} digits "
+                         f"(limit {MAX_DIGITS:,})")
+
+
+def value_digits(k: int, x: int, count: int = 1) -> float:
+    """About how many digits F_j(x) (or V_j(x), G_{j+1}(x)) has, summed over
+    j = k..k+count-1: 1 + (j + 1) * log10((|x| + sqrt(x^2 - 4))/2)."""
+    rate = (math.log10(abs(x)) + math.log10(0.5 + math.sqrt(0.25 - 1 / x**2))
+            if abs(x) > 2 else 0)  # no float holds a huge x
+    return count * (rate * (2 * k + count + 1) / 2 + 1)
 
 
 def tcheb(k: int) -> IntPoly:
@@ -61,7 +103,8 @@ def fpoly_value(k: int, x: int) -> int:
     if x == 2:
         return 2 * k + 1
     v, w = _lucas_pair(k, x)
-    return (w - v) // (x - 2)
+    # by 2 - x: a zero quotient (x < 2 only) stays +0 as a Decimal
+    return (v - w) // (2 - x)
 
 
 def fpoly_values(count: int, x: int) -> list[int]:

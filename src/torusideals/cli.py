@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path
+from collections.abc import Iterable, Iterator
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
@@ -23,11 +23,14 @@ from .verify import DEFAULT_RANGES, SUITES, run_suites
 TABLE_DEFAULTS = {"values": 16, "pg": 12, "tcheb": 12, "fpoly": 11, "decomp": 16}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or its pieces one after another, to ``out`` or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _csv_string(rows: list[list[str]]) -> str:
@@ -36,14 +39,14 @@ def _csv_string(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _text_table(headers: list[str], rows: list[list[str]]) -> str:
+def _text_table(headers: list[str], rows: list[list[str]]) -> Iterator[str]:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
-    def fmt(cells: list[str]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines += [fmt(r) for r in rows]
-    return "\n".join(lines) + "\n"
+    def fmt(cells: list[str]) -> str:  # lines go out one by one, never joined
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
+    yield fmt(headers)
+    yield fmt(["-" * w for w in widths])
+    yield from map(fmt, rows)
 
 
 # -- compute --------------------------------------------------------------------
@@ -81,9 +84,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
     if args.eval is not None:
         x = args.eval
-        value = (hilbert.pg_eval_int(n, x) if kind == "pg"
-                 else chebfam.fpoly_value(n, x) if kind == "fpoly"
-                 else _OBJECTS[kind](n).eval_int(x))
+        chebfam.check_digits(chebfam.value_digits(  # C_n(x) ~ x^2n ~ F_n(x^2)
+            n - 1 if kind == "pg" else n, x * x if kind in ("cn", "pn") else x))
+        with chebfam.decimal_radix(x) as point:
+            value = (hilbert.pg_eval_int(n, point) if kind == "pg"
+                     else chebfam.fpoly_value(n, point) if kind == "fpoly"
+                     else _OBJECTS[kind](n).eval_int(point))
         if args.format == "json":
             payload = {"kind": kind, "n": n, "eval_at": args.eval,
                        "value": str(value)}
@@ -118,18 +124,19 @@ _REL_LABEL = {0: "equal", 1: "off_by_one"}
 
 
 def values_rows(max_n: int, points: list[int]) -> list[dict]:
-    """Paired values of the ideal-count and running-sum families at each
-    point, with the equal / off-by-one / other relation annotated."""
-    cols = {x: (hilbert.pg_values(max_n, x), chebfam.fpoly_values(max_n, x))
-            for x in points}
-    rows = []
-    for n in range(1, max_n + 1):
-        row: dict = {"n": n}
-        for x, (pgs, fs) in cols.items():
-            pg, f = pgs[n - 1], fs[n - 1]
-            row[x] = (pg, f, _REL_LABEL.get(abs(pg - f), "other"))
-        rows.append(row)
-    return rows
+    """Paired exact decimal-radix values of the ideal-count and running-sum
+    families at each point, with the equal / off-by-one / other relation."""
+    chebfam.check_digits(sum(2 * chebfam.value_digits(0, x, max_n)
+                             for x in points))
+    cols = {}
+    for x in points:
+        with chebfam.decimal_radix(x) as point:
+            pgs = hilbert.pg_values(max_n, point)
+            fs = chebfam.fpoly_values(max_n, point)
+            cols[x] = [(pg, f, _REL_LABEL.get(abs(pg - f), "other"))
+                       for pg, f in zip(pgs, fs)]
+    return [{"n": n, **{x: col[n - 1] for x, col in cols.items()}}
+            for n in range(1, max_n + 1)]
 
 
 def tsum_string(n: int) -> str:
@@ -257,7 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
     spec = SEQUENCES[args.sequence]
-    if spec.needs_eval_point and args.at is None:
+    if spec.point is None and args.at is None:
         print(f"error: sequence {args.sequence!r} requires --at",
               file=sys.stderr)
         return 2
@@ -271,9 +278,9 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         print("error: provide a b-file to check against, or --emit",
               file=sys.stderr)
         return 2
-    bfile = parse_bfile(args.bfile)
+    bfile = parse_bfile(args.bfile, exact=True)
     report = check_sequence(args.sequence, bfile, at=args.at,
-                            max_index=args.max_n)
+                            max_index=args.max_n, exact=True)
     if not report.compared:
         span = (f">= {spec.min_index}" if args.max_n is None
                 else f"in {spec.min_index}..{args.max_n}")

@@ -182,11 +182,18 @@ def pg_eval_int(n: int, x: int) -> int:
 
 
 def pg_values(max_n: int, x: int) -> list[int]:
-    """[G_1(x), ..., G_max_n(x)], the same sums read off one list of
-    F-values (every index is below max_n); the primitive for sweeps."""
+    """[G_1(x), ..., G_max_n(x)], the same sums, by a sieve over one list of
+    F-values: each odd d adds its term (r = m - (d+1)/2) to every n = m*d;
+    the primitive for sweeps, with ``pg_eval_int`` as its oracle."""
     fvals = fpoly_values(max_n, x)
-    return [sum(t.sign * fvals[t.f_index] for t in odd_divisor_terms(n))
-            for n in range(1, max_n + 1)]
+    out = [0] * (max_n + 1)  # out[n] accumulates G_n(x)
+    for d in range(1, max_n + 1, 2):
+        half = (d + 1) // 2
+        for m in range(1, min(half, max_n // d + 1)):  # r < 0
+            out[m * d] -= fvals[half - m - 1]
+        for n, f in zip(range(half * d, max_n + 1, d), fvals):  # r >= 0
+            out[n] += f
+    return out[1:]
 
 
 def approx_defect(n: int) -> IntPoly:

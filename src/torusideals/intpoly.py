@@ -178,11 +178,8 @@ class IntPoly:
     # -- evaluation and substitution -----------------------------------------
 
     def eval_int(self, x: int) -> int:
-        """Exact value at an integer, by Horner's scheme."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at an integer (of any number type), by ``_horner``."""
+        return _horner(self.coeffs, x)
 
     def eval_q_plus_qinv(self) -> LaurentPoly:
         """Substitute X := q + q^{-1}, landing in the Laurent ring."""
@@ -295,10 +292,7 @@ class LaurentPoly:
         """Exact integer value; requires min_exp >= 0."""
         if not self.is_zero() and self.min_exp < 0:
             raise ValueError("cannot evaluate negative powers at an integer")
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc * q ** self.min_exp if self.coeffs else 0
+        return _horner((0,) * self.min_exp + self.coeffs, q)
 
     # -- predicates ----------------------------------------------------------
 
@@ -321,6 +315,18 @@ class LaurentPoly:
 
 LAURENT_ZERO = LaurentPoly(0, ())
 LAURENT_ONE = LaurentPoly(0, (1,))
+
+
+def _horner(cs: Sequence[int], x: int) -> int:
+    """sum c_i x^i by Horner's scheme over blocks of 16 coefficients: each
+    block in ints, the running value, of x's number type, once per block."""
+    xi, acc, step = int(x), 0, x ** 16
+    for j in range((len(cs) - 1) // 16 * 16, -1, -16):
+        block = 0  # sum of c_{j+i} x^i
+        for c in reversed(cs[j:j + 16]):
+            block = block * xi + c
+        acc = acc * step + block
+    return acc
 
 
 def monomial(e: int, c: int = 1) -> LaurentPoly:

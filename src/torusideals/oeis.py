@@ -17,17 +17,23 @@ mode here.  The registry:
 
 ``sigma`` deliberately routes through G_n(2) rather than summing divisors:
 the point of the check is to validate the pipeline against independent
-reference data.
+reference data.  ``emit_bfile`` and ``exact=True`` work in the exact decimal
+radix of ``chebfam.decimal_radix``: linear time for values of any length.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
-from .chebfam import fpoly_values
+from .chebfam import (EXACT, check_digits, decimal_radix, fpoly_values,
+                      value_digits)
 from .divisors import odd_divisors
 from .hilbert import pg_values
+
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # an int() literal, unspaced
 
 
 class BFileError(ValueError):
@@ -42,25 +48,25 @@ class BFile:
     entries: tuple[tuple[int, int], ...]
 
 
-def parse_bfile(path: str | Path, sequence_id: str = "") -> BFile:
-    """Read a b-file; raises ``BFileError`` with a line number on bad input."""
+def parse_bfile(path: str | Path, sequence_id: str = "",
+                exact: bool = False) -> BFile:
+    """Read a b-file; raises ``BFileError`` with a line number on bad input.
+    Values are ``int()`` literals of any length (``Decimal`` if ``exact``)."""
     path = Path(path)
     entries: list[tuple[int, int]] = []
     prev: int | None = None
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8") as fh, localcontext(EXACT):
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise BFileError(
-                    f"{path}:{lineno}: expected 'index value', got {line!r}")
-            try:
-                idx, val = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise BFileError(
-                    f"{path}:{lineno}: non-integer field in {line!r}") from None
+            if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
+                shown = line if len(line) <= 80 else line[:77] + "..."
+                raise BFileError(f"{path}:{lineno}: expected two integers "
+                                 f"'index value', got {shown!r}")
+            idx, val = (+Decimal(t) for t in parts)  # + turns -0 into 0
+            idx, val = int(idx), val if exact else int(val)
             if prev is not None and idx <= prev:
                 raise BFileError(
                     f"{path}:{lineno}: index {idx} not increasing (after {prev})")
@@ -71,33 +77,43 @@ def parse_bfile(path: str | Path, sequence_id: str = "") -> BFile:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A checkable sequence: ``values(at, top)`` lists the computed values
-    at the b-file indices min_index..top, as one sweep."""
+    """A checkable sequence: ``values(x, top)`` lists the values at the
+    b-file indices min_index..top, as one sweep at x = ``point`` or, if
+    that is None, ``--at`` (the odd-divisor count ignores x)."""
 
     key: str
     description: str
-    needs_eval_point: bool
+    point: int | None
     min_index: int
-    values: Callable[[int | None, int], list[int]]
+    values: Callable[[Any, int], list]
     default_oeis_id: str = ""
+
+    def sweep(self, at: int | None, top: int, exact: bool = False) -> list:
+        """``values``, refused if too long (F-indices run from 0)."""
+        x = self.point if self.point is not None else at
+        if x is None:
+            raise ValueError(f"sequence {self.key!r} needs an evaluation point")
+        check_digits(value_digits(0, x, top - self.min_index + 1))
+        with decimal_radix(x) as point:
+            return self.values(point if exact else x, top)
 
 
 SEQUENCES: dict[str, SequenceSpec] = {
     "pg3": SequenceSpec(
-        "pg3", "ideal-count polynomial values G_n(3)", False, 1,
-        lambda at, top: pg_values(top, 3), "A329156"),
+        "pg3", "ideal-count polynomial values G_n(3)", 3, 1,
+        lambda x, top: pg_values(top, x), "A329156"),
     "pg_eval": SequenceSpec(
-        "pg_eval", "ideal-count polynomial values G_n(x)", True, 1,
-        lambda at, top: pg_values(top, at)),
+        "pg_eval", "ideal-count polynomial values G_n(x)", None, 1,
+        lambda x, top: pg_values(top, x)),
     "f_eval": SequenceSpec(
-        "f_eval", "running-sum family values F_k(x)", True, 0,
-        lambda at, top: fpoly_values(top + 1, at)),
+        "f_eval", "running-sum family values F_k(x)", None, 0,
+        lambda x, top: fpoly_values(top + 1, x)),
     "sigma": SequenceSpec(
-        "sigma", "sum of divisors via G_n(2)", False, 1,
-        lambda at, top: pg_values(top, 2), "A000203"),
+        "sigma", "sum of divisors via G_n(2)", 2, 1,
+        lambda x, top: pg_values(top, x), "A000203"),
     "odd_div_count": SequenceSpec(
-        "odd_div_count", "number of odd divisors", False, 1,
-        lambda at, top: [len(odd_divisors(n)) for n in range(1, top + 1)],
+        "odd_div_count", "number of odd divisors", 0, 1,
+        lambda x, top: [len(odd_divisors(n)) for n in range(1, top + 1)],
         "A001227"),
 }
 
@@ -129,16 +145,16 @@ class SequenceCheckReport:
 
 
 def check_sequence(key: str, bfile: BFile, at: int | None = None,
-                   max_index: int | None = None) -> SequenceCheckReport:
+                   max_index: int | None = None,
+                   exact: bool = False) -> SequenceCheckReport:
     """Compare the named sequence against a b-file over the overlapping
-    index range (optionally capped at ``max_index``)."""
+    index range (up to ``max_index``), in the decimal radix if ``exact``."""
     spec = SEQUENCES[key]
-    if spec.needs_eval_point and at is None:
-        raise ValueError(f"sequence {key!r} needs an evaluation point")
     wanted = [(idx, val) for idx, val in bfile.entries
               if idx >= spec.min_index
               and (max_index is None or idx <= max_index)]
-    values = spec.values(at, max(i for i, _ in wanted)) if wanted else []
+    top = max((i for i, _ in wanted), default=spec.min_index - 1)
+    values = spec.sweep(at, top, exact)
     pairs = [(idx, val, values[idx - spec.min_index]) for idx, val in wanted]
     return SequenceCheckReport(key, bfile.sequence_id, len(wanted),
                                [p for p in pairs if p[1] != p[2]])
@@ -149,10 +165,8 @@ def emit_bfile(key: str, path: str | Path, at: int | None = None,
     """Write computed values in b-file format (candidate reference data for
     sequences without one); returns the number of lines written."""
     spec = SEQUENCES[key]
-    if spec.needs_eval_point and at is None:
-        raise ValueError(f"sequence {key!r} needs an evaluation point")
     top = max(max_index, spec.min_index - 1)  # no lines below min_index
-    lines = [f"{i} {v}\n"
-             for i, v in enumerate(spec.values(at, top), spec.min_index)]
-    Path(path).write_text("".join(lines), encoding="utf-8")
-    return len(lines)
+    values = spec.sweep(at, top, exact=True)
+    with open(path, "w", encoding="utf-8") as fh:  # line by line: no copy
+        fh.writelines(f"{i} {v}\n" for i, v in enumerate(values, spec.min_index))
+    return len(values)

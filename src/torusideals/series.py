@@ -175,14 +175,16 @@ def expand_pg_product(order: int) -> TruncatedSeries:
 _X_MINUS_2 = X - TWO
 
 
-def pg_from_series(order: int) -> list[IntPoly]:
+def pg_from_series(order: int,
+                   expansion: TruncatedSeries | None = None) -> list[IntPoly]:
     """The ideal-count polynomials G_1..G_order, each read off the product
-    expansion by dividing the t^n coefficient exactly by (X - 2).
+    expansion (built at ``order`` unless given) by dividing the t^n
+    coefficient exactly by (X - 2).
 
     A nonzero remainder is impossible and raises RuntimeError (it would mean
     the expansion itself is broken, never something to discard silently).
     """
-    expansion = expand_pg_product(order)
+    expansion = expansion or expand_pg_product(order)
     out: list[IntPoly] = []
     for n in range(1, order + 1):
         q, r = divmod(expansion.coeffs[n], _X_MINUS_2)

@@ -219,7 +219,7 @@ def verify_series(max_n: int = 64) -> VerifySuiteReport:
     rep.check("truncation stability", big.truncate(half) == small,
               "orders agree on shared terms", half)
     # product expansion against the interval route
-    for n, p in enumerate(series.pg_from_series(min(max_n, 64)), start=1):
+    for n, p in enumerate(series.pg_from_series(min(max_n, 64), big), start=1):
         rep.equal(f"pg series n={n}", hilbert.pg_via_interval(n), p)
     return rep
 

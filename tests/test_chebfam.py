@@ -1,11 +1,17 @@
 """Both polynomial families against frozen tables and each other."""
 from __future__ import annotations
 
+import decimal
+
 import pytest
 from hypothesis import given, strategies as st
 
 from refdata import F_TABLE, TCHEB_TABLE
 from torusideals.chebfam import (
+    EXACT,
+    MAX_DIGITS,
+    check_digits,
+    decimal_radix,
     fpoly,
     fpoly_closed,
     fpoly_constant_term,
@@ -14,6 +20,7 @@ from torusideals.chebfam import (
     tcheb,
     tcheb_closed,
     tcheb_trace,
+    value_digits,
 )
 from torusideals.intpoly import TWO, X, monomial
 
@@ -110,3 +117,41 @@ def test_fresh_cache_is_consistent():
     assert tcheb(7).coeffs == TCHEB_TABLE[7]
     assert fpoly(9).coeffs == F_TABLE[9]
     assert fpoly_value(14, 3) == 1149851
+
+
+class TestDecimalRadix:
+    """Values computed at a ``decimal_radix`` point are the exact integers."""
+
+    @pytest.mark.parametrize("x", range(-8, 9))
+    def test_values_equal_int_values(self, x):
+        ints = fpoly_values(300, x)
+        with decimal_radix(x) as point:
+            decs = fpoly_values(300, point)
+            singles = [fpoly_value(k, point) for k in (0, 1, 2, 7, 299)]
+        assert [str(v) for v in decs] == [str(v) for v in ints]
+        assert singles == [ints[k] for k in (0, 1, 2, 7, 299)]
+        assert "-0" not in {str(v) for v in singles}
+
+    def test_past_the_int_digit_limit(self):
+        with decimal_radix(7) as point:
+            big = fpoly_value(6000, point)
+            low = big % 10 ** 50
+        assert len(str(big)) > 5000
+        assert low == fpoly_value(6000, 7) % 10 ** 50
+
+    def test_a_remainder_raises(self):
+        with decimal_radix(7) as point:
+            assert point / 2 == decimal.Decimal("3.5")  # exact, not rounded
+            with pytest.raises(decimal.Inexact):  # 7 = 2*3 + 1
+                (point / 2).to_integral_exact()
+            with pytest.raises(decimal.DivisionByZero):
+                point // 0
+        assert decimal.getcontext() is not EXACT  # entered locally only
+
+    def test_digit_estimate(self):
+        # F_k(3) = L_{2k+1}: about (2k + 1) * log10(golden ratio) digits
+        assert abs(value_digits(999, 3) - len(str(fpoly_value(999, 3)))) < 2
+        assert value_digits(0, 2, 100) == 100  # one digit per small value
+        assert value_digits(0, 7, 10001) < MAX_DIGITS
+        with pytest.raises(ValueError, match="about 417,975,282 digits"):
+            check_digits(value_digits(10 ** 9, 3))

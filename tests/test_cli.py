@@ -1,18 +1,21 @@
 """The command-line surface: formats, exit codes, determinism."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
 from torusideals import cli, hilbert, verify
-from torusideals.chebfam import fpoly_values
+from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.intpoly import intpoly_from_json, laurent_from_json
 from torusideals.zeta import local_zeta_factors, zeta_from_json
@@ -106,6 +109,55 @@ class TestCompute:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{fpoly_values(6001, 3)[-1]}\n"
 
+    def test_oversized_answers_refused_up_front(self):
+        # 512 MB of address space, limited in the child only
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (("compute", "fpoly", "--n", "1000000000", "--eval", "3"),
+                     ("oeis-check", "f_eval", "--at", "10", "--max-n",
+                      "1000000", "--emit", os.devnull)):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            proc = subprocess.run(
+                [sys.executable, "-m", "torusideals.cli", *argv],
+                capture_output=True, text=True, env=env, preexec_fn=limit,
+                timeout=60)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu = (after.ru_utime + after.ru_stime
+                   - before.ru_utime - before.ru_stime)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error: answer would have about ")
+            assert proc.stderr.endswith(" digits (limit 100,000,000)\n")
+            assert "Traceback" not in proc.stderr
+            assert cpu < 1.0
+
+    @pytest.mark.parametrize("kind", ["tcheb", "fpoly", "pg", "cn", "pn"])
+    def test_eval_prints_the_int_value(self, capsys, kind):
+        for n in (1, 2, 5, 12, 50):
+            for x in range(-8, 9):
+                want = (hilbert.pg_eval_int(n, x) if kind == "pg"
+                        else cli._OBJECTS[kind](n).eval_int(x))
+                code, out = run(capsys, "compute", kind, "--n", str(n),
+                                "--eval", str(x))
+                assert code == 0 and out == f"{want}\n"
+
+    def test_eval_past_the_int_digit_limit(self, capsys):
+        # P_n(3) = C_n(3) / 4, C_n summed over the odd divisors of n
+        n, x = 100000, 3
+        c = 0
+        for d in range(1, n + 1, 2):
+            if n % d == 0:
+                r = n // d - (d + 1) // 2
+                c += (x ** (n + r + 1) - x ** (n + r) - x ** (n - r)
+                      + x ** (n - r - 1))
+        code, out = run(capsys, "compute", "pn", "--n", str(n),
+                        "--eval", str(x))
+        assert code == 0 and len(out) > 90000
+        with decimal_radix(0):
+            assert Decimal(out) * (x - 1) ** 2 == c
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "nonsense", "--n", "3"])
@@ -121,6 +173,32 @@ class TestTable:
             assert row[3][:2] == (pg3, f3)
             assert row[4][:2] == (pg4, f4)
             assert row[5][:2] == (pg5, f5)
+
+    @pytest.mark.parametrize("points", [[0, 1, -1, 2, -2], [3, -3, 7]])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_values_print_the_int_values(self, capsys, points, fmt):
+        max_n = 200
+        rows = []
+        for n in range(1, max_n + 1):
+            row = [str(n)]
+            for x in points:
+                pg, f = hilbert.pg_eval_int(n, x), fpoly_value(n - 1, x)
+                rel = {0: "equal", 1: "off_by_one"}.get(abs(pg - f), "other")
+                row += [str(pg), str(f), rel]
+            rows.append(row)
+        code, out = run(capsys, "table", "values", "--max-n", str(max_n),
+                        "--N=" + ",".join(map(str, points)), "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            names = [f"{k}_{x}" for x in points for k in ("pg", "f", "rel")]
+            got = [[str(r["n"])] + [r[k] for k in names]
+                   for r in json.loads(out)["rows"]]
+        elif fmt == "csv":
+            got = list(csv.reader(io.StringIO(out)))[1:]
+        else:
+            got = [line.split() for line in out.splitlines()[2:]]
+        assert got == rows
+        assert "-0" not in {cell for row in got for cell in row}
 
     def test_decomposition_strings(self):
         for n in range(1, 17):
@@ -267,6 +345,18 @@ class TestOeisCheck:
         code, out = run(capsys, "oeis-check", *argv)
         assert code == 0
         assert out == "f_eval vs b002878: 3 terms compared, 0 mismatches: PASS\n"
+
+    def test_round_trip_past_the_int_digit_limit(self, capsys, tmp_path):
+        b = tmp_path / "f7.txt"
+        code, out = run(capsys, "oeis-check", "f_eval", "--at", "7",
+                        "--max-n", "10000", "--emit", str(b))
+        assert code == 0 and out == f"wrote 10001 terms to {b}\n"
+        line = b.read_text(encoding="utf-8").splitlines()[6000]
+        with decimal_radix(0):
+            assert Decimal(line.split()[1]) == fpoly_value(6000, 7)
+        code, out = run(capsys, "oeis-check", "f_eval", str(b), "--at", "7")
+        assert code == 0
+        assert out == "f_eval vs f7: 10001 terms compared, 0 mismatches: PASS\n"
 
     def test_second_bfile_is_rejected(self, capsys, tmp_path):
         b = tmp_path / "b.txt"

@@ -5,11 +5,12 @@ import doctest
 
 import pytest
 
-from torusideals import chebfam, divisors, hilbert, intpoly, series, zeta
+from torusideals import (chebfam, cli, divisors, hilbert, intpoly, oeis,
+                         series, zeta)
 
 
 @pytest.mark.parametrize(
-    "module", [intpoly, chebfam, divisors, hilbert, series, zeta],
+    "module", [intpoly, chebfam, divisors, hilbert, series, zeta, oeis, cli],
     ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)

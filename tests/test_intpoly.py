@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from torusideals.chebfam import decimal_radix
 from torusideals.intpoly import (
     IntPoly,
     LaurentPoly,
@@ -97,6 +98,18 @@ class TestIntPoly:
         assert (p * q).eval_int(x) == p.eval_int(x) * q.eval_int(x)
         assert (p + q).eval_int(x) == p.eval_int(x) + q.eval_int(x)
         assert (p - q).eval_int(x) == p.eval_int(x) - q.eval_int(x)
+
+    @given(st.lists(st.integers(-9, 9), max_size=80), st.integers(-20, 20))
+    def test_eval_matches_plain_horner(self, a, x):
+        # the 16-coefficient blocks against one multiplication per term
+        acc = 0
+        for c in reversed(a):
+            acc = acc * x + c
+        assert IntPoly(tuple(a)).eval_int(x) == acc
+        assert LaurentPoly(3, tuple(a)).eval_int(x) == acc * x ** 3
+        with decimal_radix(x) as point:
+            value = IntPoly(tuple(a)).eval_int(point)
+        assert str(value) == str(acc)  # exact, and never "-0"
 
     @given(coeff_lists, coeff_lists)
     def test_operations_stay_canonical(self, a, b):

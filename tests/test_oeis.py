@@ -1,8 +1,12 @@
 """b-file parsing and sequence comparisons."""
 from __future__ import annotations
 
+from decimal import Decimal
+
 import pytest
 
+from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
+from torusideals.hilbert import pg_eval_int
 from torusideals.oeis import (
     BFileError,
     SEQUENCES,
@@ -132,3 +136,60 @@ class TestEmit:
         assert SEQUENCES["sigma"].default_oeis_id == "A000203"
         assert SEQUENCES["pg3"].min_index == 1
         assert SEQUENCES["f_eval"].min_index == 0
+
+
+class TestLongValues:
+    @pytest.mark.parametrize("x", range(-8, 9))
+    def test_emitted_lines_match_int_values(self, tmp_path, x):
+        for key, values in (("f_eval", fpoly_values(401, x)),
+                            ("pg_eval", [pg_eval_int(n, x)
+                                         for n in range(1, 401)])):
+            out = tmp_path / f"{key}.txt"
+            emit_bfile(key, out, at=x, max_index=400)
+            start = SEQUENCES[key].min_index
+            lines = out.read_text(encoding="utf-8").splitlines()
+            assert lines == [f"{i} {v}" for i, v in enumerate(values, start)]
+            assert not any(line.split()[1] == "-0" for line in lines)
+
+    def test_values_past_the_int_digit_limit(self, tmp_path):
+        big = fpoly_value(6000, 7)  # about 5000 digits
+        with decimal_radix(big) as exact_big:
+            text = f"0 1\n1 -{exact_big}\n2 +{exact_big}\n"
+        path = write(tmp_path, "b.txt", text)
+        (_, a), (_, b), (_, c) = parse_bfile(path).entries
+        assert (a, b, c) == (1, -big, big)
+        assert isinstance(b, int)
+        _, (_, d), _ = parse_bfile(path, exact=True).entries
+        assert isinstance(d, Decimal) and d == -big
+
+    def test_int_literals_only(self, tmp_path):
+        path = write(tmp_path, "ok.txt", "1 -0\n2 007\n3 1_000\n4 +5\n")
+        entries = parse_bfile(path, exact=True).entries
+        assert entries == ((1, 0), (2, 7), (3, 1000), (4, 5))
+        assert str(entries[0][1]) == "0"
+        for bad in ("1e5", "NaN", "1.0", "Infinity", "0x10", "1__0", "_1"):
+            path = write(tmp_path, "bad.txt", f"1 1\n2 {bad}\n")
+            with pytest.raises(BFileError, match=r":2:"):
+                parse_bfile(path)
+
+    def test_long_line_cut_in_message(self, tmp_path):
+        path = write(tmp_path, "b.txt", "1 " + "9" * 10000 + "x\n")
+        with pytest.raises(BFileError) as exc:
+            parse_bfile(path)
+        quoted = str(exc.value).split(" got ", 1)[1]
+        assert len(quoted) <= 82 and quoted.endswith("...'")
+
+    def test_round_trip_past_the_int_digit_limit(self, tmp_path):
+        out = tmp_path / "f7.txt"  # F_k(7) passes 4300 digits at k ~ 5150
+        assert emit_bfile("f_eval", out, at=7, max_index=6000) == 6001
+        bfile = parse_bfile(out, exact=True)
+        report = check_sequence("f_eval", bfile, at=7, exact=True)
+        assert report.ok and report.compared == 6001
+        index, value = bfile.entries[6000]
+        assert index == 6000 and value == fpoly_value(6000, 7)
+
+    def test_refuses_oversized_sweeps(self, tmp_path):
+        with pytest.raises(ValueError, match="answer would have about"):
+            emit_bfile("f_eval", tmp_path / "f.txt", at=10,
+                       max_index=1000000)
+        assert not (tmp_path / "f.txt").exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusideals import series
 from torusideals.chebfam import fpoly, tcheb
 from torusideals.hilbert import pg_via_interval
 from torusideals.intpoly import IntPoly, ONE, TWO, X, ZERO
@@ -19,6 +20,7 @@ from torusideals.series import (
     series_mul,
     series_one,
 )
+from torusideals.verify import verify_series
 
 
 def poly(*cs: int) -> IntPoly:
@@ -112,6 +114,21 @@ class TestProductExpansion:
     def test_extraction_sweep(self):
         for n, p in enumerate(pg_from_series(50), start=1):
             assert p == pg_via_interval(n)
+
+    def test_extraction_from_a_deeper_expansion(self):
+        assert pg_from_series(20, expand_pg_product(30)) == pg_from_series(20)
+
+    def test_verify_expands_each_order_once(self, monkeypatch):
+        orders = []
+
+        def counted(order):
+            orders.append(order)
+            return expand_pg_product(order)
+
+        monkeypatch.setattr(series, "expand_pg_product", counted)
+        report = verify_series(64)
+        assert (report.passed, report.failed) == (196, 0)
+        assert sorted(orders) == [32, 64]
 
 
 class TestFamilyGeneratingFunctions:
