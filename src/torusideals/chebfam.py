@@ -45,19 +45,22 @@ def decimal_radix(x: int) -> Iterator[Decimal]:
         yield Decimal(x)
 
 
-def check_digits(digits: float) -> None:
+def check_digits(digits: int) -> None:
     """Refuse an answer estimated at more than ``MAX_DIGITS`` digits."""
-    if digits > MAX_DIGITS:
-        raise ValueError(f"answer would have about {digits:,.0f} digits "
+    if digits > MAX_DIGITS:  # no str() of an int past 4300 digits, no float
+        about = (f"{digits:,}" if digits < 10 ** 18
+                 else f"10^{math.log10(digits):.0f}")
+        raise ValueError(f"answer would have about {about} digits "
                          f"(limit {MAX_DIGITS:,})")
 
 
-def value_digits(k: int, x: int, count: int = 1) -> float:
+def value_digits(k: int, x: int, count: int = 1) -> int:
     """About how many digits F_j(x) (or V_j(x), G_{j+1}(x)) has, summed over
-    j = k..k+count-1: 1 + (j + 1) * log10((|x| + sqrt(x^2 - 4))/2)."""
+    j = k..k+count-1, as an int: 1 + (j+1) * log10((|x| + sqrt(x^2-4))/2)."""
     rate = (math.log10(abs(x)) + math.log10(0.5 + math.sqrt(0.25 - 1 / x**2))
             if abs(x) > 2 else 0)  # no float holds a huge x
-    return count * (rate * (2 * k + count + 1) / 2 + 1)
+    step = round(rate * 2 ** 32)  # so that no size overflows a float
+    return (count * (2 * k + count + 1) * step + 2 ** 32 >> 33) + count
 
 
 def tcheb(k: int) -> IntPoly:

@@ -131,10 +131,9 @@ def values_rows(max_n: int, points: list[int]) -> list[dict]:
     cols = {}
     for x in points:
         with chebfam.decimal_radix(x) as point:
-            pgs = hilbert.pg_values(max_n, point)
-            fs = chebfam.fpoly_values(max_n, point)
             cols[x] = [(pg, f, _REL_LABEL.get(abs(pg - f), "other"))
-                       for pg, f in zip(pgs, fs)]
+                       for pg, f in zip(hilbert.pg_values(max_n, point),
+                                        chebfam.fpoly_values(max_n, point))]
     return [{"n": n, **{x: col[n - 1] for x, col in cols.items()}}
             for n in range(1, max_n + 1)]
 
@@ -278,9 +277,9 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         print("error: provide a b-file to check against, or --emit",
               file=sys.stderr)
         return 2
-    bfile = parse_bfile(args.bfile, exact=True)
+    bfile = parse_bfile(args.bfile)
     report = check_sequence(args.sequence, bfile, at=args.at,
-                            max_index=args.max_n, exact=True)
+                            max_index=args.max_n)
     if not report.compared:
         span = (f">= {spec.min_index}" if args.max_n is None
                 else f"in {spec.min_index}..{args.max_n}")

@@ -292,7 +292,8 @@ class LaurentPoly:
         """Exact integer value; requires min_exp >= 0."""
         if not self.is_zero() and self.min_exp < 0:
             raise ValueError("cannot evaluate negative powers at an integer")
-        return _horner((0,) * self.min_exp + self.coeffs, q)
+        value = _horner(self.coeffs, q)  # skip q ** 0: a decimal 0 ** 0 raises
+        return +(value * q ** self.min_exp) if self.min_exp else value  # no -0
 
     # -- predicates ----------------------------------------------------------
 

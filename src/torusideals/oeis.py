@@ -17,8 +17,8 @@ mode here.  The registry:
 
 ``sigma`` deliberately routes through G_n(2) rather than summing divisors:
 the point of the check is to validate the pipeline against independent
-reference data.  ``emit_bfile`` and ``exact=True`` work in the exact decimal
-radix of ``chebfam.decimal_radix``: linear time for values of any length.
+reference data.  b-file values and sweeps are exact ``Decimal``s
+(``chebfam.decimal_radix``): linear time for values of any length.
 """
 from __future__ import annotations
 
@@ -45,15 +45,14 @@ class BFile:
     """Parsed b-file: (index, value) entries with strictly increasing index."""
 
     sequence_id: str
-    entries: tuple[tuple[int, int], ...]
+    entries: tuple[tuple[int, Decimal], ...]
 
 
-def parse_bfile(path: str | Path, sequence_id: str = "",
-                exact: bool = False) -> BFile:
+def parse_bfile(path: str | Path, sequence_id: str = "") -> BFile:
     """Read a b-file; raises ``BFileError`` with a line number on bad input.
-    Values are ``int()`` literals of any length (``Decimal`` if ``exact``)."""
+    Values are ``int()`` literals of any length, read as exact ``Decimal``."""
     path = Path(path)
-    entries: list[tuple[int, int]] = []
+    entries: list[tuple[int, Decimal]] = []
     prev: int | None = None
     with path.open(encoding="utf-8") as fh, localcontext(EXACT):
         for lineno, raw in enumerate(fh, 1):
@@ -65,8 +64,7 @@ def parse_bfile(path: str | Path, sequence_id: str = "",
                 shown = line if len(line) <= 80 else line[:77] + "..."
                 raise BFileError(f"{path}:{lineno}: expected two integers "
                                  f"'index value', got {shown!r}")
-            idx, val = (+Decimal(t) for t in parts)  # + turns -0 into 0
-            idx, val = int(idx), val if exact else int(val)
+            idx, val = int(Decimal(parts[0])), +Decimal(parts[1])  # + reads -0 as 0
             if prev is not None and idx <= prev:
                 raise BFileError(
                     f"{path}:{lineno}: index {idx} not increasing (after {prev})")
@@ -88,14 +86,14 @@ class SequenceSpec:
     values: Callable[[Any, int], list]
     default_oeis_id: str = ""
 
-    def sweep(self, at: int | None, top: int, exact: bool = False) -> list:
-        """``values``, refused if too long (F-indices run from 0)."""
+    def sweep(self, at: int | None, top: int) -> list:
+        """``values`` in the decimal radix, refused if too long."""
         x = self.point if self.point is not None else at
         if x is None:
             raise ValueError(f"sequence {self.key!r} needs an evaluation point")
         check_digits(value_digits(0, x, top - self.min_index + 1))
         with decimal_radix(x) as point:
-            return self.values(point if exact else x, top)
+            return self.values(point, top)
 
 
 SEQUENCES: dict[str, SequenceSpec] = {
@@ -125,7 +123,7 @@ class SequenceCheckReport:
     sequence: str
     bfile_id: str
     compared: int
-    mismatches: list[tuple[int, int, int]] = field(default_factory=list)
+    mismatches: list[tuple[int, Decimal, Any]] = field(default_factory=list)
     # (index, value from b-file, computed value)
 
     @property
@@ -145,16 +143,15 @@ class SequenceCheckReport:
 
 
 def check_sequence(key: str, bfile: BFile, at: int | None = None,
-                   max_index: int | None = None,
-                   exact: bool = False) -> SequenceCheckReport:
+                   max_index: int | None = None) -> SequenceCheckReport:
     """Compare the named sequence against a b-file over the overlapping
-    index range (up to ``max_index``), in the decimal radix if ``exact``."""
+    index range (up to ``max_index``)."""
     spec = SEQUENCES[key]
     wanted = [(idx, val) for idx, val in bfile.entries
               if idx >= spec.min_index
               and (max_index is None or idx <= max_index)]
     top = max((i for i, _ in wanted), default=spec.min_index - 1)
-    values = spec.sweep(at, top, exact)
+    values = spec.sweep(at, top)
     pairs = [(idx, val, values[idx - spec.min_index]) for idx, val in wanted]
     return SequenceCheckReport(key, bfile.sequence_id, len(wanted),
                                [p for p in pairs if p[1] != p[2]])
@@ -166,7 +163,7 @@ def emit_bfile(key: str, path: str | Path, at: int | None = None,
     sequences without one); returns the number of lines written."""
     spec = SEQUENCES[key]
     top = max(max_index, spec.min_index - 1)  # no lines below min_index
-    values = spec.sweep(at, top, exact=True)
+    values = spec.sweep(at, top)
     with open(path, "w", encoding="utf-8") as fh:  # line by line: no copy
         fh.writelines(f"{i} {v}\n" for i, v in enumerate(values, spec.min_index))
     return len(values)

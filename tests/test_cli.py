@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -132,6 +133,23 @@ class TestCompute:
             assert proc.stderr.endswith(" digits (limit 100,000,000)\n")
             assert "Traceback" not in proc.stderr
             assert cpu < 1.0
+
+    def test_sizes_past_the_float_range_refused(self, capsys, tmp_path):
+        huge = str(10 ** 309)  # no float holds it
+        bfile = tmp_path / "b.txt"
+        bfile.write_text(f"{huge} 1\n", encoding="utf-8")
+        for argv in (("compute", "fpoly", "--n", huge, "--eval", "3"),
+                     ("table", "values", "--max-n", huge),
+                     ("table", "values", "--max-n", huge, "--N", "0,1"),
+                     ("oeis-check", "f_eval", "--at", "3", "--emit",
+                      str(tmp_path / "f.txt"), "--max-n", huge),
+                     ("oeis-check", "f_eval", str(bfile), "--at", "3")):
+            code = main(list(argv))
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert re.fullmatch(r"error: answer would have about 10\^\d{3} "
+                                r"digits \(limit 100,000,000\)\n", err), err
+        assert not (tmp_path / "f.txt").exists()
 
     @pytest.mark.parametrize("kind", ["tcheb", "fpoly", "pg", "cn", "pn"])
     def test_eval_prints_the_int_value(self, capsys, kind):

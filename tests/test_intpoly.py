@@ -109,7 +109,9 @@ class TestIntPoly:
         assert LaurentPoly(3, tuple(a)).eval_int(x) == acc * x ** 3
         with decimal_radix(x) as point:
             value = IntPoly(tuple(a)).eval_int(point)
+            shifted = LaurentPoly(3, tuple(a)).eval_int(point)
         assert str(value) == str(acc)  # exact, and never "-0"
+        assert str(shifted) == str(acc * x ** 3)
 
     @given(coeff_lists, coeff_lists)
     def test_operations_stay_canonical(self, a, b):
@@ -139,6 +141,7 @@ class TestLaurentPoly:
     def test_eval(self):
         assert LaurentPoly(0, (1, 1, 1)).eval_int(2) == 7
         assert LaurentPoly(1, (3,)).eval_int(5) == 15
+        assert monomial(10 ** 6).eval_int(2) == 2 ** 10 ** 6  # one power
         with pytest.raises(ValueError):
             LaurentPoly(-1, (1,)).eval_int(2)
 

@@ -158,13 +158,11 @@ class TestLongValues:
         path = write(tmp_path, "b.txt", text)
         (_, a), (_, b), (_, c) = parse_bfile(path).entries
         assert (a, b, c) == (1, -big, big)
-        assert isinstance(b, int)
-        _, (_, d), _ = parse_bfile(path, exact=True).entries
-        assert isinstance(d, Decimal) and d == -big
+        assert isinstance(b, Decimal)
 
     def test_int_literals_only(self, tmp_path):
         path = write(tmp_path, "ok.txt", "1 -0\n2 007\n3 1_000\n4 +5\n")
-        entries = parse_bfile(path, exact=True).entries
+        entries = parse_bfile(path).entries
         assert entries == ((1, 0), (2, 7), (3, 1000), (4, 5))
         assert str(entries[0][1]) == "0"
         for bad in ("1e5", "NaN", "1.0", "Infinity", "0x10", "1__0", "_1"):
@@ -182,8 +180,8 @@ class TestLongValues:
     def test_round_trip_past_the_int_digit_limit(self, tmp_path):
         out = tmp_path / "f7.txt"  # F_k(7) passes 4300 digits at k ~ 5150
         assert emit_bfile("f_eval", out, at=7, max_index=6000) == 6001
-        bfile = parse_bfile(out, exact=True)
-        report = check_sequence("f_eval", bfile, at=7, exact=True)
+        bfile = parse_bfile(out)
+        report = check_sequence("f_eval", bfile, at=7)
         assert report.ok and report.compared == 6001
         index, value = bfile.entries[6000]
         assert index == 6000 and value == fpoly_value(6000, 7)
