@@ -10,7 +10,7 @@ Each family has at least two independent construction routes (binomial
 closed form, matrix trace, and the three-term recurrence that the ``verify``
 sweep rolls itself) so they can cross-validate one another.  The closed
 forms are the production route; values come from Lucas-sequence doubling
-(``fpoly_value``) or, for a whole sweep, the value recurrence
+(``tcheb_value``, ``fpoly_value``) or, for a whole sweep, the value recurrence
 (``fpoly_values``), for any number type: the CLI prints values computed
 in ``decimal_radix`` (linear-time ``str()``).  Nothing is cached.
 """
@@ -95,6 +95,13 @@ def _lucas_pair(k: int, x: int) -> tuple[int, int]:
         else:
             a, b = a * a - 2, a * b - x
     return a, b
+
+
+def tcheb_value(k: int, x: int) -> int:
+    """Integer value of tcheb(k) at x, V_k(x) by Lucas doubling."""
+    if k < 0:
+        raise ValueError("tcheb index must be non-negative")
+    return +_lucas_pair(k, x)[0]  # a decimal product can leave -0
 
 
 def fpoly_value(k: int, x: int) -> int:

@@ -16,7 +16,8 @@ from collections.abc import Iterable, Iterator
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import IntPoly, LaurentPoly, format_laurent, format_poly
+from .intpoly import (IntPoly, LaurentPoly, format_laurent, format_poly,
+                      intpoly_to_json, laurent_to_json)
 from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -33,10 +34,21 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _csv_string(rows: list[list[str]]) -> str:
+def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
+    """The CSV lines of ``rows``, one at a time."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _json_pieces(obj: object) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` plus a newline, in pieces."""
+    yield from json.JSONEncoder(indent=2).iterencode(obj)
+    yield "\n"
 
 
 def _text_table(headers: list[str], rows: list[list[str]]) -> Iterator[str]:
@@ -59,6 +71,14 @@ _OBJECTS = {
     "pn": hilbert.pn_from_cn,
 }
 
+_VALUES = {
+    "tcheb": chebfam.tcheb_value,
+    "fpoly": chebfam.fpoly_value,
+    "pg": hilbert.pg_eval_int,
+    "cn": hilbert.cn_eval_int,
+    "pn": hilbert.pn_eval_int,
+}
+
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     kind, n = args.object, args.n
@@ -72,12 +92,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             return 2
         z = zeta.local_zeta_factors(n)
         if args.format == "json":
-            payload = {"kind": "zeta", **z.to_json()}
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            _emit(_json_pieces({"kind": "zeta", **z.to_json()}), args.out)
         elif args.format == "csv":
-            _emit(_csv_string([["n", "num", "den"],
-                               [str(n), " ".join(map(str, z.numerator)),
-                                " ".join(map(str, z.denominator))]]), args.out)
+            _emit(_csv_lines([["n", "num", "den"],
+                              [str(n), " ".join(map(str, z.numerator)),
+                               " ".join(map(str, z.denominator))]]), args.out)
         else:
             _emit(zeta.format_local_zeta(z) + "\n", args.out)
         return 0
@@ -87,30 +106,25 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         chebfam.check_digits(chebfam.value_digits(  # C_n(x) ~ x^2n ~ F_n(x^2)
             n - 1 if kind == "pg" else n, x * x if kind in ("cn", "pn") else x))
         with chebfam.decimal_radix(x) as point:
-            value = (hilbert.pg_eval_int(n, point) if kind == "pg"
-                     else chebfam.fpoly_value(n, point) if kind == "fpoly"
-                     else _OBJECTS[kind](n).eval_int(point))
+            value = _VALUES[kind](n, point)
         if args.format == "json":
-            payload = {"kind": kind, "n": n, "eval_at": args.eval,
-                       "value": str(value)}
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            _emit(_json_pieces({"kind": kind, "n": n, "eval_at": args.eval,
+                                "value": str(value)}), args.out)
         elif args.format == "csv":
-            _emit(_csv_string([["n", "eval_at", "value"],
-                               [str(n), str(args.eval), str(value)]]), args.out)
+            _emit(_csv_lines([["n", "eval_at", "value"],
+                              [str(n), str(args.eval), str(value)]]), args.out)
         else:
             _emit(str(value) + "\n", args.out)
         return 0
 
     obj = _OBJECTS[kind](n)
     if args.format == "json":
-        payload: dict = {"kind": kind, "n": n}
-        if isinstance(obj, LaurentPoly):
-            payload["min_exp"] = obj.min_exp
-        payload["coeffs"] = [str(c) for c in obj.coeffs]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        coeffs = (laurent_to_json(obj) if isinstance(obj, LaurentPoly)
+                  else intpoly_to_json(obj))
+        _emit(_json_pieces({"kind": kind, "n": n, **coeffs}), args.out)
     elif args.format == "csv":
-        _emit(_csv_string([["n", "coeffs"],
-                           [str(n), " ".join(str(c) for c in obj.coeffs)]]),
+        _emit(_csv_lines([["n", "coeffs"],
+                          [str(n), " ".join(str(c) for c in obj.coeffs)]]),
               args.out)
     else:
         text = format_poly(obj) if isinstance(obj, IntPoly) else format_laurent(obj)
@@ -182,8 +196,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                         **{f"f_{x}": str(r[x][1]) for x in points},
                         **{f"rel_{x}": r[x][2] for x in points}}
                        for r in rows]
-            _emit(json.dumps({"table": "values", "rows": payload}, indent=2)
-                  + "\n", args.out)
+            _emit(_json_pieces({"table": "values", "rows": payload}), args.out)
         else:
             headers = ["n"]
             for x in points:
@@ -192,9 +205,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
                      + [s for x in points
                         for s in (str(r[x][0]), str(r[x][1]), r[x][2])]
                      for r in rows]
-            text = (_csv_string([headers] + cells) if args.format == "csv"
-                    else _text_table(headers, cells))
-            _emit(text, args.out)
+            _emit(_csv_lines([headers, *cells]) if args.format == "csv"
+                  else _text_table(headers, cells), args.out)
         return 0
 
     if which == "decomp":
@@ -202,27 +214,23 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 for n in range(1, max_n + 1)]
         if args.format == "json":
             payload = [{"n": n, "tsum": t, "fdecomp": f} for n, t, f in rows]
-            _emit(json.dumps({"table": "decomp", "rows": payload}, indent=2)
-                  + "\n", args.out)
+            _emit(_json_pieces({"table": "decomp", "rows": payload}), args.out)
         else:
             cells = [[str(n), t, f] for n, t, f in rows]
             headers = ["n", "tsum", "fdecomp"]
-            text = (_csv_string([headers] + cells) if args.format == "csv"
-                    else _text_table(headers, cells))
-            _emit(text, args.out)
+            _emit(_csv_lines([headers, *cells]) if args.format == "csv"
+                  else _text_table(headers, cells), args.out)
         return 0
 
     # polynomial tables
     start = 1 if which == "pg" else 0
     polys = [(n, _OBJECTS[which](n)) for n in range(start, max_n + 1)]
     if args.format == "json":
-        payload = [{"n": n, "coeffs": [str(c) for c in p.coeffs]}
-                   for n, p in polys]
-        _emit(json.dumps({"table": which, "rows": payload}, indent=2) + "\n",
-              args.out)
+        payload = [{"n": n, **intpoly_to_json(p)} for n, p in polys]
+        _emit(_json_pieces({"table": which, "rows": payload}), args.out)
     elif args.format == "csv":
         cells = [[str(n), " ".join(str(c) for c in p.coeffs)] for n, p in polys]
-        _emit(_csv_string([["n", "coeffs"]] + cells), args.out)
+        _emit(_csv_lines([["n", "coeffs"], *cells]), args.out)
     else:
         cells = [[str(n), format_poly(p)] for n, p in polys]
         _emit(_text_table(["n", which], cells), args.out)
@@ -238,13 +246,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.max_n)
     if args.format == "json":
-        _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n",
-              args.out)
+        _emit(_json_pieces([r.to_json() for r in reports]), args.out)
     elif args.format == "csv":
         rows = [["suite", "max_n", "passed", "failed"]]
         rows += [[r.suite, str(r.max_n), str(r.passed), str(r.failed)]
                  for r in reports]
-        _emit(_csv_string(rows), args.out)
+        _emit(_csv_lines(rows), args.out)
     else:
         lines = []
         for r in reports:
@@ -287,12 +294,12 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
+        _emit(_json_pieces(report.to_json()), args.out)
     elif args.format == "csv":
         rows = [["sequence", "bfile", "compared", "mismatches"],
                 [report.sequence, report.bfile_id, str(report.compared),
                  str(len(report.mismatches))]]
-        _emit(_csv_string(rows), args.out)
+        _emit(_csv_lines(rows), args.out)
     else:
         status = "PASS" if report.ok else "FAIL"
         lines = [f"{report.sequence} vs {report.bfile_id}: "

@@ -13,10 +13,6 @@ polynomial modules lean on:
   involution pairing the odd-length run for each odd divisor with an
   even-length partner.  These runs index the monomials of the ideal-count
   polynomials.
-
-The two representation counters at the bottom are deliberately brute force:
-they act as oracles for root-of-unity identities and must not share any
-logic with the polynomial side.
 """
 from __future__ import annotations
 
@@ -116,34 +112,6 @@ def triangular_index(n: int) -> int | None:
         raise ValueError("n must be positive")
     s = isqrt(8 * n + 1)
     return (s - 1) // 2 if s * s == 8 * n + 1 else None
-
-
-def two_squares_count(n: int) -> int:
-    """Number of ordered pairs (x, y) of integers with x^2 + y^2 = n,
-    counting signs, by brute-force enumeration of |x| <= sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    count = 0
-    for x in range(-isqrt(n), isqrt(n) + 1):
-        rem = n - x * x
-        y = isqrt(rem)
-        if y * y == rem:
-            count += 1 if y == 0 else 2
-    return count
-
-
-def square_plus_twice_square_count(n: int) -> int:
-    """Number of ordered pairs (x, y) with x^2 + 2*y^2 = n, counting signs,
-    by brute-force enumeration of |y| <= sqrt(n/2)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    count = 0
-    for y in range(-isqrt(n // 2), isqrt(n // 2) + 1):
-        rem = n - 2 * y * y
-        x = isqrt(rem)
-        if x * x == rem:
-            count += 1 if x == 0 else 2
-    return count
 
 
 @dataclass(frozen=True)

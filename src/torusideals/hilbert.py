@@ -18,7 +18,6 @@ verdict records instead of raising; only internal impossibilities raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .chebfam import fpoly, fpoly_value, fpoly_values
@@ -34,8 +33,6 @@ from .divisors import (
     triangular_index,
 )
 from .intpoly import (
-    ONE,
-    X,
     ZERO,
     IntPoly,
     LaurentPoly,
@@ -56,12 +53,6 @@ class PgDecomposition:
     n: int
     terms: tuple[OddDivisorTerm, ...]
     polynomial: IntPoly
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"d": t.d, "r": t.r, "sign": t.sign} for t in self.terms],
-        }
 
 
 @dataclass(frozen=True)
@@ -181,6 +172,25 @@ def pg_eval_int(n: int, x: int) -> int:
                for t in odd_divisor_terms(n))
 
 
+def cn_eval_int(n: int, x: int) -> int:
+    """Integer value of C_n at x, summed over the odd divisors: each d adds
+    x^{n+r+1} + x^{n-r-1} - x^{n+r} - x^{n-r}; no polynomial is built."""
+    def power(e: int) -> int:  # a decimal 0 ** 0 raises
+        return x ** e if e else 1
+    total = 0
+    for d in odd_divisors(n):
+        r = r_nd(n, d)
+        total += (power(n + r + 1) + power(n - r - 1)
+                  - power(n + r) - power(n - r))
+    return total
+
+
+def pn_eval_int(n: int, x: int) -> int:
+    """Integer value of P_n at x: C_n(x)/(x-1)^2, and P_n(1) = sigma(n)."""
+    return (cn_eval_int(n, x) // (x - 1) ** 2 if x != 1
+            else sum(divisors(n)))
+
+
 def pg_values(max_n: int, x: int) -> list[int]:
     """[G_1(x), ..., G_max_n(x)], the same sums, by a sieve over one list of
     F-values: each odd d adds its term (r = m - (d+1)/2) to every n = m*d;
@@ -258,8 +268,8 @@ class MultVerdict:
 
     ``law`` is "product" at x in {-2, -1, 0, 2} (plain multiplicativity),
     "three_case" at x = 1 (the factor depends on (m, k) mod 3), and
-    "unconstrained" elsewhere, where nothing is asserted and the ratio is
-    merely reported.
+    "unconstrained" elsewhere, where nothing is asserted and lhs and rhs
+    are merely reported.
     """
 
     x: int
@@ -271,20 +281,13 @@ class MultVerdict:
     lhs: int
     rhs: int
 
-    @property
-    def ratio(self) -> Fraction | None:
-        """lhs/rhs when defined, for the report-only case."""
-        if self.rhs == 0:
-            return None
-        return Fraction(self.lhs, self.rhs)
-
 
 def mult_check(x: int, m: int, k: int) -> MultVerdict:
     """Check |G_m(x)| * |G_k(x)| against |G_{mk}(x)| for coprime m, k.
 
     At x in {-2, -1, 0, 2} equality must hold; at x = 1 the product equals
     1, 2 or 4 times |G_{mk}(1)| according to {m, k} mod 3 ({0,2} -> 2,
-    {2,2} -> 4, else 1); at any other x the ratio is reported unasserted.
+    {2,2} -> 4, else 1); at any other x both sides are reported unasserted.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
@@ -300,40 +303,6 @@ def mult_check(x: int, m: int, k: int) -> MultVerdict:
         return MultVerdict(x, m, k, "three_case",
                            lhs == factor * rhs, factor, lhs, factor * rhs)
     return MultVerdict(x, m, k, "unconstrained", True, None, lhs, rhs)
-
-
-@dataclass(frozen=True)
-class FactorIdentityVerdict:
-    """The two closed factorizations of G_6 -+ G_2*G_3 and the divisibility
-    of G_12^2 - G_3^2*G_4^2 by X(X+1)(X^2-4)."""
-
-    difference_ok: bool
-    sum_ok: bool
-    square_divisible: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.difference_ok and self.sum_ok and self.square_divisible
-
-
-def mult_factor_identities() -> FactorIdentityVerdict:
-    """Verify, coefficient-exactly:
-
-      G_6 - G_2*G_3 = (X-1)(X+1)^2(X-2)(X+2)
-      G_6 + G_2*G_3 = X(X-1)^2(X+1)(X+2)
-
-    and that X(X+1)(X^2-4) divides G_12^2 - G_3^2*G_4^2.
-    """
-    pg2, pg3 = pg_via_interval(2), pg_via_interval(3)
-    pg4, pg6 = pg_via_interval(4), pg_via_interval(6)
-    pg12 = pg_via_interval(12)
-    xm1, xp1 = X - ONE, X + ONE
-    xm2, xp2 = X - IntPoly((2,)), X + IntPoly((2,))
-    diff_ok = pg6 - pg2 * pg3 == xm1 * xp1 * xp1 * xm2 * xp2
-    sum_ok = pg6 + pg2 * pg3 == X * xm1 * xm1 * xp1 * xp2
-    square = pg12 * pg12 - (pg3 * pg4) * (pg3 * pg4)
-    divisor = X * xp1 * (X * X - IntPoly((4,)))
-    return FactorIdentityVerdict(diff_ok, sum_ok, divisor.divides(square))
 
 
 # -- special families ----------------------------------------------------------

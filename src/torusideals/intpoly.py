@@ -14,7 +14,7 @@ q + q^{-1}.  The inverse substitution is therefore exact over the integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class NonDivisibleError(ArithmeticError):
@@ -111,17 +111,6 @@ class IntPoly:
         return IntPoly(tuple(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> IntPoly:
         """Multiply by X^k (k >= 0)."""

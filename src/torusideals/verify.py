@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import chebfam, divisors, hilbert, series, zeta
-from .intpoly import LaurentPoly, ONE, TWO, X, ZERO, monomial
+from .intpoly import IntPoly, LaurentPoly, ONE, TWO, X, ZERO, monomial
 
 
 @dataclass
@@ -73,85 +73,97 @@ DEFAULT_RANGES = {
 }
 
 
+def check_pg_routes(rep: VerifySuiteReport, n: int, series_pg: IntPoly) -> None:
+    """Four routes to G_n agree (``series_pg`` is G_n read off the one
+    series expansion of the suite), G_n is monic of degree n - 1, and its
+    d = 1 term is +F_{n-1}."""
+    p_interval = hilbert.pg_via_interval(n)
+    decomp = hilbert.pg_via_odd_divisors(n)
+    rep.equal(f"pg interval=odd_divisors n={n}", p_interval, decomp.polynomial)
+    rep.equal(f"pg interval=roundtrip n={n}", p_interval,
+              hilbert.pg_roundtrip(n))
+    rep.equal(f"pg interval=series n={n}", p_interval, series_pg)
+    rep.check(f"pg monic degree n={n}",
+              p_interval.is_monic() and p_interval.degree == n - 1,
+              f"monic, degree {n - 1}", p_interval)
+    rep.check(f"decomp d=1 term n={n}",
+              decomp.terms[0].d == 1 and decomp.terms[0].sign == 1
+              and decomp.terms[0].f_index == n - 1,
+              "+F_{n-1} from d=1", decomp.terms[0])
+
+
+def check_counts(rep: VerifySuiteReport, n: int) -> None:
+    """Two routes to C_n, the structure of C_n and P_n, and the monomial
+    route to the centered quotient P_n / q^{n-1}."""
+    cn_a = hilbert.cn_via_odd_divisors(n)
+    cn_b = hilbert.cn_via_coeff_formula(n)
+    rep.equal(f"cn two-route n={n}", cn_a.full, cn_b.full)
+    rep.check(f"cn palindromic monic deg 2n n={n}",
+              cn_a.full.is_palindromic() and cn_a.full.min_exp == 0
+              and cn_a.full.max_exp == 2 * n and cn_a.full.coeff(2 * n) == 1,
+              "palindromic monic of degree 2n", cn_a.full)
+    pn = hilbert.pn_from_cn(n)
+    rep.check(f"pn structure n={n}",
+              pn.is_palindromic() and pn.min_exp == 0
+              and pn.max_exp == 2 * n - 2
+              and all(c >= 0 for c in pn.coeffs),
+              "palindromic degree 2n-2, coefficients >= 0", pn)
+    rep.equal(f"pn value at 1 n={n}", sum(divisors.divisors(n)),
+              pn.eval_int(1))
+    rep.equal(f"cn coefficient-sum law n={n}",
+              4 * len(divisors.odd_divisors(n)),
+              sum(abs(c) for c in cn_a.centered.coeffs))
+    rep.equal(f"pg sequence route n={n}", pn.shift(-(n - 1)),
+              hilbert.pg_via_sequences(n))
+
+
+def check_runs(rep: VerifySuiteReport, n: int) -> None:
+    """The run/divisor bijection, involution, parity flip and containment."""
+    produced = []
+    for d in divisors.odd_divisors(n):
+        odd_run, even_run = divisors.sequence_for_divisor(n, d)
+        produced += [odd_run, even_run]
+        rep.check(f"run sums n={n} d={d}",
+                  odd_run.total == n and even_run.total == n, n,
+                  (odd_run.total, even_run.total))
+        rep.check(f"involution n={n} d={d}",
+                  divisors.involute(odd_run) == even_run
+                  and divisors.involute(even_run) == odd_run,
+                  "mutually involute", (odd_run, even_run))
+        rep.check(f"parity flip n={n} d={d}",
+                  odd_run.is_odd() != even_run.is_odd(),
+                  "opposite parity", (odd_run.h, even_run.h))
+        pos, neg = ((odd_run, even_run) if odd_run.is_positive()
+                    else (even_run, odd_run))
+        pos_set, neg_set = set(pos.elements()), set(neg.elements())
+        rep.check(f"containment n={n} d={d}",
+                  pos_set <= neg_set
+                  and len(neg_set - pos_set) == abs(even_run.h - odd_run.h),
+                  "positive run inside negative partner",
+                  (odd_run, even_run))
+    rep.check(f"bijection n={n}",
+              sorted((s.a, s.h) for s in produced)
+              == sorted((s.a, s.h) for s in divisors.representations(n)),
+              "divisor pairs exhaust the representations", produced)
+
+
+def check_a_tail(rep: VerifySuiteReport, n: int) -> None:
+    """The interval counts are 1 on the top half of the index range."""
+    tail = [divisors.a_coeff(n, i) for i in range((n - 1) // 2, n)]
+    rep.check(f"a_coeff tail of ones n={n}", all(a == 1 for a in tail),
+              "all 1", tail)
+
+
 def verify_routes(max_n: int = 200) -> VerifySuiteReport:
     """Every route to the same polynomial agrees, and the count structure
     holds: four ways to G_n, two ways to C_n, the monomial route to the
     centered quotient, and the run/divisor combinatorics behind them."""
     rep = VerifySuiteReport("routes", max_n)
-    series_pgs = series.pg_from_series(max_n)
-    for n in range(1, max_n + 1):
-        p_interval = hilbert.pg_via_interval(n)
-        decomp = hilbert.pg_via_odd_divisors(n)
-        rep.equal(f"pg interval=odd_divisors n={n}", p_interval,
-                  decomp.polynomial)
-        rep.equal(f"pg interval=roundtrip n={n}", p_interval,
-                  hilbert.pg_roundtrip(n))
-        rep.equal(f"pg interval=series n={n}", p_interval, series_pgs[n - 1])
-        rep.check(f"pg monic degree n={n}",
-                  p_interval.is_monic() and p_interval.degree == n - 1,
-                  f"monic, degree {n - 1}", p_interval)
-        rep.check(f"decomp d=1 term n={n}",
-                  decomp.terms[0].d == 1 and decomp.terms[0].sign == 1
-                  and decomp.terms[0].f_index == n - 1,
-                  "+F_{n-1} from d=1", decomp.terms[0])
-
-        # full count: two routes and structure
-        cn_a = hilbert.cn_via_odd_divisors(n)
-        cn_b = hilbert.cn_via_coeff_formula(n)
-        rep.equal(f"cn two-route n={n}", cn_a.full, cn_b.full)
-        rep.check(f"cn palindromic monic deg 2n n={n}",
-                  cn_a.full.is_palindromic() and cn_a.full.min_exp == 0
-                  and cn_a.full.max_exp == 2 * n and cn_a.full.coeff(2 * n) == 1,
-                  "palindromic monic of degree 2n", cn_a.full)
-        pn = hilbert.pn_from_cn(n)
-        rep.check(f"pn structure n={n}",
-                  pn.is_palindromic() and pn.min_exp == 0
-                  and pn.max_exp == 2 * n - 2
-                  and all(c >= 0 for c in pn.coeffs),
-                  "palindromic degree 2n-2, coefficients >= 0", pn)
-        rep.equal(f"pn value at 1 n={n}", sum(divisors.divisors(n)),
-                  pn.eval_int(1))
-        rep.equal(f"cn coefficient-sum law n={n}",
-                  4 * len(divisors.odd_divisors(n)),
-                  sum(abs(c) for c in cn_a.centered.coeffs))
-
-        # monomial route over run differences
-        rep.equal(f"pg sequence route n={n}", pn.shift(-(n - 1)),
-                  hilbert.pg_via_sequences(n))
-
-        # run/divisor bijection, involution, parity, containment
-        odd = divisors.odd_divisors(n)
-        produced = []
-        for d in odd:
-            odd_run, even_run = divisors.sequence_for_divisor(n, d)
-            produced += [odd_run, even_run]
-            rep.check(f"run sums n={n} d={d}",
-                      odd_run.total == n and even_run.total == n, n,
-                      (odd_run.total, even_run.total))
-            rep.check(f"involution n={n} d={d}",
-                      divisors.involute(odd_run) == even_run
-                      and divisors.involute(even_run) == odd_run,
-                      "mutually involute", (odd_run, even_run))
-            rep.check(f"parity flip n={n} d={d}",
-                      odd_run.is_odd() != even_run.is_odd(),
-                      "opposite parity", (odd_run.h, even_run.h))
-            pos, neg = ((odd_run, even_run) if odd_run.is_positive()
-                        else (even_run, odd_run))
-            pos_set, neg_set = set(pos.elements()), set(neg.elements())
-            rep.check(f"containment n={n} d={d}",
-                      pos_set <= neg_set
-                      and len(neg_set - pos_set) == abs(even_run.h - odd_run.h),
-                      "positive run inside negative partner",
-                      (odd_run, even_run))
-        rep.check(f"bijection n={n}",
-                  sorted((s.a, s.h) for s in produced)
-                  == sorted((s.a, s.h) for s in divisors.representations(n)),
-                  "divisor pairs exhaust the representations", produced)
-
-        # interval counts are 1 on the top half of the index range
-        tail = [divisors.a_coeff(n, i) for i in range((n - 1) // 2, n)]
-        rep.check(f"a_coeff tail of ones n={n}",
-                  all(a == 1 for a in tail), "all 1", tail)
+    for n, series_pg in enumerate(series.pg_from_series(max_n), start=1):
+        check_pg_routes(rep, n, series_pg)
+        check_counts(rep, n)
+        check_runs(rep, n)
+        check_a_tail(rep, n)
     return rep
 
 
@@ -224,6 +236,20 @@ def verify_series(max_n: int = 64) -> VerifySuiteReport:
     return rep
 
 
+def check_factor_identities(rep: VerifySuiteReport) -> None:
+    """G_6 - G_2*G_3 = (X-1)(X+1)^2(X-2)(X+2), G_6 + G_2*G_3 =
+    X(X-1)^2(X+1)(X+2), and X(X+1)(X^2-4) divides G_12^2 - G_3^2*G_4^2."""
+    pg2, pg3, pg4, pg6, pg12 = map(hilbert.pg_via_interval, (2, 3, 4, 6, 12))
+    xm1, xp1, xm2, xp2 = X - ONE, X + ONE, X - TWO, X + TWO
+    rep.equal("difference factorization", xm1 * xp1 * xp1 * xm2 * xp2,
+              pg6 - pg2 * pg3)
+    rep.equal("sum factorization", X * xm1 * xm1 * xp1 * xp2, pg6 + pg2 * pg3)
+    square = pg12 * pg12 - (pg3 * pg4) * (pg3 * pg4)
+    divisor = X * xp1 * xm2 * xp2
+    rep.check("square-difference divisibility", divisor.divides(square),
+              f"divisible by {divisor}", square)
+
+
 def verify_mult(max_n: int = 60) -> VerifySuiteReport:
     """Multiplicativity of |G_n(x)| at the four special points, the
     three-case law at x=1, the closed factor identities, and
@@ -237,10 +263,7 @@ def verify_mult(max_n: int = 60) -> VerifySuiteReport:
                 v = hilbert.mult_check(x, m, k)
                 rep.check(f"mult x={x} m={m} k={k}", v.ok,
                           f"factor {v.factor}", f"lhs={v.lhs} rhs={v.rhs}")
-    fid = hilbert.mult_factor_identities()
-    rep.check("difference factorization", fid.difference_ok)
-    rep.check("sum factorization", fid.sum_ok)
-    rep.check("square-difference divisibility", fid.square_divisible)
+    check_factor_identities(rep)
     for m in range(1, 101):
         for k in range(m + 1, 101):
             if gcd(m, k) == 1:
@@ -264,10 +287,10 @@ def verify_zeta(max_n: int = 500) -> VerifySuiteReport:
         rep.check(f"exponent range n={n}",
                   all(0 <= e <= 2 * n for e in z.numerator + z.denominator),
                   "within [0, 2n]", z)
-        rep.check(f"functional equation n={n}",
-                  zeta.check_functional_equation(n).ok, True)
-        rep.check(f"coefficient consistency n={n}",
-                  zeta.zeta_consistency_with_cn(n).ok, True)
+        fe = zeta.check_functional_equation(n)
+        rep.check(f"functional equation n={n}", fe.ok, True, fe.detail)
+        cc = zeta.zeta_consistency_with_cn(n)
+        rep.check(f"coefficient consistency n={n}", cc.ok, True, cc.detail)
     z3, z4 = zeta.local_zeta_factors(3), zeta.local_zeta_factors(4)
     rep.equal("n=3 factors", ((1, 2, 4, 5), (0, 3, 3, 6)),
               (z3.numerator, z3.denominator))

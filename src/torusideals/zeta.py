@@ -2,9 +2,11 @@
 
 The local zeta function of the n-point counting problem is a ratio of
 degree-one factors (1 - q^e t); the Hasse-Weil function is the matching
-product of shifted Riemann zeta values.  Both are represented purely as
-exponent multisets (sorted tuples) -- nothing is evaluated numerically,
-because the verifiable content is exactly the factor structure:
+product of shifted Riemann zeta values zeta(s - e), with the same integers
+e, so ``hasse_weil_factors`` returns the local factorization.  Both are
+represented purely as exponent multisets (sorted tuples) -- nothing is
+evaluated numerically, because the verifiable content is exactly the
+factor structure:
 
   per odd divisor d of n, with r = n/d - (d+1)/2,
     numerator exponents   {n + r, n - r}
@@ -50,16 +52,6 @@ def zeta_from_json(obj: dict) -> ZetaFactorization:
     return ZetaFactorization(int(obj["n"]), tuple(obj["num"]), tuple(obj["den"]))
 
 
-@dataclass(frozen=True)
-class HasseWeilFactorization:
-    """Hasse-Weil zeta function of the same count: shift s0 in
-    ``numerator_shifts`` stands for a factor zeta(s - s0)."""
-
-    n: int
-    numerator_shifts: tuple[int, ...]
-    denominator_shifts: tuple[int, ...]
-
-
 def local_zeta_factors(n: int) -> ZetaFactorization:
     """Exponent multisets of the local zeta function, sorted ascending.
 
@@ -78,11 +70,8 @@ def local_zeta_factors(n: int) -> ZetaFactorization:
     return ZetaFactorization(n, tuple(sorted(num)), tuple(sorted(den)))
 
 
-def hasse_weil_factors(n: int) -> HasseWeilFactorization:
-    """Shift multisets of the Hasse-Weil product; by construction the same
-    integers as the local exponents."""
-    z = local_zeta_factors(n)
-    return HasseWeilFactorization(n, z.numerator, z.denominator)
+def hasse_weil_factors(n: int) -> ZetaFactorization:
+    return local_zeta_factors(n)
 
 
 @dataclass(frozen=True)
@@ -96,8 +85,8 @@ def check_functional_equation(n: int) -> ZetaVerdict:
     """The map s0 -> 2n - s0 must send each shift multiset to itself; this
     is the symbolic form of the functional equation."""
     hw = hasse_weil_factors(n)
-    num_ok = sorted(2 * n - s for s in hw.numerator_shifts) == list(hw.numerator_shifts)
-    den_ok = sorted(2 * n - s for s in hw.denominator_shifts) == list(hw.denominator_shifts)
+    num_ok = sorted(2 * n - s for s in hw.numerator) == list(hw.numerator)
+    den_ok = sorted(2 * n - s for s in hw.denominator) == list(hw.denominator)
     ok = num_ok and den_ok
     return ZetaVerdict(n, ok, "" if ok else
                        f"num_ok={num_ok} den_ok={den_ok}")
@@ -136,18 +125,4 @@ def format_local_zeta(z: ZetaFactorization) -> str:
     (1-q*t)(1-q^7*t) / (1-t)(1-q^8*t)."""
     num = "".join(_factor_str(e, m) for e, m in sorted(Counter(z.numerator).items()))
     den = "".join(_factor_str(e, m) for e, m in sorted(Counter(z.denominator).items()))
-    return f"{num} / {den}"
-
-
-def _zeta_shift_str(s: int, mult: int) -> str:
-    base = "zeta(s)" if s == 0 else f"zeta(s-{s})"
-    return base if mult == 1 else f"{base}^{mult}"
-
-
-def format_hasse_weil(hw: HasseWeilFactorization) -> str:
-    """Shifted-zeta product string, e.g. zeta(s-1)zeta(s-7) / zeta(s)zeta(s-8)."""
-    num = "".join(_zeta_shift_str(s, m)
-                  for s, m in sorted(Counter(hw.numerator_shifts).items()))
-    den = "".join(_zeta_shift_str(s, m)
-                  for s, m in sorted(Counter(hw.denominator_shifts).items()))
     return f"{num} / {den}"

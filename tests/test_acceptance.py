@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from math import gcd
 
+from oracles import square_plus_twice_square_count, two_squares_count
 from refdata import (
     F_TABLE,
     FDECOMP_TABLE,
@@ -17,9 +17,8 @@ from refdata import (
     TSUM_TABLE,
     VALUES_TABLE,
 )
-from torusideals import chebfam, divisors, hilbert, series, zeta
+from torusideals import chebfam, divisors, hilbert, verify
 from torusideals.cli import fdecomp_string, tsum_string
-from torusideals.intpoly import TWO, X
 
 
 @contextmanager
@@ -31,6 +30,21 @@ def criterion(num: int, label: str):
         print(f"criterion {num:02d} FAIL: {label}")
         raise
     print(f"criterion {num:02d} PASS ({time.perf_counter() - start:.2f}s): {label}")
+
+
+def assert_passes(rep: verify.VerifySuiteReport, passed: int) -> None:
+    """No check failed, and exactly ``passed`` checks ran."""
+    assert not rep.failures, rep.failures[:5]
+    assert rep.passed == passed
+
+
+def sweep(checks, max_n: int) -> verify.VerifySuiteReport:
+    """Run the per-n ``verify`` checks for n = 1..max_n."""
+    rep = verify.VerifySuiteReport("acceptance", max_n)
+    for n in range(1, max_n + 1):
+        for check in checks:
+            check(rep, n)
+    return rep
 
 
 def test_criterion_01_value_table():
@@ -68,28 +82,12 @@ def test_criterion_03_decomposition_table():
 
 def test_criterion_04_four_route_equality():
     with criterion(4, "four independent routes to G_n agree for n <= 200"):
-        series_pgs = series.pg_from_series(200)
-        for n in range(1, 201):
-            p = hilbert.pg_via_interval(n)
-            assert hilbert.pg_via_odd_divisors(n).polynomial == p, n
-            assert hilbert.pg_roundtrip(n) == p, n
-            assert series_pgs[n - 1] == p, n
+        assert_passes(verify.verify_routes(200), 5064)
 
 
 def test_criterion_05_full_count_structure():
     with criterion(5, "two routes to C_n plus structure for n <= 500"):
-        for n in range(1, 501):
-            a = hilbert.cn_via_odd_divisors(n)
-            b = hilbert.cn_via_coeff_formula(n)
-            assert a.full == b.full, n
-            assert a.full.is_palindromic(), n
-            assert a.full.min_exp == 0 and a.full.max_exp == 2 * n, n
-            assert a.full.coeff(2 * n) == 1, n
-            p = hilbert.pn_from_cn(n)
-            assert p.is_palindromic(), n
-            assert all(c >= 0 for c in p.coeffs), n
-            assert sum(abs(c) for c in a.centered.coeffs) == \
-                4 * len(divisors.odd_divisors(n)), n
+        assert_passes(sweep([verify.check_counts], 500), 6 * 500)
 
 
 def test_criterion_06_approximation_bound():
@@ -109,90 +107,41 @@ def test_criterion_07_root_of_unity_values():
         for n in range(1, 301):
             assert hilbert.pg_eval_int(n, 2) == sum(divisors.divisors(n)), n
             assert 4 * abs(hilbert.pg_eval_int(n, -2)) == \
-                divisors.two_squares_count(n), n
+                two_squares_count(n), n
             assert 2 * abs(hilbert.pg_eval_int(n, 0)) == \
-                divisors.square_plus_twice_square_count(n), n
+                square_plus_twice_square_count(n), n
 
 
 def test_criterion_08_multiplicativity():
     with criterion(8, "product laws for coprime m, k <= 60 and factor identities"):
-        for m in range(1, 61):
-            for k in range(m + 1, 61):
-                if gcd(m, k) != 1:
-                    continue
-                for x in (-2, -1, 0, 1, 2):
-                    assert hilbert.mult_check(x, m, k).ok, (x, m, k)
-        fid = hilbert.mult_factor_identities()
-        assert fid.difference_ok and fid.sum_ok and fid.square_divisible
+        assert_passes(verify.verify_mult(60), 8551)
 
 
 def test_criterion_09_family_cross_checks():
     with criterion(9, "family routes, recurrences and truncations through 64"):
-        for k in range(65):
-            t = chebfam.tcheb(k)
-            assert chebfam.tcheb_trace(k) == t, k
-            if k >= 1:
-                assert chebfam.tcheb_closed(k) == t, k
-                assert chebfam.fpoly_closed(k) == chebfam.fpoly(k), k
-                assert chebfam.fpoly(k + 1) == \
-                    X * chebfam.fpoly(k) - chebfam.fpoly(k - 1), k
-            assert chebfam.tcheb(k + 1) - t == \
-                (X - TWO) * chebfam.fpoly(k), k
-        t_gf = series.expand_tcheb_gf(64)
-        f_gf = series.expand_f_gf(64)
-        for k in range(65):
-            assert t_gf.coeffs[k] == chebfam.tcheb(k), k
-            assert f_gf.coeffs[k] == chebfam.fpoly(k), k
+        assert_passes(verify.verify_cheb(64), 577)
+        assert_passes(verify.verify_series(64), 196)
 
 
 def test_criterion_10_zeta_structure():
     with criterion(10, "zeta factor structure and symmetry for n <= 500"):
-        z4 = zeta.local_zeta_factors(4)
-        assert (z4.numerator, z4.denominator) == ((1, 7), (0, 8))
-        z3 = zeta.local_zeta_factors(3)
-        assert (z3.numerator, z3.denominator) == ((1, 2, 4, 5), (0, 3, 3, 6))
-        for n in range(1, 501):
-            z = zeta.local_zeta_factors(n)
-            assert len(z.numerator) == len(z.denominator) == \
-                2 * len(divisors.odd_divisors(n)), n
-            assert zeta.check_functional_equation(n).ok, n
-            assert zeta.zeta_consistency_with_cn(n).ok, n
+        assert_passes(verify.verify_zeta(500), 2002)
 
 
 def test_criterion_11_special_families():
     with criterion(11, "special families over n <= 10^4"):
-        plus_f0, minus_f0 = [], []
-        for n in range(1, 10001):
-            r = hilbert.special_family_check(n)
-            assert r.ok, n
-            if r.defect_kind == "+F0":
-                plus_f0.append(n)
-            elif r.defect_kind == "-F0":
-                minus_f0.append(n)
-            # +-F_0 only at triangular n; +-F_1 membership at n = r(r+3)/2
-            assert (r.f0_sign != 0) == \
-                (divisors.triangular_index(n) is not None), n
-        assert plus_f0 == [6, 28, 496, 8128]
-        assert minus_f0 == [3, 10, 136]
+        assert_passes(verify.verify_special(10000), 20998)
+        kinds = [hilbert.special_family_check(n).defect_kind
+                 for n in range(1, 10001)]
+        assert [n for n, k in enumerate(kinds, 1) if k == "+F0"] == \
+            [6, 28, 496, 8128]
+        assert [n for n, k in enumerate(kinds, 1) if k == "-F0"] == \
+            [3, 10, 136]
 
 
 def test_criterion_12_sequence_combinatorics():
     with criterion(12, "run bijection, involution, containment, monomial route"):
-        for n in range(1, 1001):
-            produced = []
-            for d in divisors.odd_divisors(n):
-                odd_run, even_run = divisors.sequence_for_divisor(n, d)
-                produced += [odd_run, even_run]
-                assert odd_run.total == even_run.total == n, n
-                assert divisors.involute(odd_run) == even_run, n
-                assert divisors.involute(even_run) == odd_run, n
-                assert odd_run.is_odd() != even_run.is_odd(), n
-                pos, neg = ((odd_run, even_run) if odd_run.is_positive()
-                            else (even_run, odd_run))
-                pos_set, neg_set = set(pos.elements()), set(neg.elements())
-                assert pos_set <= neg_set, n
-                assert len(neg_set - pos_set) == abs(even_run.h - odd_run.h), n
-            assert sorted((s.a, s.h) for s in produced) == \
-                sorted((s.a, s.h) for s in divisors.representations(n)), n
-            assert hilbert.pg_via_sequences(n) == \
-                hilbert.pn_from_cn(n).shift(-(n - 1)), n
+        # 4 run checks for each of the 3879 odd divisors of n <= 1000, one
+        # bijection check and 6 count checks per n
+        assert_passes(sweep([verify.check_runs, verify.check_counts], 1000),
+                      4 * 3879 + 1000 + 6 * 1000)

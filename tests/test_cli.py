@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
-from torusideals import cli, hilbert, verify
+from torusideals import cli, hilbert, verify, zeta
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.intpoly import intpoly_from_json, laurent_from_json
@@ -109,6 +109,13 @@ class TestCompute:
         proc = run_limited("compute", "fpoly", "--n", "6000", "--eval", "3")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{fpoly_values(6001, 3)[-1]}\n"
+
+        # small answers at sizes whose polynomials do not fit: V_k(1) has
+        # period 6 in k, and (q - 1)^2 divides C_n
+        proc = run_limited("compute", "tcheb", "--n", "3000000", "--eval", "1")
+        assert (proc.returncode, proc.stdout) == (0, "2\n"), proc.stderr
+        proc = run_limited("compute", "cn", "--n", "100000000", "--eval", "1")
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
     def test_oversized_answers_refused_up_front(self):
         # 512 MB of address space, limited in the child only
@@ -271,6 +278,14 @@ class TestVerify:
         code, out = run(capsys, "verify", "cheb", "--max-n", "3")
         assert code == 1
         assert "  demo: expected True, got False\n" in out
+
+        # a failed zeta verdict shows its detail, not just False
+        monkeypatch.setattr(zeta, "check_functional_equation",
+                            lambda n: zeta.ZetaVerdict(n, False, "num_ok=False"))
+        code, out = run(capsys, "verify", "zeta", "--max-n", "1")
+        assert code == 1
+        assert "  functional equation n=1: expected True, got num_ok=False\n" \
+            in out
 
     @pytest.mark.parametrize("suite", ["special", "series", "all"])
     @pytest.mark.parametrize("max_n", ["0", "-1"])

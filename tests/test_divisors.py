@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import square_plus_twice_square_count, two_squares_count
 from torusideals.divisors import (
     IncreasingSequence,
     a_coeff,
@@ -16,9 +17,7 @@ from torusideals.divisors import (
     r_nd,
     representations,
     sequence_for_divisor,
-    square_plus_twice_square_count,
     triangular_index,
-    two_squares_count,
 )
 
 

@@ -51,10 +51,6 @@ class TestIntPoly:
         assert p * 3 == poly(-3, 3, 3)
         assert 2 * p == poly(-2, 2, 2)
 
-    def test_pow(self):
-        assert (X + ONE) ** 3 == poly(1, 3, 3, 1)
-        assert X ** 0 == ONE
-
     def test_shift(self):
         assert poly(1, 2).shift(2) == poly(0, 0, 1, 2)
         assert ZERO.shift(5) == ZERO
