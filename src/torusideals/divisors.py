@@ -25,20 +25,26 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending, by trial division to sqrt(n)."""
     if n < 1:
         raise ValueError("n must be positive")
+    return _trial_divisors(n, 1)
+
+
+def odd_divisors(n: int) -> list[int]:
+    """The odd positive divisors of n, ascending (always contains 1): the
+    divisors of the odd part of n, so a power of two costs nothing."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _trial_divisors(n >> (n & -n).bit_length() - 1, 2)
+
+
+def _trial_divisors(n: int, step: int) -> list[int]:
+    """The divisors of n among 1, 1 + step, 1 + 2 step, ..., ascending."""
     small, large = [], []
-    d = 1
-    while d * d <= n:
+    for d in range(1, isqrt(n) + 1, step):
         if n % d == 0:
             small.append(d)
             if d * d != n:
                 large.append(n // d)
-        d += 1
     return small + large[::-1]
-
-
-def odd_divisors(n: int) -> list[int]:
-    """The odd positive divisors of n, ascending (always contains 1)."""
-    return [d for d in divisors(n) if d & 1]
 
 
 def is_prime(n: int) -> bool:
@@ -112,6 +118,12 @@ def triangular_index(n: int) -> int | None:
         raise ValueError("n must be positive")
     s = isqrt(8 * n + 1)
     return (s - 1) // 2 if s * s == 8 * n + 1 else None
+
+
+def near_triangular_index(n: int) -> int | None:
+    """The r >= 1 with n = r(r+3)/2, or None (8n+9 a perfect square >= 25)."""
+    s = isqrt(8 * n + 9)
+    return (s - 3) // 2 if s * s == 8 * n + 9 and s >= 5 else None
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,22 @@ Three families, all exact:
   counts, odd-divisor sums of running-sum polynomials, Laurent round trip,
   and the generating-function oracle in ``series``).
 
-Route disagreements indicate a bug, so the assertion-style operations return
-verdict records instead of raising; only internal impossibilities raise.
+The defect G_n - F_{n-1} has two routes of its own: ``approx_defect``
+builds it from the interval counts, ``defect_kind`` reads its shape off the
+odd-divisor terms.  Every function here computes a route and asserts no law
+about it: ``verify`` compares the routes and checks the laws, reporting the
+values on both sides.  Only malformed input and internal impossibilities
+(a coefficient-family collision, a non-divisible count) raise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
 
 from .chebfam import fpoly, fpoly_value, fpoly_values
 from .divisors import (
     OddDivisorTerm,
     a_coeffs,
     divisors,
-    is_prime,
     odd_divisor_terms,
     odd_divisors,
     r_nd,
@@ -186,9 +188,9 @@ def cn_eval_int(n: int, x: int) -> int:
 
 
 def pn_eval_int(n: int, x: int) -> int:
-    """Integer value of P_n at x: C_n(x)/(x-1)^2, and P_n(1) = sigma(n)."""
-    return (cn_eval_int(n, x) // (x - 1) ** 2 if x != 1
-            else sum(divisors(n)))
+    """Integer value of P_n at x: C_n(x)/(x-1)^2, and P_n(1) = G_n(2), since
+    G_n(q + 1/q) = P_n(q)/q^{n-1}."""
+    return cn_eval_int(n, x) // (x - 1) ** 2 if x != 1 else pg_eval_int(n, 2)
 
 
 def pg_values(max_n: int, x: int) -> list[int]:
@@ -216,10 +218,8 @@ def approx_defect(n: int) -> IntPoly:
     (with b_n = 0), which has a term only where b changes: O(tau(n) * n)
     coefficient operations instead of O(n^2).
 
-    Asserts the strict degree bound deg < n/2 - 1 (as 2*deg < n - 2, exact
-    integer comparison) and that the defect vanishes exactly for n a power
-    of two; both violations raise RuntimeError since they are impossible for
-    correct counts.
+    The paper's laws on the result, degree < n/2 - 1 and zero exactly when
+    n is a power of two, are checked by ``verify special``.
 
     >>> print(approx_defect(9))
     -X^3 - X^2 + 3*X + 2
@@ -227,13 +227,28 @@ def approx_defect(n: int) -> IntPoly:
     if n < 2:
         raise ValueError("defect is defined for n >= 2")
     b = [a - 1 for a in a_coeffs(n)] + [0]
-    defect = sum((fpoly(j) * (b[j] - b[j + 1])
-                  for j in range(n) if b[j] != b[j + 1]), ZERO)
-    if defect.degree is not None and 2 * defect.degree >= n - 2:
-        raise RuntimeError(f"defect degree {defect.degree} too high at n={n}")
-    if defect.is_zero() != (n & (n - 1) == 0):
-        raise RuntimeError(f"power-of-two law broken at n={n}")
-    return defect
+    return sum((fpoly(j) * (b[j] - b[j + 1])
+                for j in range(n) if b[j] != b[j + 1]), ZERO)
+
+
+def defect_kind(terms: list[OddDivisorTerm]) -> str:
+    """The shape of the defect G_n - F_{n-1}, read off the odd-divisor terms
+    of n: "zero", "+F0", "-F0", "+F1", "-F1" or "other".
+
+    The defect is the signed sum of the terms with d > 1.  Distinct
+    divisors give distinct F-indices, and no index occurs with both signs,
+    so no term means a zero defect and one F_0 or F_1 term means the defect
+    is exactly that polynomial.
+
+    >>> defect_kind(odd_divisor_terms(10))
+    '-F0'
+    """
+    extra = [t for t in terms if t.d > 1]
+    if not extra:
+        return "zero"
+    if len(extra) == 1 and extra[0].f_index < 2:
+        return f"{'+' if extra[0].sign > 0 else '-'}F{extra[0].f_index}"
+    return "other"
 
 
 def pg_via_sequences(n: int) -> LaurentPoly:
@@ -258,141 +273,3 @@ def pg_via_sequences(n: int) -> LaurentPoly:
             for e in diff:
                 buf[n + e] -= 1
     return LaurentPoly(-n, tuple(buf))
-
-
-# -- multiplicativity ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultVerdict:
-    """Outcome of one multiplicativity check of |G_.(x)| at coprime (m, k).
-
-    ``law`` is "product" at x in {-2, -1, 0, 2} (plain multiplicativity),
-    "three_case" at x = 1 (the factor depends on (m, k) mod 3), and
-    "unconstrained" elsewhere, where nothing is asserted and lhs and rhs
-    are merely reported.
-    """
-
-    x: int
-    m: int
-    k: int
-    law: str
-    ok: bool
-    factor: int | None
-    lhs: int
-    rhs: int
-
-
-def mult_check(x: int, m: int, k: int) -> MultVerdict:
-    """Check |G_m(x)| * |G_k(x)| against |G_{mk}(x)| for coprime m, k.
-
-    At x in {-2, -1, 0, 2} equality must hold; at x = 1 the product equals
-    1, 2 or 4 times |G_{mk}(1)| according to {m, k} mod 3 ({0,2} -> 2,
-    {2,2} -> 4, else 1); at any other x both sides are reported unasserted.
-    """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive")
-    if gcd(m, k) != 1:
-        raise ValueError(f"m={m} and k={k} are not coprime")
-    lhs = abs(pg_eval_int(m, x)) * abs(pg_eval_int(k, x))
-    rhs = abs(pg_eval_int(m * k, x))
-    if x in (-2, -1, 0, 2):
-        return MultVerdict(x, m, k, "product", lhs == rhs, 1, lhs, rhs)
-    if x == 1:
-        residues = {m % 3, k % 3}
-        factor = 4 if residues == {2} else 2 if residues == {0, 2} else 1
-        return MultVerdict(x, m, k, "three_case",
-                           lhs == factor * rhs, factor, lhs, factor * rhs)
-    return MultVerdict(x, m, k, "unconstrained", True, None, lhs, rhs)
-
-
-# -- special families ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecialFamilyReport:
-    """How G_n - F_{n-1} degenerates, with its number-theoretic cross-checks.
-
-    ``defect_kind`` is one of "zero", "+F0", "-F0", "+F1", "-F1", "other";
-    ``predicted_kind`` is the same label derived purely from the shape of n
-    (n = 2^a * p with p prime and p = 2^{a+1} -+ 1 or 2^{a+1} -+ 3, or a
-    power of two).  ``f0_sign``/``f1_sign`` record whether +-F_0 / +-F_1
-    occurs anywhere in the odd-divisor decomposition, cross-checked against
-    n being triangular (n = r(r+1)/2, sign (-1)^{r+1}) respectively
-    near-triangular (n = r(r+3)/2, same sign rule).
-    """
-
-    n: int
-    defect_kind: str
-    predicted_kind: str
-    kind_ok: bool
-    f0_sign: int
-    f1_sign: int
-    f0_ok: bool
-    f1_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.kind_ok and self.f0_ok and self.f1_ok
-
-
-def _predicted_kind(n: int) -> str:
-    a = (n & -n).bit_length() - 1
-    p = n >> a
-    if p == 1:
-        return "zero"
-    if is_prime(p):
-        if p == 2 ** (a + 1) - 1:
-            return "+F0"
-        if p == 2 ** (a + 1) + 1:
-            return "-F0"
-        if p == 2 ** (a + 1) - 3:
-            return "+F1"
-        if p == 2 ** (a + 1) + 3:
-            return "-F1"
-    return "other"
-
-
-def _near_triangular_index(n: int) -> int | None:
-    """The r >= 1 with n = r(r+3)/2, if any (8n+9 a perfect square >= 25)."""
-    s = isqrt(8 * n + 9)
-    if s * s == 8 * n + 9 and s >= 5:
-        return (s - 3) // 2
-    return None
-
-
-def special_family_check(n: int) -> SpecialFamilyReport:
-    """Classify the defect G_n - F_{n-1} and cross-check the classification.
-
-    The defect equals the signed sum of F-terms over odd divisors d > 1.
-    Distinct divisors always contribute distinct F-indices, and the same
-    index can never occur with both signs (two odd divisors d2 = d1 + (2m+1)
-    would have to differ by an odd number while staying odd), so the
-    classification reads off the term multiset: no term means zero defect,
-    a single F_0 or F_1 term means the defect is exactly that polynomial.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    terms = odd_divisor_terms(n)
-    extra = [t for t in terms if t.d > 1]
-    if not extra:
-        kind = "zero"
-    elif len(extra) == 1 and extra[0].f_index in (0, 1):
-        kind = f"{'+' if extra[0].sign > 0 else '-'}F{extra[0].f_index}"
-    else:
-        kind = "other"
-    f0_sign = next((t.sign for t in terms if t.f_index == 0), 0)
-    f1_sign = next((t.sign for t in terms if t.f_index == 1), 0)
-    tri = triangular_index(n)
-    near = _near_triangular_index(n)
-    f0_expected = 0 if tri is None else (1 if tri & 1 else -1)
-    f1_expected = 0 if near is None else (1 if near & 1 else -1)
-    predicted = _predicted_kind(n)
-    return SpecialFamilyReport(
-        n=n,
-        defect_kind=kind,
-        predicted_kind=predicted,
-        kind_ok=kind == predicted,
-        f0_sign=f0_sign,
-        f1_sign=f1_sign,
-        f0_ok=f0_sign == f0_expected,
-        f1_ok=f1_sign == f1_expected,
-    )

@@ -60,12 +60,6 @@ class IntPoly:
         """Coefficient of X^i (zero outside the stored range)."""
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -98,17 +92,7 @@ class IntPoly:
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
             return IntPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        # Schoolbook; fine at desk scale.  Swap in a subquadratic kernel here
-        # if degrees ever grow past a few thousand.
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return IntPoly(tuple(out))
+        return IntPoly(tuple(add_product([], self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -260,14 +244,8 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             return LaurentPoly(self.min_exp, tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return LAURENT_ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
+        return LaurentPoly(self.min_exp + other.min_exp,
+                           tuple(add_product([], self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -304,7 +282,31 @@ class LaurentPoly:
 
 
 LAURENT_ZERO = LaurentPoly(0, ())
-LAURENT_ONE = LaurentPoly(0, (1,))
+
+
+def add_product(acc: list[int], a: Sequence[int],
+                b: Sequence[int]) -> list[int]:
+    """Add the product of the coefficient lists ``a`` and ``b`` into ``acc``,
+    growing it as needed, and return it.
+
+    The one multiply-accumulate loop of the library, behind both ``__mul__``
+    methods and the series arithmetic.  Schoolbook; fine at desk scale.
+    Swap in a subquadratic kernel here if degrees ever grow past a few
+    thousand.
+
+    >>> add_product([1, 1], [1, 1], [1, -1])
+    [2, 1, -1]
+    """
+    if not a or not b:
+        return acc
+    need = len(a) + len(b) - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                acc[i + j] += c * d
+    return acc
 
 
 def _horner(cs: Sequence[int], x: int) -> int:
@@ -428,7 +430,7 @@ def _term_str(c: int, e: int, var: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def format_poly(p: IntPoly, var: str = "X") -> str:
+def format_poly(p: IntPoly) -> str:
     """Human-readable form, highest degree first: 'X^3 + X^2 - 2*X - 1'."""
     if p.is_zero():
         return "0"
@@ -436,11 +438,11 @@ def format_poly(p: IntPoly, var: str = "X") -> str:
     for i in range(len(p.coeffs) - 1, -1, -1):
         c = p.coeffs[i]
         if c:
-            parts.append(_term_str(c, i, var, not parts))
+            parts.append(_term_str(c, i, "X", not parts))
     return "".join(parts)
 
 
-def format_laurent(lp: LaurentPoly, var: str = "q") -> str:
+def format_laurent(lp: LaurentPoly) -> str:
     """Human-readable form, highest exponent first; negative powers as q^-k."""
     if lp.is_zero():
         return "0"
@@ -448,5 +450,5 @@ def format_laurent(lp: LaurentPoly, var: str = "q") -> str:
     for e in range(lp.max_exp, lp.min_exp - 1, -1):
         c = lp.coeff(e)
         if c:
-            parts.append(_term_str(c, e, var, not parts))
+            parts.append(_term_str(c, e, "q", not parts))
     return "".join(parts)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import IntPoly, ONE, TWO, X, ZERO
+from .intpoly import IntPoly, ONE, TWO, X, ZERO, add_product
 
 
 @dataclass(frozen=True)
@@ -68,28 +68,16 @@ def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product truncated at the common order, coefficient-exact.
 
-    The convolution accumulates into raw coefficient lists so no
-    intermediate polynomial objects are built.
+    The convolution accumulates into raw coefficient lists with
+    ``add_product``, so no intermediate polynomial objects are built.
     """
     _check_orders(a, b)
     n = a.order
     out: list[list[int]] = [[] for _ in range(n + 1)]
     for i, p in enumerate(a.coeffs):
-        pc = p.coeffs
-        if not pc:
-            continue
-        for j in range(n - i + 1):
-            qc = b.coeffs[j].coeffs
-            if not qc:
-                continue
-            acc = out[i + j]
-            need = len(pc) + len(qc) - 1
-            if len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            for u, cu in enumerate(pc):
-                if cu:
-                    for v, cv in enumerate(qc):
-                        acc[u + v] += cu * cv
+        if p.coeffs:
+            for j in range(n - i + 1):
+                add_product(out[i + j], p.coeffs, b.coeffs[j].coeffs)
     return TruncatedSeries(n, tuple(IntPoly(tuple(c)) for c in out))
 
 
@@ -103,23 +91,12 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     if den.coeffs[0] != ONE:
         raise ValueError("denominator constant term must be 1")
     n = num.order
+    negated = [[-c for c in p.coeffs] for p in den.coeffs]
     result: list[IntPoly] = []
     for k in range(n + 1):
         acc = list(num.coeffs[k].coeffs)
         for j in range(1, k + 1):
-            dc = den.coeffs[j].coeffs
-            if not dc:
-                continue
-            sc = result[k - j].coeffs
-            if not sc:
-                continue
-            need = len(dc) + len(sc) - 1
-            if len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            for u, cu in enumerate(dc):
-                if cu:
-                    for v, cv in enumerate(sc):
-                        acc[u + v] -= cu * cv
+            add_product(acc, negated[j], result[k - j].coeffs)
         result.append(IntPoly(tuple(acc)))
     return TruncatedSeries(n, tuple(result))
 

@@ -74,43 +74,30 @@ def hasse_weil_factors(n: int) -> ZetaFactorization:
     return local_zeta_factors(n)
 
 
-@dataclass(frozen=True)
-class ZetaVerdict:
-    n: int
-    ok: bool
-    detail: str = ""
-
-
-def check_functional_equation(n: int) -> ZetaVerdict:
-    """The map s0 -> 2n - s0 must send each shift multiset to itself; this
-    is the symbolic form of the functional equation."""
+def check_functional_equation(n: int) -> bool:
+    """Whether the map e -> 2n - e sends each exponent multiset to itself,
+    the symbolic form of the functional equation s -> 2n - s."""
     hw = hasse_weil_factors(n)
-    num_ok = sorted(2 * n - s for s in hw.numerator) == list(hw.numerator)
-    den_ok = sorted(2 * n - s for s in hw.denominator) == list(hw.denominator)
-    ok = num_ok and den_ok
-    return ZetaVerdict(n, ok, "" if ok else
-                       f"num_ok={num_ok} den_ok={den_ok}")
+    return (sorted(2 * n - e for e in hw.numerator) == list(hw.numerator)
+            and sorted(2 * n - e for e in hw.denominator)
+            == list(hw.denominator))
 
 
-def zeta_consistency_with_cn(n: int) -> ZetaVerdict:
-    """Rebuild the exponent multisets from the coefficient formula for the
-    full count and compare with the divisor-built factorization.
+def zeta_consistency_with_cn(n: int) -> ZetaFactorization:
+    """The cancelled factorization rebuilt from the coefficient formula for
+    the full count, a second route to ``local_zeta_factors(n).cancelled()``.
 
     A coefficient c at q^i of the centered count contributes the exponent
     n + i with multiplicity |c|, to the denominator when c > 0 and to the
-    numerator when c < 0; comparison is after cancellation on both sides.
+    numerator when c < 0.
     """
-    cn = cn_via_coeff_formula(n)
     num: list[int] = []
     den: list[int] = []
-    for i, c in cn.centered.support():
+    for i, c in cn_via_coeff_formula(n).centered.support():
         target, mult = (den, c) if c > 0 else (num, -c)
         target += [n + i] * mult
-    rebuilt = ZetaFactorization(n, tuple(sorted(num)), tuple(sorted(den)))
-    direct = local_zeta_factors(n).cancelled()
-    ok = rebuilt.cancelled() == direct
-    return ZetaVerdict(n, ok, "" if ok else
-                       f"rebuilt={rebuilt.cancelled()} direct={direct}")
+    return ZetaFactorization(n, tuple(sorted(num)),
+                             tuple(sorted(den))).cancelled()
 
 
 # -- rendering ------------------------------------------------------------------

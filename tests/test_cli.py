@@ -9,17 +9,19 @@ import re
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
 from torusideals import cli, hilbert, verify, zeta
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
-from torusideals.intpoly import intpoly_from_json, laurent_from_json
-from torusideals.zeta import local_zeta_factors, zeta_from_json
+from torusideals.intpoly import X, intpoly_from_json, laurent_from_json
+from torusideals.zeta import ZetaFactorization, local_zeta_factors, zeta_from_json
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -117,6 +119,16 @@ class TestCompute:
         proc = run_limited("compute", "cn", "--n", "100000000", "--eval", "1")
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
+    def test_huge_powers_of_two_answer_at_once(self, capsys):
+        # 1 is the one odd divisor of a power of two n, so G_n(2) = P_n(1)
+        # = sigma(n) = 2n - 1 and C_n(1) = 0 come without trial division
+        for kind, n, x, want in (("pg", 2 ** 100, 2, 2 ** 101 - 1),
+                                 ("pn", 2 ** 62, 1, 2 ** 63 - 1),
+                                 ("cn", 2 ** 62, 1, 0)):
+            code, out = run(capsys, "compute", kind, "--n", str(n),
+                            "--eval", str(x))
+            assert (code, out) == (0, f"{want}\n")
+
     def test_oversized_answers_refused_up_front(self):
         # 512 MB of address space, limited in the child only
         def limit():
@@ -187,6 +199,30 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", "nonsense", "--n", "3"])
         assert exc.value.code == 2
+
+
+compute_argv = st.builds(
+    lambda kind, n, x: ["compute", kind, f"--n={n}"]
+    + ([] if x is None else [f"--eval={x}"]),
+    st.sampled_from(("tcheb", "fpoly", "pg", "cn", "pn", "zeta")),
+    st.integers(-2, 400), st.none() | st.integers(-40, 40))
+table_argv = st.builds(
+    lambda which, max_n, points: ["table", which, f"--max-n={max_n}",
+                                  "--N=" + ",".join(map(str, points))],
+    st.sampled_from(tuple(cli.TABLE_DEFAULTS)), st.integers(-1, 60),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=4))
+
+
+@given(compute_argv | table_argv, st.sampled_from(("text", "json", "csv")))
+@settings(max_examples=200, deadline=None)
+def test_compute_and_table_answer_or_refuse(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--format", fmt])
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if fmt == "json" and code == 0:
+        json.loads(out.getvalue())
 
 
 class TestTable:
@@ -279,13 +315,45 @@ class TestVerify:
         assert code == 1
         assert "  demo: expected True, got False\n" in out
 
-        # a failed zeta verdict shows its detail, not just False
-        monkeypatch.setattr(zeta, "check_functional_equation",
-                            lambda n: zeta.ZetaVerdict(n, False, "num_ok=False"))
-        code, out = run(capsys, "verify", "zeta", "--max-n", "1")
-        assert code == 1
-        assert "  functional equation n=1: expected True, got num_ok=False\n" \
-            in out
+        # one wrong value injected into each law: the failure line shows
+        # the expected and the actual value, never a bare True or False
+        def failures(suite: str, max_n: int) -> str:
+            code, out = run(capsys, "verify", suite, "--max-n", str(max_n))
+            assert code == 1
+            assert not re.search(r"(expected|got) (True|False)", out), out
+            return out
+
+        with monkeypatch.context() as m:
+            pg_eval_int = hilbert.pg_eval_int
+            m.setattr(hilbert, "pg_eval_int",
+                      lambda n, x: pg_eval_int(n, x) + (n == 6))
+            assert "  mult x=2 m=2 k=3: expected 13, got 12\n" \
+                in failures("mult", 3)
+        with monkeypatch.context() as m:
+            m.setattr(hilbert, "defect_kind", lambda terms: "other")
+            out = failures("special", 2)
+            assert "  special families n=1: expected ('zero', 1, 0), " \
+                "got ('other', 1, 0)\n" in out
+            assert "  power-of-two law n=2: expected zero, got other\n" in out
+        with monkeypatch.context() as m:
+            approx_defect = hilbert.approx_defect
+            m.setattr(hilbert, "approx_defect",
+                      lambda n: approx_defect(n) + X)
+            out = failures("special", 3)
+            assert "  defect degree bound n=2: expected 0, got X\n" in out
+            assert "  defect degree bound n=3: expected nonzero of degree " \
+                "< 1/2, got X - 1\n" in out
+        with monkeypatch.context() as m:
+            m.setattr(zeta, "local_zeta_factors",
+                      lambda n: ZetaFactorization(n, (0, 1), (0, 2)))
+            out = failures("zeta", 1)
+            assert "  functional equation n=1: expected exponents invariant " \
+                "under e -> 2n - e, got ZetaFactorization(n=1, " \
+                "numerator=(0, 1), denominator=(0, 2))\n" in out
+            assert "  coefficient consistency n=1: expected " \
+                "ZetaFactorization(n=1, numerator=(1,), denominator=(2,)), " \
+                "got ZetaFactorization(n=1, numerator=(1, 1), " \
+                "denominator=(0, 2))\n" in out
 
     @pytest.mark.parametrize("suite", ["special", "series", "all"])
     @pytest.mark.parametrize("max_n", ["0", "-1"])

@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 from oracles import square_plus_twice_square_count, two_squares_count
 from refdata import PG_TABLE, VALUES_TABLE
 from torusideals.chebfam import fpoly, tcheb, tcheb_value
-from torusideals.divisors import a_coeffs, divisors, odd_divisors
+from torusideals.divisors import (
+    a_coeffs,
+    divisors,
+    odd_divisor_terms,
+    odd_divisors,
+)
 from torusideals.hilbert import (
     approx_defect,
     cn_eval_int,
     cn_via_coeff_formula,
     cn_via_odd_divisors,
-    mult_check,
+    defect_kind,
     pg_eval_int,
     pg_roundtrip,
     pg_values,
@@ -22,7 +27,6 @@ from torusideals.hilbert import (
     pg_via_sequences,
     pn_eval_int,
     pn_from_cn,
-    special_family_check,
 )
 from torusideals.intpoly import LaurentPoly, ZERO, chebyshev_sum
 from torusideals.verify import VerifySuiteReport, check_factor_identities
@@ -157,21 +161,12 @@ class TestValues:
 
 class TestMultiplicativity:
     def test_product_law_examples(self):
-        v = mult_check(2, 2, 3)
-        assert v.ok and v.lhs == 12 == v.rhs
-        v = mult_check(-1, 4, 3)
-        assert v.ok
-        v = mult_check(1, 2, 5)
-        assert v.ok and v.factor == 4
-
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            mult_check(2, 6, 4)
-
-    def test_unconstrained_reports_ratio(self):
-        v = mult_check(3, 2, 3)
-        assert v.law == "unconstrained" and v.ok
-        assert (v.lhs, v.rhs) == (4 * 10, 200)  # |G_2(3)| |G_3(3)|, |G_6(3)|
+        # |G_m(x)| |G_k(x)| = |G_mk(x)|, times 4 at x = 1 for m = k = 2 mod 3
+        assert pg_eval_int(2, 2) * pg_eval_int(3, 2) == pg_eval_int(6, 2) == 12
+        assert abs(pg_eval_int(4, -1) * pg_eval_int(3, -1)) == \
+            abs(pg_eval_int(12, -1))
+        assert abs(pg_eval_int(2, 1) * pg_eval_int(5, 1)) == \
+            4 * abs(pg_eval_int(10, 1))
 
     def test_factor_identities(self):
         rep = VerifySuiteReport("mult", 0)
@@ -179,14 +174,18 @@ class TestMultiplicativity:
         assert rep.ok and rep.passed == 3
 
 
+def kind_of(n: int) -> str:
+    return defect_kind(odd_divisor_terms(n))
+
+
 class TestSpecialFamilies:
     def test_examples(self):
-        assert special_family_check(6).defect_kind == "+F0"
-        assert special_family_check(10).defect_kind == "-F0"
-        assert special_family_check(20).defect_kind == "+F1"
-        assert special_family_check(5).defect_kind == "-F1"
-        assert special_family_check(16).defect_kind == "zero"
-        assert special_family_check(9).defect_kind == "other"
+        assert kind_of(6) == "+F0"
+        assert kind_of(10) == "-F0"
+        assert kind_of(20) == "+F1"
+        assert kind_of(5) == "-F1"
+        assert kind_of(16) == "zero"
+        assert kind_of(9) == "other"
 
     def test_kind_matches_polynomial_arithmetic(self):
         # the combinatorial classification must equal literal subtraction
@@ -194,7 +193,7 @@ class TestSpecialFamilies:
                  "+F1": fpoly(1), "-F1": -fpoly(1)}
         for n in range(1, 400):
             defect = pg_via_odd_divisors(n).polynomial - fpoly(n - 1)
-            kind = special_family_check(n).defect_kind
+            kind = kind_of(n)
             if kind in kinds:
                 assert defect == kinds[kind], n
             else:

@@ -13,6 +13,7 @@ from torusideals.intpoly import (
     TWO,
     X,
     ZERO,
+    add_product,
     exact_div,
     format_laurent,
     format_poly,
@@ -94,6 +95,9 @@ class TestIntPoly:
         assert (p * q).eval_int(x) == p.eval_int(x) * q.eval_int(x)
         assert (p + q).eval_int(x) == p.eval_int(x) + q.eval_int(x)
         assert (p - q).eval_int(x) == p.eval_int(x) - q.eval_int(x)
+        # the kernel behind every product adds p*q to a non-empty list
+        acc = IntPoly(tuple(add_product([7, -1], a, b)))
+        assert acc.eval_int(x) == 7 - x + p.eval_int(x) * q.eval_int(x)
 
     @given(st.lists(st.integers(-9, 9), max_size=80), st.integers(-20, 20))
     def test_eval_matches_plain_horner(self, a, x):

@@ -35,14 +35,16 @@ def test_hasse_weil_shifts():
 
 
 def test_functional_equation():
-    assert check_functional_equation(4).ok
-    assert check_functional_equation(3).ok
-    assert check_functional_equation(12).ok
+    assert check_functional_equation(4)
+    assert check_functional_equation(3)
+    assert check_functional_equation(12)
 
 
 def test_consistency_with_coefficients():
-    assert zeta_consistency_with_cn(3).ok
-    assert zeta_consistency_with_cn(4).ok
+    # the coefficient 2 of q^0 in C_3(q)/q^3 gives the factor (1 - q^3 t)^2
+    assert zeta_consistency_with_cn(3) == \
+        ZetaFactorization(3, (1, 2, 4, 5), (0, 3, 3, 6))
+    assert zeta_consistency_with_cn(4) == local_zeta_factors(4).cancelled()
 
 
 def test_cancellation():
