@@ -175,15 +175,3 @@ def tcheb_trace(k: int) -> IntPoly:
                               pc * pa + pd * pc, pc * pb + pd * pd)
     return a + d
 
-
-def fpoly_constant_term(k: int) -> int:
-    """The constant term of fpoly(k), which is (-1)^(k//2); checked against
-    the value F_k(0) from ``fpoly_value`` before returning."""
-    if k < 0:
-        raise ValueError("fpoly index must be non-negative")
-    expected = -1 if (k // 2) & 1 else 1
-    actual = fpoly_value(k, 0)
-    if actual != expected:
-        raise RuntimeError(
-            f"constant-term law broken at k={k}: {actual} != {expected}")
-    return expected

@@ -2,8 +2,8 @@
 run verification sweeps, and cross-check sequences against OEIS b-files.
 
 Exit codes: 0 full pass, 1 verification/comparison failure, 2 usage or I/O
-error.  Output is deterministic: stable orderings, no timestamps, large
-integers always rendered as decimal strings.
+error, or a size past a work limit.  Output is deterministic: stable
+orderings, no timestamps, large integers always rendered as decimal strings.
 """
 from __future__ import annotations
 
@@ -66,8 +66,8 @@ def _text_table(headers: list[str], rows: list[list[str]]) -> Iterator[str]:
 _OBJECTS = {
     "tcheb": chebfam.tcheb,
     "fpoly": chebfam.fpoly,
-    "pg": lambda n: hilbert.pg_via_odd_divisors(n).polynomial,
-    "cn": lambda n: hilbert.cn_via_odd_divisors(n).full,
+    "pg": hilbert.pg_via_odd_divisors,
+    "cn": hilbert.cn_via_odd_divisors,
     "pn": hilbert.pn_from_cn,
 }
 

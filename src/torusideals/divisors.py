@@ -36,8 +36,15 @@ def odd_divisors(n: int) -> list[int]:
     return _trial_divisors(n >> (n & -n).bit_length() - 1, 2)
 
 
+#: The most trial divisions one divisor list may take: about a second.
+TRIAL_LIMIT = 10**7
+
+
 def _trial_divisors(n: int, step: int) -> list[int]:
-    """The divisors of n among 1, 1 + step, 1 + 2 step, ..., ascending."""
+    """The divisors of n among 1, 1 + step, 1 + 2 step, ..., ascending;
+    refused when that takes more than ``TRIAL_LIMIT`` trial divisions."""
+    if isqrt(n) > step * TRIAL_LIMIT:  # n itself may be too long for str()
+        raise ValueError("cannot factor n within the work limit")
     small, large = [], []
     for d in range(1, isqrt(n) + 1, step):
         if n % d == 0:
@@ -98,15 +105,6 @@ def a_coeffs(n: int) -> list[int]:
             diff[lo] += 1
             diff[hi + 1] -= 1
     return list(accumulate(diff[:n]))
-
-
-def r_nd(n: int, d: int) -> int:
-    """The offset n/d - (d+1)/2 attached to an odd divisor d of n."""
-    if d < 1 or d % 2 == 0:
-        raise ValueError(f"d={d} is not odd and positive")
-    if n % d:
-        raise ValueError(f"{d} does not divide {n}")
-    return n // d - (d + 1) // 2
 
 
 def triangular_index(n: int) -> int | None:
@@ -173,8 +171,9 @@ def sequence_for_divisor(n: int, d: int) -> tuple[IncreasingSequence, Increasing
     The odd run is IS(n/d - (d+1)/2, d), centered around n/d; the partner is
     its involute IS(-n/d + (d-1)/2, 2n/d).  Both sum to n.
     """
-    r = r_nd(n, d)
-    odd = IncreasingSequence(r, d)
+    if d < 1 or d % 2 == 0 or n % d:
+        raise ValueError(f"d={d} is not an odd divisor of {n}")
+    odd = IncreasingSequence(n // d - (d + 1) // 2, d)
     return odd, involute(odd)
 
 
@@ -197,26 +196,25 @@ def representations(n: int) -> list[IncreasingSequence]:
 
 @dataclass(frozen=True)
 class OddDivisorTerm:
-    """One odd divisor's contribution to the ideal-count decompositions.
+    """One odd divisor d of n with its offset r = n/d - (d+1)/2.
 
-    ``r`` is the offset n/d - (d+1)/2; the contribution is the degree
-    ``f_index`` running-sum polynomial with the given sign (+1 when r >= 0,
-    else -1 with f_index = -r - 1, which is >= 0).
+    The term contributes the degree ``f_index`` running-sum polynomial with
+    sign ``sign`` to the decompositions: +F_r when r >= 0, else -F_{-r-1}.
     """
 
     d: int
     r: int
-    sign: int
-    f_index: int
 
+    @property
+    def sign(self) -> int:
+        return 1 if self.r >= 0 else -1
 
-def odd_divisor_term(n: int, d: int) -> OddDivisorTerm:
-    r = r_nd(n, d)
-    if r >= 0:
-        return OddDivisorTerm(d, r, 1, r)
-    return OddDivisorTerm(d, r, -1, -r - 1)
+    @property
+    def f_index(self) -> int:
+        return self.r if self.r >= 0 else -self.r - 1
 
 
 def odd_divisor_terms(n: int) -> list[OddDivisorTerm]:
-    """One term per odd divisor of n, ascending in d."""
-    return [odd_divisor_term(n, d) for d in odd_divisors(n)]
+    """One term per odd divisor of n, ascending in d; every formula that
+    needs the offsets r reads them here."""
+    return [OddDivisorTerm(d, n // d - (d + 1) // 2) for d in odd_divisors(n)]

@@ -14,14 +14,12 @@ Three families, all exact:
 
 The defect G_n - F_{n-1} has two routes of its own: ``approx_defect``
 builds it from the interval counts, ``defect_kind`` reads its shape off the
-odd-divisor terms.  Every function here computes a route and asserts no law
-about it: ``verify`` compares the routes and checks the laws, reporting the
-values on both sides.  Only malformed input and internal impossibilities
-(a coefficient-family collision, a non-divisible count) raise.
+odd-divisor terms.  Every function here computes a route, returns a plain
+polynomial and asserts no law about it: ``verify`` compares the routes and
+checks the laws, reporting the values on both sides.  Only malformed input,
+an n too large to factor, and a count that (q-1)^2 does not divide raise.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .chebfam import fpoly, fpoly_value, fpoly_values
 from .divisors import (
@@ -30,7 +28,6 @@ from .divisors import (
     divisors,
     odd_divisor_terms,
     odd_divisors,
-    r_nd,
     sequence_for_divisor,
     triangular_index,
 )
@@ -47,26 +44,6 @@ from .intpoly import (
 Q_MINUS_ONE_SQ = LaurentPoly(0, (1, -2, 1))
 
 
-@dataclass(frozen=True)
-class PgDecomposition:
-    """G_n written as a signed sum of running-sum polynomials, one term per
-    odd divisor of n; the d=1 term is always +F_{n-1}."""
-
-    n: int
-    terms: tuple[OddDivisorTerm, ...]
-    polynomial: IntPoly
-
-
-@dataclass(frozen=True)
-class CnPolynomial:
-    """C_n(q) in both layouts: ``full`` (degree 2n, min_exp 0) and
-    ``centered`` = C_n(q)/q^n (support symmetric about q^0)."""
-
-    n: int
-    centered: LaurentPoly
-    full: LaurentPoly
-
-
 def pg_via_interval(n: int) -> IntPoly:
     """G_n from the divisor-interval counts: a_{n,0} + sum a_{n,i} V_i(X).
 
@@ -78,74 +55,57 @@ def pg_via_interval(n: int) -> IntPoly:
     return chebyshev_sum(a_coeffs(n))
 
 
-def pg_via_odd_divisors(n: int) -> PgDecomposition:
+def pg_via_odd_divisors(n: int) -> IntPoly:
     """G_n as the signed sum of F-polynomials indexed by the odd divisors:
     +F_{r} for divisors with offset r >= 0, -F_{-r-1} for the rest."""
     if n < 1:
         raise ValueError("n must be positive")
-    terms = tuple(odd_divisor_terms(n))
-    poly = sum((fpoly(t.f_index) * t.sign for t in terms), ZERO)
-    return PgDecomposition(n, terms, poly)
+    return sum((fpoly(t.f_index) * t.sign for t in odd_divisor_terms(n)),
+               ZERO)
 
 
-def cn_via_odd_divisors(n: int) -> CnPolynomial:
+def cn_via_odd_divisors(n: int) -> LaurentPoly:
     """C_n(q) summed over odd divisors d with offset r = n/d - (d+1)/2:
-    each d contributes q^{r+1} + q^{-r-1} - q^r - q^{-r} to C_n(q)/q^n."""
+    each d contributes q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r})."""
     if n < 1:
         raise ValueError("n must be positive")
-    buf = [0] * (2 * n + 1)  # index e + n holds the coefficient of q^e
-    for d in odd_divisors(n):
-        r = r_nd(n, d)
-        buf[n + r + 1] += 1
-        buf[n - r - 1] += 1
-        buf[n + r] -= 1
-        buf[n - r] -= 1
-    centered = LaurentPoly(-n, tuple(buf))
-    return CnPolynomial(n, centered, centered.shift(n))
+    buf = [0] * (2 * n + 1)  # index e holds the coefficient of q^e
+    for t in odd_divisor_terms(n):
+        buf[n + t.r + 1] += 1
+        buf[n - t.r - 1] += 1
+        buf[n + t.r] -= 1
+        buf[n - t.r] -= 1
+    return LaurentPoly(0, tuple(buf))
 
 
-def cn_via_coeff_formula(n: int) -> CnPolynomial:
+def cn_via_coeff_formula(n: int) -> LaurentPoly:
     """C_n(q) from the coefficient formula.
 
     The constant coefficient of C_n(q)/q^n is 2*(-1)^r when n = r(r+1)/2 and
     0 otherwise.  For i >= 1 the coefficient of q^i + q^{-i} is (-1)^k when
-    2n = k(k+2i+1) and (-1)^{k-1} when 2n = k(k+2i-1) (k >= 1); the two
-    cases never fire together, and a simultaneous hit raises RuntimeError as
-    an internal-consistency failure.  Solutions are enumerated over the
-    divisors k of 2n rather than by scanning i.
+    2n = k(k+2i+1) and (-1)^{k-1} when 2n = k(k+2i-1) (k >= 1).  Solutions
+    are enumerated over the divisors k of 2n rather than by scanning i, and
+    each adds its sign, so the claim that the two cases never fire at the
+    same i is left to ``verify``: a hit of both would show as a wrong
+    coefficient there.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    buf = [0] * (2 * n + 1)
+    buf = [0] * (2 * n + 1)  # index e holds the coefficient of q^e
     r = triangular_index(n)
     if r is not None:
         buf[n] = -2 if r & 1 else 2
-    seen: dict[int, int] = {}
     two_n = 2 * n
     for k in divisors(two_n):
         other = two_n // k
         sign = -1 if k & 1 else 1  # (-1)^k
-        # 2n = k(k + 2i + 1):  i = (other - k - 1)/2
-        num = other - k - 1
-        if num >= 2 and num % 2 == 0:
-            i = num // 2
-            if i in seen:
-                raise RuntimeError(
-                    f"coefficient families collide at n={n}, i={i}")
-            seen[i] = sign
-        # 2n = k(k + 2i - 1):  i = (other - k + 1)/2
-        num = other - k + 1
-        if num >= 2 and num % 2 == 0:
-            i = num // 2
-            if i in seen:
-                raise RuntimeError(
-                    f"coefficient families collide at n={n}, i={i}")
-            seen[i] = -sign
-    for i, c in seen.items():
-        buf[n + i] = c
-        buf[n - i] = c
-    centered = LaurentPoly(-n, tuple(buf))
-    return CnPolynomial(n, centered, centered.shift(n))
+        # 2n = k(k + 2i + 1) gives i = (other - k - 1)/2 with sign (-1)^k,
+        # 2n = k(k + 2i - 1) gives i = (other - k + 1)/2 with sign (-1)^{k-1}
+        for num, c in ((other - k - 1, sign), (other - k + 1, -sign)):
+            if num >= 2 and num % 2 == 0:
+                buf[n + num // 2] += c
+                buf[n - num // 2] += c
+    return LaurentPoly(0, tuple(buf))
 
 
 def pn_from_cn(n: int) -> LaurentPoly:
@@ -155,7 +115,7 @@ def pn_from_cn(n: int) -> LaurentPoly:
     ``NonDivisibleError`` from the division is allowed to propagate as an
     internal-consistency failure.
     """
-    return exact_div(cn_via_odd_divisors(n).full, Q_MINUS_ONE_SQ)
+    return exact_div(cn_via_odd_divisors(n), Q_MINUS_ONE_SQ)
 
 
 def pg_roundtrip(n: int) -> IntPoly:
@@ -179,12 +139,8 @@ def cn_eval_int(n: int, x: int) -> int:
     x^{n+r+1} + x^{n-r-1} - x^{n+r} - x^{n-r}; no polynomial is built."""
     def power(e: int) -> int:  # a decimal 0 ** 0 raises
         return x ** e if e else 1
-    total = 0
-    for d in odd_divisors(n):
-        r = r_nd(n, d)
-        total += (power(n + r + 1) + power(n - r - 1)
-                  - power(n + r) - power(n - r))
-    return total
+    return sum(power(n + t.r + 1) + power(n - t.r - 1)
+               - power(n + t.r) - power(n - t.r) for t in odd_divisor_terms(n))
 
 
 def pn_eval_int(n: int, x: int) -> int:

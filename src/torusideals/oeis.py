@@ -48,7 +48,7 @@ class BFile:
     entries: tuple[tuple[int, Decimal], ...]
 
 
-def parse_bfile(path: str | Path, sequence_id: str = "") -> BFile:
+def parse_bfile(path: str | Path) -> BFile:
     """Read a b-file; raises ``BFileError`` with a line number on bad input.
     Values are ``int()`` literals of any length, read as exact ``Decimal``."""
     path = Path(path)
@@ -70,7 +70,7 @@ def parse_bfile(path: str | Path, sequence_id: str = "") -> BFile:
                     f"{path}:{lineno}: index {idx} not increasing (after {prev})")
             prev = idx
             entries.append((idx, val))
-    return BFile(sequence_id or path.stem, tuple(entries))
+    return BFile(path.stem, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,9 @@ class SequenceSpec:
     that is None, ``--at`` (the odd-divisor count ignores x)."""
 
     key: str
-    description: str
     point: int | None
     min_index: int
     values: Callable[[Any, int], list]
-    default_oeis_id: str = ""
 
     def sweep(self, at: int | None, top: int) -> list:
         """``values`` in the decimal radix, refused if too long."""
@@ -97,22 +95,15 @@ class SequenceSpec:
 
 
 SEQUENCES: dict[str, SequenceSpec] = {
-    "pg3": SequenceSpec(
-        "pg3", "ideal-count polynomial values G_n(3)", 3, 1,
-        lambda x, top: pg_values(top, x), "A329156"),
-    "pg_eval": SequenceSpec(
-        "pg_eval", "ideal-count polynomial values G_n(x)", None, 1,
-        lambda x, top: pg_values(top, x)),
-    "f_eval": SequenceSpec(
-        "f_eval", "running-sum family values F_k(x)", None, 0,
-        lambda x, top: fpoly_values(top + 1, x)),
-    "sigma": SequenceSpec(
-        "sigma", "sum of divisors via G_n(2)", 2, 1,
-        lambda x, top: pg_values(top, x), "A000203"),
+    "pg3": SequenceSpec("pg3", 3, 1, lambda x, top: pg_values(top, x)),
+    "pg_eval": SequenceSpec("pg_eval", None, 1,
+                            lambda x, top: pg_values(top, x)),
+    "f_eval": SequenceSpec("f_eval", None, 0,
+                           lambda x, top: fpoly_values(top + 1, x)),
+    "sigma": SequenceSpec("sigma", 2, 1, lambda x, top: pg_values(top, x)),
     "odd_div_count": SequenceSpec(
-        "odd_div_count", "number of odd divisors", 0, 1,
-        lambda x, top: [len(odd_divisors(n)) for n in range(1, top + 1)],
-        "A001227"),
+        "odd_div_count", 0, 1,
+        lambda x, top: [len(odd_divisors(n)) for n in range(1, top + 1)]),
 }
 
 

@@ -158,18 +158,11 @@ def pg_from_series(order: int,
     expansion (built at ``order`` unless given) by dividing the t^n
     coefficient exactly by (X - 2).
 
-    A nonzero remainder is impossible and raises RuntimeError (it would mean
-    the expansion itself is broken, never something to discard silently).
+    A nonzero remainder would mean the expansion itself is broken; the
+    division then raises ``NonDivisibleError`` rather than drop it.
     """
     expansion = expansion or expand_pg_product(order)
-    out: list[IntPoly] = []
-    for n in range(1, order + 1):
-        q, r = divmod(expansion.coeffs[n], _X_MINUS_2)
-        if not r.is_zero():
-            raise RuntimeError(
-                f"t^{n} coefficient of the product is not divisible by X - 2")
-        out.append(q)
-    return out
+    return [expansion.coeffs[n] // _X_MINUS_2 for n in range(1, order + 1)]
 
 
 def expand_f_gf(order: int) -> TruncatedSeries:

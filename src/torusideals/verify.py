@@ -2,10 +2,11 @@
 
 This module is the one place that compares.  The library modules compute
 routes to each object; every law checked here (route agreement, the
-product laws at x in {-2, -1, 0, 1, 2}, the special families predicted
-from the shape of n, the power-of-two law and degree bound of the defect,
-the functional equation) is stated in this module, and each check reports
-the real expected and actual values when it fails.
+constant term (-1)^(k//2) of F_k, the product laws at x in {-2, -1, 0, 1,
+2}, the special families predicted from the shape of n, the power-of-two
+law and degree bound of the defect, the functional equation) is stated in
+this module, and each check reports the real expected and actual values
+when it fails.
 
 Each suite runs one family of cross-checks over a range of n, counting every
 individual comparison and collecting failures instead of raising, so a run
@@ -44,13 +45,14 @@ class VerifySuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, case: str, ok: bool, expected: object = True,
-              actual: object = None) -> None:
+    def check(self, case: str, ok: bool, expected: object,
+              actual: object) -> None:
+        """Count a passed check, or record the failure with the expected
+        and the actual value."""
         if ok:
             self.passed += 1
         else:
-            self.failures.append(
-                Failure(case, str(expected), str(ok if actual is None else actual)))
+            self.failures.append(Failure(case, str(expected), str(actual)))
 
     def equal(self, case: str, expected: object, actual: object) -> None:
         """Check actual == expected; each side is evaluated once, by the
@@ -85,18 +87,18 @@ def check_pg_routes(rep: VerifySuiteReport, n: int, series_pg: IntPoly) -> None:
     series expansion of the suite), G_n is monic of degree n - 1, and its
     d = 1 term is +F_{n-1}."""
     p_interval = hilbert.pg_via_interval(n)
-    decomp = hilbert.pg_via_odd_divisors(n)
-    rep.equal(f"pg interval=odd_divisors n={n}", p_interval, decomp.polynomial)
+    rep.equal(f"pg interval=odd_divisors n={n}", p_interval,
+              hilbert.pg_via_odd_divisors(n))
     rep.equal(f"pg interval=roundtrip n={n}", p_interval,
               hilbert.pg_roundtrip(n))
     rep.equal(f"pg interval=series n={n}", p_interval, series_pg)
     rep.check(f"pg monic degree n={n}",
               p_interval.is_monic() and p_interval.degree == n - 1,
               f"monic, degree {n - 1}", p_interval)
+    first = divisors.odd_divisor_terms(n)[0]
     rep.check(f"decomp d=1 term n={n}",
-              decomp.terms[0].d == 1 and decomp.terms[0].sign == 1
-              and decomp.terms[0].f_index == n - 1,
-              "+F_{n-1} from d=1", decomp.terms[0])
+              first.d == 1 and first.sign == 1 and first.f_index == n - 1,
+              "+F_{n-1} from d=1", first)
 
 
 def check_counts(rep: VerifySuiteReport, n: int) -> None:
@@ -104,11 +106,11 @@ def check_counts(rep: VerifySuiteReport, n: int) -> None:
     route to the centered quotient P_n / q^{n-1}."""
     cn_a = hilbert.cn_via_odd_divisors(n)
     cn_b = hilbert.cn_via_coeff_formula(n)
-    rep.equal(f"cn two-route n={n}", cn_a.full, cn_b.full)
+    rep.equal(f"cn two-route n={n}", cn_a, cn_b)
     rep.check(f"cn palindromic monic deg 2n n={n}",
-              cn_a.full.is_palindromic() and cn_a.full.min_exp == 0
-              and cn_a.full.max_exp == 2 * n and cn_a.full.coeff(2 * n) == 1,
-              "palindromic monic of degree 2n", cn_a.full)
+              cn_a.is_palindromic() and cn_a.min_exp == 0
+              and cn_a.max_exp == 2 * n and cn_a.coeff(2 * n) == 1,
+              "palindromic monic of degree 2n", cn_a)
     pn = hilbert.pn_from_cn(n)
     rep.check(f"pn structure n={n}",
               pn.is_palindromic() and pn.min_exp == 0
@@ -119,7 +121,7 @@ def check_counts(rep: VerifySuiteReport, n: int) -> None:
               pn.eval_int(1))
     rep.equal(f"cn coefficient-sum law n={n}",
               4 * len(divisors.odd_divisors(n)),
-              sum(abs(c) for c in cn_a.centered.coeffs))
+              sum(abs(c) for c in cn_a.coeffs))
     rep.equal(f"pg sequence route n={n}", pn.shift(-(n - 1)),
               hilbert.pg_via_sequences(n))
 
@@ -188,8 +190,10 @@ def verify_cheb(max_n: int = 64) -> VerifySuiteReport:
             rep.equal(f"tcheb closed k={k}", v, t)
             rep.equal(f"fpoly closed k={k}", f_rec, f)
         rep.equal(f"tcheb trace k={k}", v, chebfam.tcheb_trace(k))
-        rep.equal(f"constant term k={k}", f.coeff(0),
-                  chebfam.fpoly_constant_term(k))
+        # the constant term (-1)^(k//2), read off F_k and evaluated at 0
+        constant = -1 if (k // 2) & 1 else 1
+        rep.equal(f"constant term k={k}", (constant, constant),
+                  (f.coeff(0), chebfam.fpoly_value(k, 0)))
         # substitution: t(q + 1/q) == q^k + q^-k
         rep.equal(f"tcheb substitution k={k}",
                   monomial(k) + monomial(-k) if k else monomial(0, 2),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .divisors import odd_divisors, r_nd
+from .divisors import odd_divisor_terms
 from .hilbert import cn_via_coeff_formula
 
 
@@ -63,10 +63,9 @@ def local_zeta_factors(n: int) -> ZetaFactorization:
         raise ValueError("n must be positive")
     num: list[int] = []
     den: list[int] = []
-    for d in odd_divisors(n):
-        r = r_nd(n, d)
-        num += [n + r, n - r]
-        den += [n + r + 1, n - r - 1]
+    for t in odd_divisor_terms(n):
+        num += [n + t.r, n - t.r]
+        den += [n + t.r + 1, n - t.r - 1]
     return ZetaFactorization(n, tuple(sorted(num)), tuple(sorted(den)))
 
 
@@ -87,15 +86,15 @@ def zeta_consistency_with_cn(n: int) -> ZetaFactorization:
     """The cancelled factorization rebuilt from the coefficient formula for
     the full count, a second route to ``local_zeta_factors(n).cancelled()``.
 
-    A coefficient c at q^i of the centered count contributes the exponent
-    n + i with multiplicity |c|, to the denominator when c > 0 and to the
-    numerator when c < 0.
+    A coefficient c at q^e of the count contributes the exponent e with
+    multiplicity |c|, to the denominator when c > 0 and to the numerator
+    when c < 0.
     """
     num: list[int] = []
     den: list[int] = []
-    for i, c in cn_via_coeff_formula(n).centered.support():
+    for e, c in cn_via_coeff_formula(n).support():
         target, mult = (den, c) if c > 0 else (num, -c)
-        target += [n + i] * mult
+        target += [e] * mult
     return ZetaFactorization(n, tuple(sorted(num)),
                              tuple(sorted(den))).cancelled()
 

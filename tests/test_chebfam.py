@@ -14,7 +14,6 @@ from torusideals.chebfam import (
     decimal_radix,
     fpoly,
     fpoly_closed,
-    fpoly_constant_term,
     fpoly_value,
     fpoly_values,
     tcheb,
@@ -84,11 +83,9 @@ def test_difference_identity():
 
 
 def test_constant_term():
-    assert fpoly_constant_term(0) == 1
-    assert fpoly_constant_term(2) == -1
-    assert fpoly_constant_term(11) == -1
+    assert [fpoly(k).coeff(0) for k in (0, 2, 11)] == [1, -1, -1]
     for k in range(50):
-        assert fpoly_constant_term(k) == (-1) ** (k // 2)
+        assert fpoly(k).coeff(0) == fpoly_value(k, 0) == (-1) ** (k // 2)
 
 
 def test_leading_coefficients():

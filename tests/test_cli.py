@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
-from torusideals import cli, hilbert, verify, zeta
+from torusideals import chebfam, cli, hilbert, verify, zeta
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.intpoly import X, intpoly_from_json, laurent_from_json
@@ -56,7 +57,7 @@ class TestCompute:
         obj = json.loads(out)
         from torusideals.hilbert import cn_via_odd_divisors
 
-        assert laurent_from_json(obj) == cn_via_odd_divisors(4).full
+        assert laurent_from_json(obj) == cn_via_odd_divisors(4)
 
         code, out = run(capsys, "compute", "zeta", "--n", "3", "--format", "json")
         obj = json.loads(out)
@@ -82,7 +83,7 @@ class TestCompute:
         def exhausted(n):
             raise MemoryError
 
-        monkeypatch.setattr(hilbert, "pg_via_odd_divisors", exhausted)
+        monkeypatch.setitem(cli._OBJECTS, "pg", exhausted)
         code = main(["compute", "pg", "--n", "5"])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: out of memory")
@@ -128,6 +129,25 @@ class TestCompute:
             code, out = run(capsys, "compute", kind, "--n", str(n),
                             "--eval", str(x))
             assert (code, out) == (0, f"{want}\n")
+
+    def test_unfactorable_n_refused_within_the_work_limit(self, capsys):
+        # 10^18 + 3 is prime: trial division would run to 10^9, so every
+        # divisor-based command refuses it; an odd part just below the
+        # limit (2 * 10^7)^2 still answers
+        n = str(10 ** 18 + 3)
+        for argv in (("compute", "pg", "--n", n, "--eval", "1"),
+                     ("compute", "cn", "--n", n, "--eval", "1"),
+                     ("compute", "pn", "--n", n, "--eval", "1"),
+                     ("compute", "zeta", "--n", n)):
+            start = time.process_time()
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, ""), argv
+            assert err == "error: cannot factor n within the work limit\n"
+            assert time.process_time() - start < 1.0
+        code, out = run(capsys, "compute", "pg", "--n", "399999999999971",
+                        "--eval", "2")
+        assert (code, out) == (0, "463581488934144\n")
 
     def test_oversized_answers_refused_up_front(self):
         # 512 MB of address space, limited in the child only
@@ -307,13 +327,14 @@ class TestVerify:
     def test_failed_boolean_check_shows_outcome(self, capsys, monkeypatch):
         def failing(max_n):
             rep = verify.VerifySuiteReport("cheb", max_n)
-            rep.check("demo", False)
+            rep.check("demo", False, "one value", "another")
             return rep
 
-        monkeypatch.setitem(verify.SUITES, "cheb", failing)
-        code, out = run(capsys, "verify", "cheb", "--max-n", "3")
-        assert code == 1
-        assert "  demo: expected True, got False\n" in out
+        with monkeypatch.context() as m:
+            m.setitem(verify.SUITES, "cheb", failing)
+            code, out = run(capsys, "verify", "cheb", "--max-n", "3")
+            assert code == 1
+            assert "  demo: expected one value, got another\n" in out
 
         # one wrong value injected into each law: the failure line shows
         # the expected and the actual value, never a bare True or False
@@ -323,6 +344,18 @@ class TestVerify:
             assert not re.search(r"(expected|got) (True|False)", out), out
             return out
 
+        with monkeypatch.context() as m:
+            # the coefficient formula loses its constant term at n = 1
+            m.setattr(hilbert, "triangular_index", lambda n: None)
+            assert "  cn two-route n=1: expected q^2 - 2*q + 1, " \
+                "got q^2 + 1\n" in failures("routes", 1)
+        with monkeypatch.context() as m:
+            fpoly_value = chebfam.fpoly_value
+            m.setattr(chebfam, "fpoly_value",
+                      lambda k, x: fpoly_value(k, x) + (x == 0))
+            out = failures("cheb", 1)
+            assert "  constant term k=0: expected (1, 1), got (1, 2)\n" in out
+            assert "  constant term k=1: expected (1, 1), got (1, 2)\n" in out
         with monkeypatch.context() as m:
             pg_eval_int = hilbert.pg_eval_int
             m.setattr(hilbert, "pg_eval_int",

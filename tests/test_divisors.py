@@ -6,15 +6,15 @@ from hypothesis import given, strategies as st
 
 from oracles import square_plus_twice_square_count, two_squares_count
 from torusideals.divisors import (
+    TRIAL_LIMIT,
     IncreasingSequence,
     a_coeff,
     a_coeffs,
     divisors,
     involute,
     is_prime,
-    odd_divisor_term,
+    odd_divisor_terms,
     odd_divisors,
-    r_nd,
     representations,
     sequence_for_divisor,
     triangular_index,
@@ -52,6 +52,17 @@ class TestDivisorBasics:
             if m > 1:
                 count *= 2
             assert len(odd_divisors(n)) == count, n
+
+    def test_work_limit(self):
+        # an odd part past (2 TRIAL_LIMIT)^2 is refused before any division;
+        # the odd part of a power of two is 1
+        assert odd_divisors(2**100) == [1]
+        for n in ((2 * TRIAL_LIMIT + 1) ** 2, 10**18 + 3):
+            with pytest.raises(ValueError, match="^cannot factor n within "
+                               "the work limit$"):
+                odd_divisors(n)
+        with pytest.raises(ValueError, match="work limit"):
+            divisors((TRIAL_LIMIT + 1) ** 2)
 
     def test_is_prime(self):
         assert [p for p in range(30) if is_prime(p)] == \
@@ -101,23 +112,26 @@ class TestACoeff:
 
 
 class TestRnd:
+    """The offsets r_{n,d} = n/d - (d+1)/2, read off ``odd_divisor_terms``."""
+
     def test_values(self):
-        assert r_nd(10, 1) == 9
-        assert r_nd(15, 3) == 3
-        assert r_nd(10, 5) == -1
+        assert [(t.d, t.r) for t in odd_divisor_terms(10)] == [(1, 9), (5, -1)]
+        assert [(t.d, t.r) for t in odd_divisor_terms(15)] == \
+            [(1, 14), (3, 3), (5, 0), (15, -7)]
         for n in range(1, 60):
-            assert r_nd(n, 1) == n - 1
+            assert odd_divisor_terms(n)[0].r == n - 1
 
     def test_rejects_bad_divisor(self):
+        # the runs take a divisor from the caller and check it themselves
         with pytest.raises(ValueError):
-            r_nd(10, 2)
+            sequence_for_divisor(10, 2)
         with pytest.raises(ValueError):
-            r_nd(10, 3)
+            sequence_for_divisor(10, 3)
 
     def test_term_signs(self):
-        t = odd_divisor_term(10, 5)
+        t = odd_divisor_terms(10)[1]
         assert (t.d, t.r, t.sign, t.f_index) == (5, -1, -1, 0)
-        t = odd_divisor_term(15, 3)
+        t = odd_divisor_terms(15)[1]
         assert (t.d, t.r, t.sign, t.f_index) == (3, 3, 1, 3)
 
 

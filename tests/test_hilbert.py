@@ -39,12 +39,14 @@ def test_pg_reference_rows(n, coeffs):
 
 class TestPgRoutes:
     def test_decomposition_terms(self):
-        terms = pg_via_odd_divisors(15).terms
+        terms = odd_divisor_terms(15)
         assert [(t.d, t.sign, t.f_index) for t in terms] == \
             [(1, 1, 14), (3, 1, 3), (5, 1, 0), (15, -1, 6)]
-        terms = pg_via_odd_divisors(8).terms
+        assert pg_via_odd_divisors(15) == \
+            fpoly(14) + fpoly(3) + fpoly(0) - fpoly(6)
+        terms = odd_divisor_terms(8)
         assert [(t.sign, t.f_index) for t in terms] == [(1, 7)]
-        terms = pg_via_odd_divisors(10).terms
+        terms = odd_divisor_terms(10)
         assert [(t.sign, t.f_index) for t in terms] == [(1, 9), (-1, 0)]
 
     def test_roundtrip_rows(self):
@@ -59,29 +61,29 @@ class TestPgRoutes:
 
 class TestCn:
     def test_reference_examples(self):
-        assert cn_via_odd_divisors(4).full == \
+        assert cn_via_odd_divisors(4) == \
             LaurentPoly(0, (1, -1, 0, 0, 0, 0, 0, -1, 1))
-        assert cn_via_odd_divisors(3).full == \
+        assert cn_via_odd_divisors(3) == \
             LaurentPoly(0, (1, -1, -1, 2, -1, -1, 1))
-        assert cn_via_odd_divisors(1).full == LaurentPoly(0, (1, -2, 1))
+        assert cn_via_odd_divisors(1) == LaurentPoly(0, (1, -2, 1))
 
     def test_coeff_formula_examples(self):
-        assert cn_via_coeff_formula(6).centered.coeff(0) == -2
-        assert cn_via_coeff_formula(5).centered.coeff(0) == 0
-        c4 = cn_via_coeff_formula(4).centered
-        assert c4.coeff(4) == 1 and c4.coeff(3) == -1
-        assert all(c4.coeff(i) == 0 for i in (0, 1, 2))
+        # coefficients of C_n(q)/q^n, read at q^{n+i}
+        assert cn_via_coeff_formula(6).coeff(6) == -2
+        assert cn_via_coeff_formula(5).coeff(5) == 0
+        c4 = cn_via_coeff_formula(4)
+        assert c4.coeff(8) == 1 and c4.coeff(7) == -1
+        assert all(c4.coeff(4 + i) == 0 for i in (0, 1, 2))
 
     def test_two_route_equality_and_structure(self):
         for n in range(1, 150):
             a, b = cn_via_odd_divisors(n), cn_via_coeff_formula(n)
-            assert a.full == b.full and a.centered == b.centered
-            assert a.full.is_palindromic()
-            assert a.full.min_exp == 0 and a.full.max_exp == 2 * n
-            assert a.full.coeff(2 * n) == 1
-            assert a.centered.is_centered()
-            assert sum(abs(c) for c in a.centered.coeffs) == \
-                4 * len(odd_divisors(n))
+            assert a == b
+            assert a.is_palindromic()
+            assert a.min_exp == 0 and a.max_exp == 2 * n
+            assert a.coeff(2 * n) == 1
+            assert a.shift(-n).is_centered()
+            assert sum(abs(c) for c in a.coeffs) == 4 * len(odd_divisors(n))
 
     def test_pn_examples(self):
         assert pn_from_cn(2) == LaurentPoly(0, (1, 1, 1))
@@ -146,7 +148,7 @@ class TestValues:
         # the values behind ``compute tcheb|cn|pn --eval``, in ints
         assert [tcheb_value(0, x) for x in (-1, 0, 5)] == [2, 2, 2]
         for n in range(1, 301):
-            cn, pn, v = cn_via_odd_divisors(n).full, pn_from_cn(n), tcheb(n)
+            cn, pn, v = cn_via_odd_divisors(n), pn_from_cn(n), tcheb(n)
             for x in range(-8, 9):
                 assert cn_eval_int(n, x) == cn.eval_int(x), (n, x)
                 assert pn_eval_int(n, x) == pn.eval_int(x), (n, x)
@@ -192,7 +194,7 @@ class TestSpecialFamilies:
         kinds = {"zero": ZERO, "+F0": fpoly(0), "-F0": -fpoly(0),
                  "+F1": fpoly(1), "-F1": -fpoly(1)}
         for n in range(1, 400):
-            defect = pg_via_odd_divisors(n).polynomial - fpoly(n - 1)
+            defect = pg_via_odd_divisors(n) - fpoly(n - 1)
             kind = kind_of(n)
             if kind in kinds:
                 assert defect == kinds[kind], n

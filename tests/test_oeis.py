@@ -133,7 +133,6 @@ class TestEmit:
         assert bf.entries[0] == (0, 1)  # the degree-0 polynomial is 1
 
     def test_registry_metadata(self):
-        assert SEQUENCES["sigma"].default_oeis_id == "A000203"
         assert SEQUENCES["pg3"].min_index == 1
         assert SEQUENCES["f_eval"].min_index == 0
 
