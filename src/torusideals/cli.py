@@ -16,8 +16,7 @@ from collections.abc import Iterable, Iterator
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import (IntPoly, LaurentPoly, format_laurent, format_poly,
-                      intpoly_to_json, laurent_to_json)
+from .intpoly import LaurentPoly, intpoly_to_json, laurent_to_json
 from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -71,6 +70,10 @@ _OBJECTS = {
     "pn": hilbert.pn_from_cn,
 }
 
+# Coefficient digits of V_k, and of F_k and G_{k+1}, per k^2, in 40ths:
+# V_3000 has 677,334 of them, F_3000 and G_3001 have 1,350,816
+_DIGIT_RATE = {"tcheb": 3, "fpoly": 6, "pg": 6}
+
 _VALUES = {
     "tcheb": chebfam.tcheb_value,
     "fpoly": chebfam.fpoly_value,
@@ -117,6 +120,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(str(value) + "\n", args.out)
         return 0
 
+    chebfam.check_digits(2 * n + 1 if kind in ("cn", "pn")  # one-digit coeffs
+                         else _DIGIT_RATE[kind] * n * n // 40)
     obj = _OBJECTS[kind](n)
     if args.format == "json":
         coeffs = (laurent_to_json(obj) if isinstance(obj, LaurentPoly)
@@ -127,8 +132,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                           [str(n), " ".join(str(c) for c in obj.coeffs)]]),
               args.out)
     else:
-        text = format_poly(obj) if isinstance(obj, IntPoly) else format_laurent(obj)
-        _emit(text + "\n", args.out)
+        _emit(str(obj) + "\n", args.out)
     return 0
 
 
@@ -224,6 +228,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     # polynomial tables
     start = 1 if which == "pg" else 0
+    # the rates summed: 1^2 + ... + N^2 = N(N + 1)(2N + 1)/6
+    chebfam.check_digits(_DIGIT_RATE[which] * max_n * (max_n + 1)
+                         * (2 * max_n + 1) // 240)
     polys = [(n, _OBJECTS[which](n)) for n in range(start, max_n + 1)]
     if args.format == "json":
         payload = [{"n": n, **intpoly_to_json(p)} for n, p in polys]
@@ -232,7 +239,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         cells = [[str(n), " ".join(str(c) for c in p.coeffs)] for n, p in polys]
         _emit(_csv_lines([["n", "coeffs"], *cells]), args.out)
     else:
-        cells = [[str(n), format_poly(p)] for n, p in polys]
+        cells = [[str(n), str(p)] for n, p in polys]
         _emit(_text_table(["n", which], cells), args.out)
     return 0
 

@@ -36,6 +36,18 @@ def odd_divisors(n: int) -> list[int]:
     return _trial_divisors(n >> (n & -n).bit_length() - 1, 2)
 
 
+def odd_divisor_counts(top: int) -> list[int]:
+    """[len(odd_divisors(n)) for n = 1..top], by a counting sieve over odd d.
+
+    >>> odd_divisor_counts(9)
+    [1, 1, 2, 1, 2, 2, 2, 1, 3]
+    """
+    counts = [0] * (top + 1)
+    for d in range(1, top + 1, 2):
+        counts[d::d] = [c + 1 for c in counts[d::d]]
+    return counts[1:]
+
+
 #: The most trial divisions one divisor list may take: about a second.
 TRIAL_LIMIT = 10**7
 

@@ -65,29 +65,17 @@ class IntPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly((other,))
+    def __add__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(tuple(out))
-
-    __radd__ = __add__
+        return IntPoly(tuple(_add_at(list(a), 0, b)))
 
     def __neg__(self) -> IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly((other,))
+    def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
-
-    def __rsub__(self, other: int) -> IntPoly:
-        return IntPoly((other,)) - self
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
@@ -95,14 +83,6 @@ class IntPoly:
         return IntPoly(tuple(add_product([], self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> IntPoly:
-        """Multiply by X^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs:
-            return ZERO
-        return IntPoly((0,) * k + self.coeffs)
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Long division over the integers.
@@ -136,8 +116,8 @@ class IntPoly:
     def __floordiv__(self, other: IntPoly) -> IntPoly:
         """Exact quotient; raises ``NonDivisibleError`` on nonzero remainder."""
         q, r = divmod(self, other)
-        if not r.is_zero():
-            raise NonDivisibleError(f"{self!r} is not divisible by {other!r}")
+        if not r.is_zero():  # no operand in the message: it may be huge
+            raise NonDivisibleError("nonzero remainder in exact division")
         return q
 
     def divides(self, other: IntPoly) -> bool:
@@ -151,7 +131,7 @@ class IntPoly:
     # -- evaluation and substitution -----------------------------------------
 
     def eval_int(self, x: int) -> int:
-        """Exact value at an integer (of any number type), by ``_horner``."""
+        """Exact value at an integer, by ``_horner``."""
         return _horner(self.coeffs, x)
 
     def eval_q_plus_qinv(self) -> LaurentPoly:
@@ -229,10 +209,8 @@ class LaurentPoly:
         lo = min(self.min_exp, other.min_exp)
         hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
         out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exp - lo + i] += c
+        _add_at(out, self.min_exp - lo, self.coeffs)
+        _add_at(out, other.min_exp - lo, other.coeffs)
         return LaurentPoly(lo, tuple(out))
 
     def __neg__(self) -> LaurentPoly:
@@ -241,13 +219,9 @@ class LaurentPoly:
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
 
-    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            return LaurentPoly(self.min_exp, tuple(c * other for c in self.coeffs))
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         return LaurentPoly(self.min_exp + other.min_exp,
                            tuple(add_product([], self.coeffs, other.coeffs)))
-
-    __rmul__ = __mul__
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by q^k (k of either sign)."""
@@ -259,8 +233,7 @@ class LaurentPoly:
         """Exact integer value; requires min_exp >= 0."""
         if not self.is_zero() and self.min_exp < 0:
             raise ValueError("cannot evaluate negative powers at an integer")
-        value = _horner(self.coeffs, q)  # skip q ** 0: a decimal 0 ** 0 raises
-        return +(value * q ** self.min_exp) if self.min_exp else value  # no -0
+        return _horner(self.coeffs, q) * q ** self.min_exp
 
     # -- predicates ----------------------------------------------------------
 
@@ -309,15 +282,19 @@ def add_product(acc: list[int], a: Sequence[int],
     return acc
 
 
+def _add_at(out: list[int], at: int, cs: Sequence[int]) -> list[int]:
+    """Add ``cs`` into ``out`` from index ``at`` on, and return ``out``: the
+    one coefficient-add loop, behind both ``__add__`` methods."""
+    for i, c in enumerate(cs, at):
+        out[i] += c
+    return out
+
+
 def _horner(cs: Sequence[int], x: int) -> int:
-    """sum c_i x^i by Horner's scheme over blocks of 16 coefficients: each
-    block in ints, the running value, of x's number type, once per block."""
-    xi, acc, step = int(x), 0, x ** 16
-    for j in range((len(cs) - 1) // 16 * 16, -1, -16):
-        block = 0  # sum of c_{j+i} x^i
-        for c in reversed(cs[j:j + 16]):
-            block = block * xi + c
-        acc = acc * step + block
+    """sum c_i x^i by Horner's scheme."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
     return acc
 
 
@@ -337,9 +314,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("Laurent division by zero")
     if num.is_zero():
         return LAURENT_ZERO
-    q, r = divmod(IntPoly(num.coeffs), IntPoly(den.coeffs))
-    if not r.is_zero():
-        raise NonDivisibleError("nonzero remainder in exact Laurent division")
+    q = IntPoly(num.coeffs) // IntPoly(den.coeffs)
     return LaurentPoly(num.min_exp - den.min_exp, q.coeffs)
 
 
@@ -430,25 +405,21 @@ def _term_str(c: int, e: int, var: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
+def _format_terms(min_exp: int, cs: Sequence[int], var: str) -> str:
+    """The nonzero terms c * var^e, e = min_exp + i, highest first; the one
+    rendering loop, behind both carriers."""
+    parts = []
+    for e, c in zip(range(min_exp + len(cs) - 1, min_exp - 1, -1), reversed(cs)):
+        if c:
+            parts.append(_term_str(c, e, var, not parts))
+    return "".join(parts) or "0"
+
+
 def format_poly(p: IntPoly) -> str:
     """Human-readable form, highest degree first: 'X^3 + X^2 - 2*X - 1'."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
-        if c:
-            parts.append(_term_str(c, i, "X", not parts))
-    return "".join(parts)
+    return _format_terms(0, p.coeffs, "X")
 
 
 def format_laurent(lp: LaurentPoly) -> str:
     """Human-readable form, highest exponent first; negative powers as q^-k."""
-    if lp.is_zero():
-        return "0"
-    parts = []
-    for e in range(lp.max_exp, lp.min_exp - 1, -1):
-        c = lp.coeff(e)
-        if c:
-            parts.append(_term_str(c, e, "q", not parts))
-    return "".join(parts)
+    return _format_terms(lp.min_exp, lp.coeffs, "q")

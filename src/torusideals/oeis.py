@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 from .chebfam import (EXACT, check_digits, decimal_radix, fpoly_values,
                       value_digits)
-from .divisors import odd_divisors
+from .divisors import odd_divisor_counts
 from .hilbert import pg_values
 
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # an int() literal, unspaced
@@ -103,7 +103,7 @@ SEQUENCES: dict[str, SequenceSpec] = {
     "sigma": SequenceSpec("sigma", 2, 1, lambda x, top: pg_values(top, x)),
     "odd_div_count": SequenceSpec(
         "odd_div_count", 0, 1,
-        lambda x, top: [len(odd_divisors(n)) for n in range(1, top + 1)]),
+        lambda x, top: odd_divisor_counts(top)),
 }
 
 

@@ -158,7 +158,14 @@ class TestCompute:
         env = {**os.environ, "PYTHONPATH": src}
         for argv in (("compute", "fpoly", "--n", "1000000000", "--eval", "3"),
                      ("oeis-check", "f_eval", "--at", "10", "--max-n",
-                      "1000000", "--emit", os.devnull)):
+                      "1000000", "--emit", os.devnull),
+                     # whole polynomials: C_n and P_n have about 2n one-digit
+                     # coefficients, a table of F_k about 0.05 k^3 digits
+                     ("compute", "pn", "--n", "100000000"),
+                     ("compute", "cn", "--n", "100000000"),
+                     ("table", "pg", "--max-n", "4000", "--format", "csv"),
+                     ("table", "fpoly", "--max-n", "21000", "--format", "csv"),
+                     ("table", "pg", "--max-n", str(10 ** 18))):
             before = resource.getrusage(resource.RUSAGE_CHILDREN)
             proc = subprocess.run(
                 [sys.executable, "-m", "torusideals.cli", *argv],

@@ -6,6 +6,7 @@ from decimal import Decimal
 import pytest
 
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
+from torusideals.divisors import odd_divisors
 from torusideals.hilbert import pg_eval_int
 from torusideals.oeis import (
     BFileError,
@@ -80,12 +81,16 @@ class TestSequenceChecks:
         assert report.ok and report.compared == 119
 
     def test_odd_divisor_count(self, tmp_path):
+        # the sweep's sieve against a plain count and the per-n list
         def count(n):
             return sum(1 for d in range(1, n + 1, 2) if n % d == 0)
 
-        lines = "\n".join(f"{n} {count(n)}" for n in range(1, 100))
+        lines = "\n".join(f"{n} {count(n)}" for n in range(1, 2000))
         path = write(tmp_path, "b001227.txt", lines + "\n")
-        assert check_sequence("odd_div_count", parse_bfile(path)).ok
+        report = check_sequence("odd_div_count", parse_bfile(path))
+        assert report.ok and report.compared == 1999
+        assert SEQUENCES["odd_div_count"].sweep(None, 1999) == [
+            len(odd_divisors(n)) for n in range(1, 2000)]
 
     def test_mismatch_is_reported(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n2 4\n3 999\n4 7\n")
