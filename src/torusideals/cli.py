@@ -16,7 +16,8 @@ from collections.abc import Iterable, Iterator
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import LaurentPoly, intpoly_to_json, laurent_to_json
+from .intpoly import (LaurentPoly, decimal_str, intpoly_to_json,
+                      laurent_to_json)
 from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -129,7 +130,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         _emit(_json_pieces({"kind": kind, "n": n, **coeffs}), args.out)
     elif args.format == "csv":
         _emit(_csv_lines([["n", "coeffs"],
-                          [str(n), " ".join(str(c) for c in obj.coeffs)]]),
+                          [str(n), " ".join(map(decimal_str, obj.coeffs))]]),
               args.out)
     else:
         _emit(str(obj) + "\n", args.out)
@@ -214,6 +215,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 0
 
     if which == "decomp":
+        # its csv has about 3 characters per n^2: 194,223,598 at n = 8000
+        chebfam.check_digits(3 * max_n * max_n)
         rows = [(n, tsum_string(n), fdecomp_string(n))
                 for n in range(1, max_n + 1)]
         if args.format == "json":
@@ -236,7 +239,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         payload = [{"n": n, **intpoly_to_json(p)} for n, p in polys]
         _emit(_json_pieces({"table": which, "rows": payload}), args.out)
     elif args.format == "csv":
-        cells = [[str(n), " ".join(str(c) for c in p.coeffs)] for n, p in polys]
+        cells = [[str(n), " ".join(map(decimal_str, p.coeffs))]
+                 for n, p in polys]
         _emit(_csv_lines([["n", "coeffs"], *cells]), args.out)
     else:
         cells = [[str(n), str(p)] for n, p in polys]

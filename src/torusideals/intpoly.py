@@ -10,10 +10,31 @@ a palindromic Laurent polynomial that is symmetric about q^0 is a unique
 integer combination of 1 and the binomials q^i + q^{-i}, and each
 q^i + q^{-i} equals the degree-i monic Chebyshev polynomial evaluated at
 q + q^{-1}.  The inverse substitution is therefore exact over the integers.
+
+Both directions, and the product expansion in ``series``, are shift-and-add
+recurrences, and they run on *packed* integers: a polynomial c_0 + c_1 X +
+... is held as its value at X = 2^w, one w-bit slot per coefficient, so a
+whole step of the recurrence is one C-level bigint shift and add instead of
+a Python loop over the coefficients.  Evaluation at 2^w is a ring
+homomorphism, so every intermediate value is exact whatever its
+coefficients; only the final value is read back, by ``unpack_balanced``.
+That is exact as long as each final coefficient c satisfies
+|c| < 2^(w-1), so the width comes from a proven bound on the coefficients
+(``slot_width``), never from a guess, and the read-back raises rather than
+wraps when a value does not fit its slots.  The bounds, each a sum of
+|coefficients| of the basis it expands in:
+
+* basis change, b_0 + sum b_i V_i: |b_0| + sum |b_i| L_i, L_i the Lucas
+  numbers;
+* substitution, sum g_j X^j at X = q + 1/q: sum |g_j| 2^j;
+* product expansion: [t^m] prod (1 + t^i)^2 / (1 - t^i - t^{2i}), a
+  majorant built from the Fibonacci numbers (see
+  ``series.expand_pg_product``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterator, Sequence
 
 
@@ -135,12 +156,27 @@ class IntPoly:
         return _horner(self.coeffs, x)
 
     def eval_q_plus_qinv(self) -> LaurentPoly:
-        """Substitute X := q + q^{-1}, landing in the Laurent ring."""
-        acc = LAURENT_ZERO
-        arg = LaurentPoly(-1, (1, 0, 1))  # q + q^{-1}
-        for c in reversed(self.coeffs):
-            acc = acc * arg + LaurentPoly(0, (c,))
-        return acc
+        """Substitute X := q + q^{-1}, landing in the Laurent ring.
+
+        With d the degree and g_j the coefficients, q^d times the result is
+        sum g_j (q^2 + 1)^j q^{d-j}, a polynomial of degree 2d in q.  It is
+        computed packed at q = 2^w by Horner's scheme, acc := acc (q^2 + 1)
+        + g_j q^{d-j} for j = d..0: one shift and two adds per coefficient.
+        (q^2 + 1)^j has coefficient sum 2^j, so no coefficient of the result
+        exceeds sum |g_j| 2^j in size: the bound behind w.
+
+        >>> IntPoly((0, 0, 1)).eval_q_plus_qinv()
+        LaurentPoly('q^2 + 2 + q^-2')
+        """
+        cs = self.coeffs
+        if not cs:
+            return LAURENT_ZERO
+        d = len(cs) - 1
+        w = slot_width(sum(abs(g) << j for j, g in enumerate(cs)))
+        acc = 0
+        for j in range(d, -1, -1):
+            acc = (acc << 2 * w) + acc + (cs[j] << (d - j) * w)
+        return LaurentPoly(-d, tuple(unpack_balanced(acc, w, 2 * d + 1)))
 
     # -- rendering ------------------------------------------------------------
 
@@ -341,10 +377,12 @@ def chebyshev_sum(b: Sequence[int]) -> IntPoly:
     """b[0] + sum_{i>=1} b[i] * V_i(X), V_i the monic degree-i polynomial
     with V_i(q + q^{-1}) = q^i + q^{-i}.
 
-    The one kernel for this sum: V_i is rolled by V_{i+1} = X V_i - V_{i-1}
-    on coefficient lists, up to the last nonzero b[i].  V_i has only powers
-    X^j with j = i mod 2, so V_i and each parity half of the result are kept
-    as the lists of those coefficients alone.
+    The one kernel for this sum: Clenshaw's recurrence packed at X = 2^w,
+    y_k = b_k + X y_{k+1} - y_{k+2} for k = m..1 (m the last nonzero
+    index), then the sum is b_0 + X y_1 - 2 y_2; one shift and two adds per
+    term.  The |coefficients| of V_i sum to the Lucas number L_i, so no
+    coefficient of the result exceeds |b_0| + sum |b_i| L_i in size: the
+    bound behind w.
 
     >>> print(chebyshev_sum([1, 0, 1]))
     X^2 - 1
@@ -352,30 +390,83 @@ def chebyshev_sum(b: Sequence[int]) -> IntPoly:
     m = max((i for i, c in enumerate(b) if c), default=-1)
     if m < 0:
         return ZERO
-    halves = [[b[0]] + [0] * (m // 2), [0] * ((m + 1) // 2)]
-    prev, cur = [2], [1]  # V_0, V_1: the coefficients of X^0 and X^1
-    for i in range(1, m + 1):
-        bi = b[i]
-        if bi:
-            acc = halves[i & 1]
-            acc[:len(cur)] = [a + bi * c for a, c in zip(acc, cur)]
-        if i < m:
-            # X * V_i on the powers of parity i + 1; for odd i these start
-            # at X^0, where X * V_i has no term
-            shifted = [0] + cur if i & 1 else cur
-            nxt = [s - p for s, p in zip(shifted, prev)] + shifted[len(prev):]
-            prev, cur = cur, nxt
-    out = [0] * (m + 1)
-    out[0::2], out[1::2] = halves
-    return IntPoly(tuple(out))
+    terms = b[1:m + 1]
+    bound, lucas, prev = abs(b[0]), 1, 2  # L_1, L_0
+    for c in terms:
+        bound += abs(c) * lucas
+        lucas, prev = lucas + prev, lucas
+    w = slot_width(bound)
+    y1 = y2 = 0  # y_{k+1}, y_{k+2}
+    for c in reversed(terms):
+        y1, y2 = c + (y1 << w) - y2, y1
+    return IntPoly(tuple(unpack_balanced(b[0] + (y1 << w) - 2 * y2, w, m + 1)))
 
 
-# -- JSON encoding ------------------------------------------------------------
+# -- packed integers ----------------------------------------------------------
+# A polynomial with |coefficients| <= bound travels as its value at 2^w,
+# w = slot_width(bound), and comes back through unpack_balanced.
+
+def slot_width(bound: int) -> int:
+    """The least multiple of 8, w, with bound < 2^(w-1): the slot width in
+    which ``unpack_balanced`` reads back every coefficient of size at most
+    ``bound``.
+
+    >>> slot_width(127), slot_width(128)
+    (8, 16)
+    """
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def unpack_balanced(v: int, w: int, count: int) -> list[int]:
+    """The digits c_0..c_{count-1} with v = sum c_i 2^(w i) and
+    -2^(w-1) <= c_i < 2^(w-1): v read in balanced base 2^w, w a multiple
+    of 8.
+
+    Adding 2^(w-1) to every slot makes each digit non-negative, so the
+    digits are the byte groups of the biased value, read with one
+    ``to_bytes``.  Raises ``OverflowError`` when v does not fit in
+    ``count`` slots; it never wraps.
+
+    >>> unpack_balanced(3 - (2 << 8) + (1 << 16), 8, 3)
+    [3, -2, 1]
+    >>> unpack_balanced(1 << 16, 8, 2)
+    Traceback (most recent call last):
+    ...
+    OverflowError: value does not fit in 2 slots of 8 bits
+    """
+    if w <= 0 or w % 8:
+        raise ValueError(f"slot width {w} is not a positive multiple of 8")
+    size, half = w // 8, 1 << (w - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    try:
+        raw = (v + bias).to_bytes(size * count, "little")
+    except OverflowError:
+        raise OverflowError(
+            f"value does not fit in {count} slots of {w} bits") from None
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, len(raw), size)]
+
+
+# -- decimal strings and JSON encoding -----------------------------------------
 # Shared by every module: coefficients as decimal strings so that arbitrary
 # precision survives any JSON implementation.
 
+def decimal_str(c: int) -> str:
+    """The decimal digits of c at any size.  ``str()`` of an int refuses
+    past ``sys.get_int_max_str_digits()`` digits (4300 by default); a
+    ``Decimal`` holds c exactly and prints it without that limit.
+
+    >>> decimal_str(-12), len(decimal_str(10 ** 5000))
+    ('-12', 5001)
+    """
+    try:
+        return str(c)
+    except ValueError:
+        return str(Decimal(c))
+
+
 def intpoly_to_json(p: IntPoly) -> dict:
-    return {"coeffs": [str(c) for c in p.coeffs]}
+    return {"coeffs": [decimal_str(c) for c in p.coeffs]}
 
 
 def intpoly_from_json(obj: dict) -> IntPoly:
@@ -383,7 +474,8 @@ def intpoly_from_json(obj: dict) -> IntPoly:
 
 
 def laurent_to_json(lp: LaurentPoly) -> dict:
-    return {"min_exp": lp.min_exp, "coeffs": [str(c) for c in lp.coeffs]}
+    return {"min_exp": lp.min_exp,
+            "coeffs": [decimal_str(c) for c in lp.coeffs]}
 
 
 def laurent_from_json(obj: dict) -> LaurentPoly:
@@ -396,9 +488,9 @@ def _term_str(c: int, e: int, var: str, first: bool) -> str:
     sign = "-" if c < 0 else "+"
     mag = abs(c)
     if e == 0:
-        body = str(mag)
+        body = decimal_str(mag)
     else:
-        head = "" if mag == 1 else f"{mag}*"
+        head = "" if mag == 1 else f"{decimal_str(mag)}*"
         body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
     if first:
         return body if c > 0 else f"-{body}"

@@ -14,14 +14,16 @@ A series of order N keeps exactly the coefficients of t^0..t^N.  Any factor
 (1 - t^i)^2/(1 - X t^i + t^{2i}) with i > N is 1 + O(t^{N+1}), so the
 product needs only the factors with i <= N.  The product is expanded by
 multiplying out the integer numerator and then dividing it in place by one
-sparse denominator factor at a time (O(N^3)); the dense ``series_div``
-serves the two rational families and ``series_inverse``.
+sparse denominator factor at a time, on packed integers (O(N^2) bigint
+steps); the dense ``series_div`` serves the two rational families and
+``series_inverse``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import IntPoly, ONE, TWO, X, ZERO, add_product
+from .intpoly import (IntPoly, ONE, TWO, X, ZERO, add_product, slot_width,
+                      unpack_balanced)
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,18 @@ def expand_pg_product(order: int) -> TruncatedSeries:
     The numerators are multiplied out into one integer series, which is
     then divided in place by each sparse denominator factor in turn: S
     divided by (1 - X t^i + t^{2i}) is S_m += X S_{m-i} - S_{m-2i} for
-    m = i..order in ascending order, a shift and two list additions per
-    step, so O(order^3) coefficient operations in all.
+    m = i..order in ascending order.  No factor raises the X-degree of S_m
+    above m, and S_m is held packed, as its value at X = 2^w (see
+    ``intpoly``), so a step is one bigint shift and two adds: O(order^2)
+    steps on numbers of O(order * w) bits.
+
+    The width rests on a majorant.  1/(1 - X t^i + t^{2i}) is
+    sum_k U_k(X) t^{ik}, U_k the monic second-kind Chebyshev polynomial,
+    whose |coefficients| sum to the Fibonacci number F_{k+1}, the
+    coefficient of t^{ik} in 1/(1 - t^i - t^{2i}); and sums of
+    |coefficients| are submultiplicative.  So no coefficient of S_m exceeds
+    [t^m] prod (1 + t^i)^2 / (1 - t^i - t^{2i}) in size, which the same
+    in-place loops give on plain integers in O(order^2) steps.
 
     >>> for c in expand_pg_product(4).coeffs:
     ...     print(c)
@@ -129,24 +141,24 @@ def expand_pg_product(order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be positive")
     n = order
-    # numerator: prod (1 - t^i)^2, integer coefficients
-    num = [0] * (n + 1)
-    num[0] = 1
+    s = [1] + [0] * n  # prod (1 - t^i)^2: S_m at X = 2^w, as it has no X
+    major = [1] + [0] * n  # prod (1 + t^i)^2, then the majorant
     for i in range(1, n + 1):
         for _ in range(2):
             for m in range(n, i - 1, -1):
-                num[m] -= num[m - i]
-    # S_m as the coefficients of X^0..X^m: no factor raises the X-degree
-    # of a t^m coefficient above m
-    s = [[c] + [0] * m for m, c in enumerate(num)]
+                s[m] -= s[m - i]
+                major[m] += major[m - i]
     for i in range(1, n + 1):
         for m in range(i, n + 1):
-            acc, low = s[m], s[m - i]
-            acc[1:len(low) + 1] = [a + c for a, c in zip(acc[1:], low)]
-            if m >= 2 * i:
-                low = s[m - 2 * i]
-                acc[:len(low)] = [a - c for a, c in zip(acc, low)]
-    return TruncatedSeries(n, tuple(IntPoly(tuple(c)) for c in s))
+            major[m] += major[m - i] + (major[m - 2 * i] if m >= 2 * i else 0)
+    w = slot_width(max(major))
+    for i in range(1, n + 1):
+        for m in range(i, min(2 * i, n + 1)):  # no t^{2i} term yet
+            s[m] += s[m - i] << w
+        for m in range(2 * i, n + 1):
+            s[m] += (s[m - i] << w) - s[m - 2 * i]
+    return TruncatedSeries(n, tuple(IntPoly(tuple(unpack_balanced(v, w, m + 1)))
+                                    for m, v in enumerate(s)))
 
 
 _X_MINUS_2 = X - TWO

@@ -21,7 +21,8 @@ from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
 from torusideals import chebfam, cli, hilbert, verify, zeta
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
-from torusideals.intpoly import X, intpoly_from_json, laurent_from_json
+from torusideals.intpoly import (IntPoly, X, intpoly_from_json,
+                                 laurent_from_json)
 from torusideals.zeta import ZetaFactorization, local_zeta_factors, zeta_from_json
 
 
@@ -165,7 +166,9 @@ class TestCompute:
                      ("compute", "cn", "--n", "100000000"),
                      ("table", "pg", "--max-n", "4000", "--format", "csv"),
                      ("table", "fpoly", "--max-n", "21000", "--format", "csv"),
-                     ("table", "pg", "--max-n", str(10 ** 18))):
+                     ("table", "pg", "--max-n", str(10 ** 18)),
+                     # the decomposition strings: about 3 n^2 characters
+                     ("table", "decomp", "--max-n", "8000", "--format", "csv")):
             before = resource.getrusage(resource.RUSAGE_CHILDREN)
             proc = subprocess.run(
                 [sys.executable, "-m", "torusideals.cli", *argv],
@@ -221,6 +224,40 @@ class TestCompute:
         assert code == 0 and len(out) > 90000
         with decimal_radix(0):
             assert Decimal(out) * (x - 1) ** 2 == c
+
+    def test_whole_polynomials_past_the_int_digit_limit(self, capsys,
+                                                        monkeypatch):
+        # str() of an int refuses past 4300 digits; the coefficients
+        # here have 5000
+        digits = "7" + "0" * 4998 + "3"
+        big = 7 * 10 ** 4999 + 3
+        monkeypatch.setitem(cli._OBJECTS, "fpoly",
+                            lambda n: IntPoly((-big, big, 1)))
+        want = {"text": f"X^2 + {digits}*X - {digits}\n",
+                "json": ["-" + digits, digits, "1"],
+                "csv": f"-{digits} {digits} 1"}
+        for fmt in ("text", "json", "csv"):
+            code, out = run(capsys, "compute", "fpoly", "--n", "2",
+                            "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                assert json.loads(out)["coeffs"] == want["json"]
+            elif fmt == "csv":
+                assert out == f"n,coeffs\n2,{want['csv']}\n"
+            else:
+                assert out == want["text"]
+            code, out = run(capsys, "table", "fpoly", "--max-n", "1",
+                            "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                assert [r["coeffs"] for r in json.loads(out)["rows"]] \
+                    == [want["json"]] * 2
+            elif fmt == "csv":
+                assert out.splitlines()[1:] == [f"{n},{want['csv']}"
+                                                for n in (0, 1)]
+            else:
+                assert [line.split(None, 1)[1] for line in
+                        out.splitlines()[2:]] == [want["text"].strip()] * 2
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Exact polynomial and Laurent arithmetic."""
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from torusideals.intpoly import (
     X,
     ZERO,
     add_product,
+    chebyshev_sum,
     exact_div,
     format_laurent,
     format_poly,
@@ -22,7 +25,10 @@ from torusideals.intpoly import (
     laurent_to_json,
     laurent_to_x_basis,
     monomial,
+    slot_width,
+    unpack_balanced,
 )
+from torusideals.chebfam import tcheb, tcheb_value
 
 coeff_lists = st.lists(st.integers(-99, 99), max_size=8)
 
@@ -196,3 +202,103 @@ class TestBasisChange:
     def test_substitution_inverse(self):
         p = IntPoly((3, -1, 2, 7))
         assert laurent_to_x_basis(p.eval_q_plus_qinv()) == p
+
+
+class TestPackedKernels:
+    """The kernels that run on integers packed at 2^w, each against an
+    oracle that shares no code with it."""
+
+    huge = st.integers(-10 ** 40, 10 ** 40)
+
+    @staticmethod
+    def v_basis_value(b, x):
+        # Lucas doubling in chebfam, one index at a time
+        return b[0] + sum(c * tcheb_value(i, x) for i, c in enumerate(b)
+                          if i) if b else 0
+
+    @given(st.lists(huge, max_size=150), st.integers(0, 20),
+           st.integers(-5, 5))
+    def test_chebyshev_sum_values(self, b, zeros, x):
+        b = b + [0] * zeros  # trailing zeros change nothing
+        assert chebyshev_sum(b).eval_int(x) == self.v_basis_value(b, x)
+
+    @given(st.integers(0, 150), st.integers(-5, 5))
+    def test_chebyshev_sum_of_zeros(self, length, x):
+        assert chebyshev_sum([0] * length) == ZERO
+        b = [0] * length + [1]  # V_length itself, or 1
+        assert chebyshev_sum(b).eval_int(x) == self.v_basis_value(b, x)
+
+    @given(st.lists(st.integers(-9, 9), max_size=149), huge.filter(bool),
+           st.integers(-5, 5))
+    def test_chebyshev_sum_huge_top_entry(self, b, top, x):
+        b = b + [top * 10 ** 60]
+        got = chebyshev_sum(b)
+        assert got.degree == len(b) - 1 or len(b) == 1
+        assert got.eval_int(x) == self.v_basis_value(b, x)
+
+    @given(st.integers(1, 150), st.data(), st.integers(-5, 5))
+    def test_chebyshev_sum_at_the_lucas_bound(self, length, data, x):
+        # every V_i with a power X^j has its coefficient there of sign
+        # (-1)^((i - j)/2); b_i of that sign times M, all of one size,
+        # adds them all up in the coefficient of X^j
+        j = data.draw(st.integers(0, length - 1))
+        big = data.draw(st.integers(1, 10 ** 40)) * data.draw(
+            st.sampled_from((1, -1)))
+        b = [big * (-1) ** ((i - j) // 2) if i >= j and (i - j) % 2 == 0
+             else data.draw(st.sampled_from((0, big, -big)))
+             for i in range(length)]
+        got = chebyshev_sum(b)
+        assert got.eval_int(x) == self.v_basis_value(b, x)
+        top = sum(abs(tcheb(i).coeff(j)) for i in range(j, length, 2) if i)
+        assert got.coeff(j) == big * (top + (j == 0))  # b_0 adds b_0 itself
+
+    @given(st.lists(huge, min_size=1, max_size=60))
+    def test_eval_q_plus_qinv_values(self, g):
+        p = IntPoly(tuple(g))
+        if p.is_zero():
+            assert p.eval_q_plus_qinv().is_zero()
+            return
+        d = p.degree
+        lp = p.eval_q_plus_qinv()
+        assert lp.is_centered() and lp.is_palindromic()
+        for q in range(2, 6):
+            want = sum(c * (q * q + 1) ** j * q ** (d - j)
+                       for j, c in enumerate(p.coeffs))
+            assert lp.shift(d).eval_int(q) == want
+
+    @given(st.integers(0, 60), huge.filter(bool))
+    def test_eval_q_plus_qinv_at_the_bound(self, d, big):
+        # equal coefficients add up every binomial: the middle coefficient
+        # of q^d P(q + 1/q) is big * sum_j C(j, j/2) over even j
+        p = IntPoly((big,) * (d + 1))
+        lp = p.eval_q_plus_qinv()
+        assert lp.coeff(0) == big * sum(math.comb(j, j // 2)
+                                        for j in range(0, d + 1, 2))
+        assert lp.shift(d).eval_int(2) == sum(
+            big * 5 ** j * 2 ** (d - j) for j in range(d + 1))
+
+    def test_unpack_one_slot_too_few_raises(self):
+        ones = 1 + (1 << 8) + (1 << 16)
+        top, bottom = 127 * ones, -128 * ones  # every 8-bit slot at an end
+        assert unpack_balanced(top, 8, 3) == [127, 127, 127]
+        assert unpack_balanced(bottom, 8, 3) == [-128, -128, -128]
+        with pytest.raises(OverflowError, match="3 slots of 8 bits"):
+            unpack_balanced(top + 1, 8, 3)
+        with pytest.raises(OverflowError):
+            unpack_balanced(bottom - 1, 8, 3)
+        assert unpack_balanced(top + 1, 8, 4) == [-128, -128, -128, 1]
+        assert unpack_balanced(0, 16, 0) == []
+        with pytest.raises(OverflowError):
+            unpack_balanced(1, 16, 0)
+        with pytest.raises(ValueError):
+            unpack_balanced(0, 12, 1)
+
+    @given(st.integers(1, 6), st.data())
+    def test_unpack_inverts_packing(self, size, data):
+        w = 8 * size
+        half = 1 << (w - 1)
+        digits = data.draw(st.lists(st.integers(-half, half - 1),
+                                    max_size=40))
+        v = sum(c << (w * i) for i, c in enumerate(digits))
+        assert unpack_balanced(v, w, len(digits)) == digits
+        assert slot_width(half - 1) == w and slot_width(half) == w + 8
