@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import (LaurentPoly, decimal_str, intpoly_to_json,
+from .intpoly import (LaurentPoly, decimal_strs, intpoly_to_json,
                       laurent_to_json)
 from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
@@ -130,7 +130,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         _emit(_json_pieces({"kind": kind, "n": n, **coeffs}), args.out)
     elif args.format == "csv":
         _emit(_csv_lines([["n", "coeffs"],
-                          [str(n), " ".join(map(decimal_str, obj.coeffs))]]),
+                          [str(n), " ".join(decimal_strs(obj.coeffs))]]),
               args.out)
     else:
         _emit(str(obj) + "\n", args.out)
@@ -239,7 +239,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         payload = [{"n": n, **intpoly_to_json(p)} for n, p in polys]
         _emit(_json_pieces({"table": which, "rows": payload}), args.out)
     elif args.format == "csv":
-        cells = [[str(n), " ".join(map(decimal_str, p.coeffs))]
+        cells = [[str(n), " ".join(decimal_strs(p.coeffs))]
                  for n, p in polys]
         _emit(_csv_lines([["n", "coeffs"], *cells]), args.out)
     else:

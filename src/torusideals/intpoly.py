@@ -451,22 +451,24 @@ def unpack_balanced(v: int, w: int, count: int) -> list[int]:
 # Shared by every module: coefficients as decimal strings so that arbitrary
 # precision survives any JSON implementation.
 
-def decimal_str(c: int) -> str:
-    """The decimal digits of c at any size.  ``str()`` of an int refuses
-    past ``sys.get_int_max_str_digits()`` digits (4300 by default); a
-    ``Decimal`` holds c exactly and prints it without that limit.
+def decimal_strs(cs: Sequence[int]) -> list[str]:
+    """The decimal strings of the ints cs, at any size.  ``str()`` of an int
+    refuses past ``sys.get_int_max_str_digits()`` digits (4300 by default);
+    a ``Decimal`` holds an int exactly and prints it without that limit.
 
-    >>> decimal_str(-12), len(decimal_str(10 ** 5000))
-    ('-12', 5001)
+    >>> decimal_strs([-12, 0])
+    ['-12', '0']
+    >>> [len(s) for s in decimal_strs([10 ** 5000, -7])]
+    [5001, 2]
     """
     try:
-        return str(c)
+        return [str(c) for c in cs]
     except ValueError:
-        return str(Decimal(c))
+        return [str(Decimal(c)) for c in cs]
 
 
 def intpoly_to_json(p: IntPoly) -> dict:
-    return {"coeffs": [decimal_str(c) for c in p.coeffs]}
+    return {"coeffs": decimal_strs(p.coeffs)}
 
 
 def intpoly_from_json(obj: dict) -> IntPoly:
@@ -474,8 +476,7 @@ def intpoly_from_json(obj: dict) -> IntPoly:
 
 
 def laurent_to_json(lp: LaurentPoly) -> dict:
-    return {"min_exp": lp.min_exp,
-            "coeffs": [decimal_str(c) for c in lp.coeffs]}
+    return {"min_exp": lp.min_exp, "coeffs": decimal_strs(lp.coeffs)}
 
 
 def laurent_from_json(obj: dict) -> LaurentPoly:
@@ -484,13 +485,14 @@ def laurent_from_json(obj: dict) -> LaurentPoly:
 
 # -- rendering ------------------------------------------------------------------
 
-def _term_str(c: int, e: int, var: str, first: bool) -> str:
+def _term_str(c: int, digits: str, e: int, var: str, first: bool) -> str:
+    """The term c * var^e, with ``digits`` the decimal string of c."""
     sign = "-" if c < 0 else "+"
-    mag = abs(c)
+    mag = digits[1:] if c < 0 else digits
     if e == 0:
-        body = decimal_str(mag)
+        body = mag
     else:
-        head = "" if mag == 1 else f"{decimal_str(mag)}*"
+        head = "" if mag == "1" else f"{mag}*"
         body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
     if first:
         return body if c > 0 else f"-{body}"
@@ -501,9 +503,10 @@ def _format_terms(min_exp: int, cs: Sequence[int], var: str) -> str:
     """The nonzero terms c * var^e, e = min_exp + i, highest first; the one
     rendering loop, behind both carriers."""
     parts = []
-    for e, c in zip(range(min_exp + len(cs) - 1, min_exp - 1, -1), reversed(cs)):
+    for e, c, digits in zip(range(min_exp + len(cs) - 1, min_exp - 1, -1),
+                            reversed(cs), reversed(decimal_strs(cs))):
         if c:
-            parts.append(_term_str(c, e, var, not parts))
+            parts.append(_term_str(c, digits, e, var, not parts))
     return "".join(parts) or "0"
 
 
