@@ -239,8 +239,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         payload = [{"n": n, **intpoly_to_json(p)} for n, p in polys]
         _emit(_json_pieces({"table": which, "rows": payload}), args.out)
     elif args.format == "csv":
-        cells = [[str(n), " ".join(decimal_strs(p.coeffs))]
-                 for n, p in polys]
+        cells = [[str(n), " ".join(decimal_strs(p.coeffs))] for n, p in polys]
         _emit(_csv_lines([["n", "coeffs"], *cells]), args.out)
     else:
         cells = [[str(n), str(p)] for n, p in polys]

@@ -485,14 +485,17 @@ def laurent_from_json(obj: dict) -> LaurentPoly:
 
 # -- rendering ------------------------------------------------------------------
 
-def _term_str(c: int, digits: str, e: int, var: str, first: bool) -> str:
-    """The term c * var^e, with ``digits`` the decimal string of c."""
+def _term_str(c: int, e: int, var: str, first: bool) -> str:
     sign = "-" if c < 0 else "+"
-    mag = digits[1:] if c < 0 else digits
+    mag = abs(c)
+    try:
+        digits = str(mag)
+    except ValueError:  # past the int-to-str digit limit
+        digits, = decimal_strs((mag,))
     if e == 0:
-        body = mag
+        body = digits
     else:
-        head = "" if mag == "1" else f"{mag}*"
+        head = "" if mag == 1 else f"{digits}*"
         body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
     if first:
         return body if c > 0 else f"-{body}"
@@ -503,10 +506,9 @@ def _format_terms(min_exp: int, cs: Sequence[int], var: str) -> str:
     """The nonzero terms c * var^e, e = min_exp + i, highest first; the one
     rendering loop, behind both carriers."""
     parts = []
-    for e, c, digits in zip(range(min_exp + len(cs) - 1, min_exp - 1, -1),
-                            reversed(cs), reversed(decimal_strs(cs))):
+    for e, c in zip(range(min_exp + len(cs) - 1, min_exp - 1, -1), reversed(cs)):
         if c:
-            parts.append(_term_str(c, digits, e, var, not parts))
+            parts.append(_term_str(c, e, var, not parts))
     return "".join(parts) or "0"
 
 
