@@ -488,15 +488,15 @@ def laurent_from_json(obj: dict) -> LaurentPoly:
 def _term_str(c: int, e: int, var: str, first: bool) -> str:
     sign = "-" if c < 0 else "+"
     mag = abs(c)
-    try:
-        digits = str(mag)
-    except ValueError:  # past the int-to-str digit limit
-        digits, = decimal_strs((mag,))
-    if e == 0:
-        body = digits
+    power = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+    if mag == 1 and e:
+        body = power
     else:
-        head = "" if mag == 1 else f"{digits}*"
-        body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
+        try:
+            digits = str(mag)
+        except ValueError:  # past the int-to-str digit limit
+            digits, = decimal_strs((mag,))
+        body = f"{digits}*{power}" if e else digits
     if first:
         return body if c > 0 else f"-{body}"
     return f" {sign} {body}"
