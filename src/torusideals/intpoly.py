@@ -422,10 +422,12 @@ def unpack_balanced(v: int, w: int, count: int) -> list[int]:
     -2^(w-1) <= c_i < 2^(w-1): v read in balanced base 2^w, w a multiple
     of 8.
 
-    Adding 2^(w-1) to every slot makes each digit non-negative, so the
-    digits are the byte groups of the biased value, read with one
-    ``to_bytes``.  Raises ``OverflowError`` when v does not fit in
-    ``count`` slots; it never wraps.
+    Adding 2^(w-1) to every slot makes each digit non-negative, so v has
+    such digits exactly when the biased value fits in count * w bits.
+    Flipping the top bit of each slot back turns its byte groups into the
+    digits in two's complement, read with one ``to_bytes``.  Raises
+    ``OverflowError`` when v does not fit in ``count`` slots; it never
+    wraps.
 
     >>> unpack_balanced(3 - (2 << 8) + (1 << 16), 8, 3)
     [3, -2, 1]
@@ -436,14 +438,15 @@ def unpack_balanced(v: int, w: int, count: int) -> list[int]:
     """
     if w <= 0 or w % 8:
         raise ValueError(f"slot width {w} is not a positive multiple of 8")
-    size, half = w // 8, 1 << (w - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    size = w // 8
+    bias = int.from_bytes((1 << (w - 1)).to_bytes(size, "little") * count,
+                          "little")
     try:
-        raw = (v + bias).to_bytes(size * count, "little")
+        raw = ((v + bias) ^ bias).to_bytes(size * count, "little")
     except OverflowError:
         raise OverflowError(
             f"value does not fit in {count} slots of {w} bits") from None
-    return [int.from_bytes(raw[i:i + size], "little") - half
+    return [int.from_bytes(raw[i:i + size], "little", signed=True)
             for i in range(0, len(raw), size)]
 
 

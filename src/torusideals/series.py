@@ -157,8 +157,10 @@ def expand_pg_product(order: int) -> TruncatedSeries:
             s[m] += s[m - i] << w
         for m in range(2 * i, n + 1):
             s[m] += (s[m - i] << w) - s[m - 2 * i]
-    return TruncatedSeries(n, tuple(IntPoly(tuple(unpack_balanced(v, w, m + 1)))
-                                    for m, v in enumerate(s)))
+    # read back from the top, each packed value dropped once it is read
+    out = [IntPoly(tuple(unpack_balanced(s.pop(), w, m + 1)))
+           for m in range(n, -1, -1)]
+    return TruncatedSeries(n, tuple(reversed(out)))
 
 
 _X_MINUS_2 = X - TWO
