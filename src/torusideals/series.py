@@ -153,11 +153,12 @@ def expand_pg_product(order: int) -> TruncatedSeries:
             major[m] += major[m - i] + (major[m - 2 * i] if m >= 2 * i else 0)
     w = slot_width(max(major))
     for i in range(1, n + 1):
-        for m in range(i, min(2 * i, n + 1)):  # no t^{2i} term yet
+        for m in range(i, min(2 * i, n + 1)):  # no S_{m-2i} term: m < 2i
             s[m] += s[m - i] << w
         for m in range(2 * i, n + 1):
             s[m] += (s[m - i] << w) - s[m - 2 * i]
-    # read back from the top, each packed value dropped once it is read
+    # read back from the top, dropping each packed value once it is read,
+    # so that the packed and the read-back series are never both whole
     out = [IntPoly(tuple(unpack_balanced(s.pop(), w, m + 1)))
            for m in range(n, -1, -1)]
     return TruncatedSeries(n, tuple(reversed(out)))

@@ -233,7 +233,7 @@ class TestPackedKernels:
     def test_chebyshev_sum_huge_top_entry(self, b, top, x):
         b = b + [top * 10 ** 60]
         got = chebyshev_sum(b)
-        assert got.degree == len(b) - 1 or len(b) == 1
+        assert got.degree == len(b) - 1
         assert got.eval_int(x) == self.v_basis_value(b, x)
 
     @given(st.integers(1, 150), st.data(), st.integers(-5, 5))
