@@ -75,6 +75,12 @@ _OBJECTS = {
 # V_3000 has 677,334 of them, F_3000 and G_3001 have 1,350,816
 _DIGIT_RATE = {"tcheb": 3, "fpoly": 6, "pg": 6}
 
+# Characters per coefficient of C_n and P_n (2n + 1 of them), in tenths,
+# the most of the three formats: C_n's JSON puts each one-digit coefficient
+# on a line of its own, 9.04 per coefficient at n = 1000; P_n's text writes
+# " + q^e" per term, 12.48 at n = 3,000,000
+_CHAR_RATE = {"cn": 91, "pn": 130}
+
 _VALUES = {
     "tcheb": chebfam.tcheb_value,
     "fpoly": chebfam.fpoly_value,
@@ -121,7 +127,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(str(value) + "\n", args.out)
         return 0
 
-    chebfam.check_digits(2 * n + 1 if kind in ("cn", "pn")  # one-digit coeffs
+    chebfam.check_digits(_CHAR_RATE[kind] * (2 * n + 1) // 10
+                         if kind in _CHAR_RATE
                          else _DIGIT_RATE[kind] * n * n // 40)
     obj = _OBJECTS[kind](n)
     if args.format == "json":
@@ -215,8 +222,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 0
 
     if which == "decomp":
-        # its csv has about 3 characters per n^2: 194,223,598 at n = 8000
-        chebfam.check_digits(3 * max_n * max_n)
+        # characters per n^2: the csv and json have about 3 (194,223,598 at
+        # n = 8000); the text pads the tsum column to its widest cell, 8.35
+        # at n = 4000
+        chebfam.check_digits((9 if args.format == "text" else 3)
+                             * max_n * max_n)
         rows = [(n, tsum_string(n), fdecomp_string(n))
                 for n in range(1, max_n + 1)]
         if args.format == "json":

@@ -40,8 +40,8 @@ from .intpoly import (
     laurent_to_x_basis,
 )
 
-#: q^2 - 2q + 1, the square factor every full count carries.
-Q_MINUS_ONE_SQ = LaurentPoly(0, (1, -2, 1))
+#: q - 1, which every full count carries squared.
+Q_MINUS_ONE = LaurentPoly(0, (-1, 1))
 
 
 def pg_via_interval(n: int) -> IntPoly:
@@ -111,11 +111,13 @@ def cn_via_coeff_formula(n: int) -> LaurentPoly:
 def pn_from_cn(n: int) -> LaurentPoly:
     """P_n(q) = C_n(q)/(q-1)^2, an ordinary polynomial in q (min_exp 0).
 
-    Non-divisibility cannot occur for genuine counts; if it does, the
-    ``NonDivisibleError`` from the division is allowed to propagate as an
-    internal-consistency failure.
+    Divides by q - 1 twice, so that both steps take the synthetic division
+    of ``IntPoly.__divmod__``.  Non-divisibility cannot occur for genuine
+    counts; if it does, the ``NonDivisibleError`` from either division is
+    allowed to propagate as an internal-consistency failure.
     """
-    return exact_div(cn_via_odd_divisors(n), Q_MINUS_ONE_SQ)
+    return exact_div(exact_div(cn_via_odd_divisors(n), Q_MINUS_ONE),
+                     Q_MINUS_ONE)
 
 
 def pg_roundtrip(n: int) -> IntPoly:

@@ -30,11 +30,20 @@ wraps when a value does not fit its slots.  The bounds, each a sum of
 * product expansion: [t^m] prod (1 + t^i)^2 / (1 - t^i - t^{2i}), a
   majorant built from the Fibonacci numbers (see
   ``series.expand_pg_product``).
+
+Division (``divmod``, ``//``, ``exact_div``) takes one of two paths, picked
+from the divisor's shape.  The exact divisions the library makes most, C_n
+by q - 1 (twice) and each product-expansion coefficient by X - 2, have a
+monic linear divisor X - a; for those the quotient and the remainder N(a)
+are the running values of N's Horner scheme at a (synthetic division), one
+C-level ``accumulate`` with no division and a one-term remainder.  Every
+other divisor, non-monic or of degree 2 or more, takes long division.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 
@@ -106,16 +115,27 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """Long division over the integers.
+        """Quotient and remainder over the integers, by one of two paths
+        chosen from the divisor's shape.
 
-        Requires every quotient coefficient to be an integer, which holds in
-        particular whenever ``other`` is monic; raises ``NonDivisibleError``
-        when an intermediate leading coefficient is not divisible.
+        A monic linear divisor X - a takes synthetic division (Ruffini-
+        Horner): the quotient coefficients and the remainder N(a) are the
+        running values of N's Horner scheme at a, so no coefficient is ever
+        divided and the remainder is one constant.  Every other divisor
+        takes long division, which requires every quotient coefficient to
+        be an integer (as it is whenever ``other`` is monic) and raises
+        ``NonDivisibleError`` when an intermediate leading coefficient is
+        not divisible.
+
+        >>> divmod(IntPoly((1, 0, 1)), X - ONE)
+        (IntPoly('X + 1'), IntPoly('2'))
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
         dcs = other.coeffs
+        if len(dcs) == 2 and dcs[1] == 1:
+            return _synthetic_div(self, -dcs[0])
+        rem = list(self.coeffs)
         dlead = dcs[-1]
         qlen = len(rem) - len(dcs) + 1
         if qlen <= 0:
@@ -326,6 +346,20 @@ def _add_at(out: list[int], at: int, cs: Sequence[int]) -> list[int]:
     return out
 
 
+def _synthetic_div(num: IntPoly, a: int) -> tuple[IntPoly, IntPoly]:
+    """divmod(num, X - a).  With c_m..c_0 the coefficients of num, the
+    running values of s := s * a + c are q_{m-1}, ..., q_0 and last num(a),
+    the remainder.  ``accumulate`` drives the scheme from C; at a = 1 the
+    step is its own plain addition, with no Python call per coefficient."""
+    cs = num.coeffs
+    if len(cs) < 2:
+        return ZERO, num
+    run = list(accumulate(reversed(cs),
+                          None if a == 1 else lambda s, c: s * a + c))
+    rem = run.pop()
+    return IntPoly(tuple(reversed(run))), IntPoly((rem,))
+
+
 def _horner(cs: Sequence[int], x: int) -> int:
     """sum c_i x^i by Horner's scheme."""
     acc = 0
@@ -342,9 +376,11 @@ def monomial(e: int, c: int = 1) -> LaurentPoly:
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact Laurent division: the Q with Q * den == num.
 
-    Raises ``NonDivisibleError`` when no such Q exists over the integers and
-    ``ZeroDivisionError`` on a zero divisor (a malformed input, not a failed
-    division).
+    The coefficients divide as polynomials by ``IntPoly.__floordiv__``, so
+    a monic linear den (such as q - 1) takes synthetic division and any
+    other den long division.  Raises ``NonDivisibleError`` when no such Q
+    exists over the integers and ``ZeroDivisionError`` on a zero divisor (a
+    malformed input, not a failed division).
     """
     if den.is_zero():
         raise ZeroDivisionError("Laurent division by zero")

@@ -160,15 +160,19 @@ class TestCompute:
         for argv in (("compute", "fpoly", "--n", "1000000000", "--eval", "3"),
                      ("oeis-check", "f_eval", "--at", "10", "--max-n",
                       "1000000", "--emit", os.devnull),
-                     # whole polynomials: C_n and P_n have about 2n one-digit
-                     # coefficients, a table of F_k about 0.05 k^3 digits
+                     # whole polynomials: C_n and P_n have 2n + 1 coefficients
+                     # of 9 to 13 characters, a table of F_k about 0.05 k^3
+                     # digits
                      ("compute", "pn", "--n", "100000000"),
                      ("compute", "cn", "--n", "100000000"),
+                     ("compute", "cn", "--n", "30000000", "--format", "json"),
                      ("table", "pg", "--max-n", "4000", "--format", "csv"),
                      ("table", "fpoly", "--max-n", "21000", "--format", "csv"),
                      ("table", "pg", "--max-n", str(10 ** 18)),
-                     # the decomposition strings: about 3 n^2 characters
-                     ("table", "decomp", "--max-n", "8000", "--format", "csv")):
+                     # the decomposition strings: about 3 n^2 characters,
+                     # over 8 n^2 as a padded text table
+                     ("table", "decomp", "--max-n", "8000", "--format", "csv"),
+                     ("table", "decomp", "--max-n", "5000", "--format", "text")):
             before = resource.getrusage(resource.RUSAGE_CHILDREN)
             proc = subprocess.run(
                 [sys.executable, "-m", "torusideals.cli", *argv],

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import square_plus_twice_square_count, two_squares_count
 from refdata import PG_TABLE, VALUES_TABLE
+from torusideals import hilbert
 from torusideals.chebfam import fpoly, tcheb, tcheb_value
 from torusideals.divisors import (
     a_coeffs,
@@ -28,7 +29,8 @@ from torusideals.hilbert import (
     pn_eval_int,
     pn_from_cn,
 )
-from torusideals.intpoly import LaurentPoly, ZERO, chebyshev_sum
+from torusideals.intpoly import (LaurentPoly, NonDivisibleError, ZERO,
+                                 chebyshev_sum)
 from torusideals.verify import VerifySuiteReport, check_factor_identities
 
 
@@ -89,6 +91,16 @@ class TestCn:
         assert pn_from_cn(2) == LaurentPoly(0, (1, 1, 1))
         assert pn_from_cn(1) == LaurentPoly(0, (1,))
         assert pn_from_cn(5) == LaurentPoly(0, (1, 1, 1, 0, 0, 0, 1, 1, 1))
+
+    def test_pn_refuses_a_corrupted_count(self, monkeypatch):
+        genuine = cn_via_odd_divisors(12)
+        # +-q^i breaks the first division by q - 1, (q - 1) q^i the second
+        for bump in ([LaurentPoly(i, (s,)) for i in range(25) for s in (1, -1)]
+                     + [LaurentPoly(i, (-1, 1)) for i in range(24)]):
+            monkeypatch.setattr(hilbert, "cn_via_odd_divisors",
+                                lambda n, b=bump: genuine + b)
+            with pytest.raises(NonDivisibleError):
+                pn_from_cn(12)
 
     def test_pn_structure(self):
         for n in range(1, 150):

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from torusideals import intpoly
 from torusideals.intpoly import (
     IntPoly,
     LaurentPoly,
@@ -302,3 +303,43 @@ class TestPackedKernels:
         v = sum(c << (w * i) for i, c in enumerate(digits))
         assert unpack_balanced(v, w, len(digits)) == digits
         assert slot_width(half - 1) == w and slot_width(half) == w + 8
+
+
+class TestSyntheticDivision:
+    """divmod by a monic linear X - a, the synthetic-division path, against
+    the multiplication kernel as its oracle."""
+
+    huge = st.integers(-10 ** 40, 10 ** 40)
+
+    @given(st.lists(huge, max_size=200), st.integers(-6, 6),
+           st.one_of(st.just(0), huge))
+    def test_inverts_multiplication(self, q, a, r):
+        quo, divisor, rem = IntPoly(tuple(q)), X - poly(a), poly(r)
+        num = quo * divisor + rem
+        assert divmod(num, divisor) == (quo, rem)
+        if r:
+            with pytest.raises(NonDivisibleError):
+                num // divisor
+            assert not divisor.divides(num)
+        else:
+            assert num // divisor == quo
+
+    @pytest.mark.parametrize("a", [-6, -1, 0, 1, 2])
+    def test_constant_dividend(self, a):
+        for num in (ZERO, poly(7), poly(-10 ** 40)):
+            assert divmod(num, X - poly(a)) == (ZERO, num)
+
+    def test_path_follows_the_divisor_shape(self, monkeypatch):
+        calls = []
+
+        def spy(num, a):
+            calls.append(a)
+            return synthetic(num, a)
+
+        synthetic = intpoly._synthetic_div
+        monkeypatch.setattr(intpoly, "_synthetic_div", spy)
+        num = poly(-4, 0, 1) * poly(1, 1) * 2  # 2 (X - 2)(X + 2)(X + 1)
+        assert num // (X - TWO) == poly(2, 1) * poly(1, 1) * 2
+        assert num // poly(-4, 2) == poly(2, 1) * poly(1, 1)
+        assert num // poly(-4, 0, 1) == poly(2, 2)
+        assert calls == [2]  # only the monic linear divisor

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from torusideals import series
 from torusideals.chebfam import fpoly, tcheb
 from torusideals.hilbert import pg_via_interval
-from torusideals.intpoly import IntPoly, ONE, TWO, X, ZERO
+from torusideals.intpoly import IntPoly, NonDivisibleError, ONE, TWO, X, ZERO
 from torusideals.series import (
     TruncatedSeries,
     expand_f_gf,
@@ -106,6 +106,15 @@ class TestProductExpansion:
         reference = series_div(num, den)
         for order in range(1, top + 1):
             assert expand_pg_product(order) == reference.truncate(order)
+
+    def test_extraction_refuses_a_corrupted_expansion(self):
+        good = expand_pg_product(10)
+        for n in range(1, 11):
+            for j in range(n + 1):  # +X^j in the t^n coefficient
+                cs = list(good.coeffs)
+                cs[n] += IntPoly((0,) * j + (1,))
+                with pytest.raises(NonDivisibleError):
+                    pg_from_series(10, TruncatedSeries(10, tuple(cs)))
 
     def test_truncation_stability(self):
         deep = expand_pg_product(24)
