@@ -45,12 +45,13 @@ def decimal_radix(x: int) -> Iterator[Decimal]:
         yield Decimal(x)
 
 
-def check_digits(digits: int) -> None:
-    """Refuse an answer estimated at more than ``MAX_DIGITS`` digits."""
-    if digits > MAX_DIGITS:  # no str() of an int past 4300 digits, no float
-        about = (f"{digits:,}" if digits < 10 ** 18
-                 else f"10^{math.log10(digits):.0f}")
-        raise ValueError(f"answer would have about {about} digits "
+def check_digits(size: int, unit: str = "digits") -> None:
+    """Refuse an answer estimated at more than ``MAX_DIGITS`` digits, or
+    characters where ``unit`` says the estimate counts those."""
+    if size > MAX_DIGITS:  # no str() of an int past 4300 digits, no float
+        about = (f"{size:,}" if size < 10 ** 18
+                 else f"10^{math.log10(size):.0f}")
+        raise ValueError(f"answer would have about {about} {unit} "
                          f"(limit {MAX_DIGITS:,})")
 
 

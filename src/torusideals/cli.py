@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from . import chebfam, hilbert, zeta
@@ -127,9 +128,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(str(value) + "\n", args.out)
         return 0
 
-    chebfam.check_digits(_CHAR_RATE[kind] * (2 * n + 1) // 10
-                         if kind in _CHAR_RATE
-                         else _DIGIT_RATE[kind] * n * n // 40)
+    if kind in _CHAR_RATE:
+        chebfam.check_digits(_CHAR_RATE[kind] * (2 * n + 1) // 10,
+                             "characters")
+    else:
+        chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
     obj = _OBJECTS[kind](n)
     if args.format == "json":
         coeffs = (laurent_to_json(obj) if isinstance(obj, LaurentPoly)
@@ -201,6 +204,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     if which == "values":
         points = [int(p) for p in args.points.split(",")]
+        repeats = [x for x, k in Counter(points).items() if k > 1]
+        if repeats:
+            print(f"error: --N repeats the point {repeats[0]}",
+                  file=sys.stderr)
+            return 2
         rows = values_rows(max_n, points)
         if args.format == "json":
             payload = [{"n": r["n"],
@@ -226,7 +234,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # n = 8000); the text pads the tsum column to its widest cell, 8.35
         # at n = 4000
         chebfam.check_digits((9 if args.format == "text" else 3)
-                             * max_n * max_n)
+                             * max_n * max_n, "characters")
         rows = [(n, tsum_string(n), fdecomp_string(n))
                 for n in range(1, max_n + 1)]
         if args.format == "json":
@@ -292,6 +300,10 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     spec = SEQUENCES[args.sequence]
     if spec.point is None and args.at is None:
         print(f"error: sequence {args.sequence!r} requires --at",
+              file=sys.stderr)
+        return 2
+    if spec.point is not None and args.at is not None:
+        print(f"error: --at does not apply to {args.sequence}",
               file=sys.stderr)
         return 2
     if args.emit:

@@ -111,10 +111,10 @@ def cn_via_coeff_formula(n: int) -> LaurentPoly:
 def pn_from_cn(n: int) -> LaurentPoly:
     """P_n(q) = C_n(q)/(q-1)^2, an ordinary polynomial in q (min_exp 0).
 
-    Divides by q - 1 twice, so that both steps take the synthetic division
-    of ``IntPoly.__divmod__``.  Non-divisibility cannot occur for genuine
-    counts; if it does, the ``NonDivisibleError`` from either division is
-    allowed to propagate as an internal-consistency failure.
+    Divides by q - 1 twice, since ``exact_div`` divides by a monic linear
+    divisor only.  Non-divisibility cannot occur for genuine counts; if it
+    does, the ``NonDivisibleError`` from either division is allowed to
+    propagate as an internal-consistency failure.
     """
     return exact_div(exact_div(cn_via_odd_divisors(n), Q_MINUS_ONE),
                      Q_MINUS_ONE)

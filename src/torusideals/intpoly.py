@@ -31,13 +31,12 @@ wraps when a value does not fit its slots.  The bounds, each a sum of
   majorant built from the Fibonacci numbers (see
   ``series.expand_pg_product``).
 
-Division (``divmod``, ``//``, ``exact_div``) takes one of two paths, picked
-from the divisor's shape.  The exact divisions the library makes most, C_n
-by q - 1 (twice) and each product-expansion coefficient by X - 2, have a
-monic linear divisor X - a; for those the quotient and the remainder N(a)
-are the running values of N's Horner scheme at a (synthetic division), one
-C-level ``accumulate`` with no division and a one-term remainder.  Every
-other divisor, non-monic or of degree 2 or more, takes long division.
+Division (``divmod``, ``//``, ``exact_div``) is by a monic linear X - a
+only, the shape of every exact division the library makes: C_n by q - 1
+(twice) and each product-expansion coefficient by X - 2.  The quotient and
+the remainder N(a) are the running values of N's Horner scheme at a
+(synthetic division), one C-level ``accumulate`` with no division and a
+one-term remainder.  Any other divisor raises ``ValueError``.
 """
 from __future__ import annotations
 
@@ -115,44 +114,30 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """Quotient and remainder over the integers, by one of two paths
-        chosen from the divisor's shape.
+        """Quotient and remainder on division by a monic linear X - a;
+        any other divisor raises ``ValueError``.
 
-        A monic linear divisor X - a takes synthetic division (Ruffini-
-        Horner): the quotient coefficients and the remainder N(a) are the
-        running values of N's Horner scheme at a, so no coefficient is ever
-        divided and the remainder is one constant.  Every other divisor
-        takes long division, which requires every quotient coefficient to
-        be an integer (as it is whenever ``other`` is monic) and raises
-        ``NonDivisibleError`` when an intermediate leading coefficient is
-        not divisible.
+        Synthetic division (Ruffini-Horner): with c_m..c_0 the coefficients
+        of self, the running values of s := s * a + c are the quotient
+        coefficients q_{m-1}..q_0 and last self(a), the remainder, so no
+        coefficient is ever divided.  ``accumulate`` drives the scheme from
+        C; at a = 1 the step is its own plain addition, with no Python call
+        per coefficient.
 
         >>> divmod(IntPoly((1, 0, 1)), X - ONE)
         (IntPoly('X + 1'), IntPoly('2'))
         """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         dcs = other.coeffs
-        if len(dcs) == 2 and dcs[1] == 1:
-            return _synthetic_div(self, -dcs[0])
-        rem = list(self.coeffs)
-        dlead = dcs[-1]
-        qlen = len(rem) - len(dcs) + 1
-        if qlen <= 0:
+        if len(dcs) != 2 or dcs[1] != 1:
+            raise ValueError("divisor is not a monic linear X - a")
+        cs = self.coeffs
+        if len(cs) < 2:
             return ZERO, self
-        quo = [0] * qlen
-        for k in range(qlen - 1, -1, -1):
-            top = rem[k + len(dcs) - 1]
-            if top == 0:
-                continue
-            q, r = divmod(top, dlead)
-            if r:
-                raise NonDivisibleError(
-                    f"leading coefficient {top} not divisible by {dlead}")
-            quo[k] = q
-            for j, d in enumerate(dcs):
-                rem[k + j] -= q * d
-        return IntPoly(tuple(quo)), IntPoly(tuple(rem))
+        a = -dcs[0]
+        run = list(accumulate(reversed(cs),
+                              None if a == 1 else lambda s, c: s * a + c))
+        rem = run.pop()
+        return IntPoly(tuple(reversed(run))), IntPoly((rem,))
 
     def __floordiv__(self, other: IntPoly) -> IntPoly:
         """Exact quotient; raises ``NonDivisibleError`` on nonzero remainder."""
@@ -160,14 +145,6 @@ class IntPoly:
         if not r.is_zero():  # no operand in the message: it may be huge
             raise NonDivisibleError("nonzero remainder in exact division")
         return q
-
-    def divides(self, other: IntPoly) -> bool:
-        """True iff self divides other exactly over the integers."""
-        try:
-            _, r = divmod(other, self)
-        except NonDivisibleError:
-            return False
-        return r.is_zero()
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -346,20 +323,6 @@ def _add_at(out: list[int], at: int, cs: Sequence[int]) -> list[int]:
     return out
 
 
-def _synthetic_div(num: IntPoly, a: int) -> tuple[IntPoly, IntPoly]:
-    """divmod(num, X - a).  With c_m..c_0 the coefficients of num, the
-    running values of s := s * a + c are q_{m-1}, ..., q_0 and last num(a),
-    the remainder.  ``accumulate`` drives the scheme from C; at a = 1 the
-    step is its own plain addition, with no Python call per coefficient."""
-    cs = num.coeffs
-    if len(cs) < 2:
-        return ZERO, num
-    run = list(accumulate(reversed(cs),
-                          None if a == 1 else lambda s, c: s * a + c))
-    rem = run.pop()
-    return IntPoly(tuple(reversed(run))), IntPoly((rem,))
-
-
 def _horner(cs: Sequence[int], x: int) -> int:
     """sum c_i x^i by Horner's scheme."""
     acc = 0
@@ -374,18 +337,14 @@ def monomial(e: int, c: int = 1) -> LaurentPoly:
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division: the Q with Q * den == num.
+    """Exact Laurent division by den = q^e (q - a), a != 0: the Q with
+    Q * den == num.
 
     The coefficients divide as polynomials by ``IntPoly.__floordiv__``, so
-    a monic linear den (such as q - 1) takes synthetic division and any
-    other den long division.  Raises ``NonDivisibleError`` when no such Q
-    exists over the integers and ``ZeroDivisionError`` on a zero divisor (a
-    malformed input, not a failed division).
+    any other den raises ``ValueError`` (a monomial, q - 0 included, is a
+    constant to that division), and a nonzero remainder
+    ``NonDivisibleError``.
     """
-    if den.is_zero():
-        raise ZeroDivisionError("Laurent division by zero")
-    if num.is_zero():
-        return LAURENT_ZERO
     q = IntPoly(num.coeffs) // IntPoly(den.coeffs)
     return LaurentPoly(num.min_exp - den.min_exp, q.coeffs)
 
@@ -510,16 +469,8 @@ def intpoly_to_json(p: IntPoly) -> dict:
     return {"coeffs": decimal_strs(p.coeffs)}
 
 
-def intpoly_from_json(obj: dict) -> IntPoly:
-    return IntPoly(tuple(int(c) for c in obj["coeffs"]))
-
-
 def laurent_to_json(lp: LaurentPoly) -> dict:
     return {"min_exp": lp.min_exp, "coeffs": decimal_strs(lp.coeffs)}
-
-
-def laurent_from_json(obj: dict) -> LaurentPoly:
-    return LaurentPoly(int(obj["min_exp"]), tuple(int(c) for c in obj["coeffs"]))
 
 
 # -- rendering ------------------------------------------------------------------

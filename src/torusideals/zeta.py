@@ -48,10 +48,6 @@ class ZetaFactorization:
                 "den": list(self.denominator)}
 
 
-def zeta_from_json(obj: dict) -> ZetaFactorization:
-    return ZetaFactorization(int(obj["n"]), tuple(obj["num"]), tuple(obj["den"]))
-
-
 def local_zeta_factors(n: int) -> ZetaFactorization:
     """Exponent multisets of the local zeta function, sorted ascending.
 

