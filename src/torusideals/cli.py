@@ -17,8 +17,7 @@ from collections.abc import Iterable, Iterator
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import (LaurentPoly, decimal_strs, intpoly_to_json,
-                      laurent_to_json)
+from .intpoly import decimal_strs, intpoly_to_json, term_str
 from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -68,9 +67,13 @@ _OBJECTS = {
     "tcheb": chebfam.tcheb,
     "fpoly": chebfam.fpoly,
     "pg": hilbert.pg_via_odd_divisors,
-    "cn": hilbert.cn_via_odd_divisors,
-    "pn": hilbert.pn_from_cn,
 }
+
+# C_n and P_n are written from their coefficient runs, never densely
+_RUNS = {"cn": hilbert.cn_runs, "pn": hilbert.pn_runs}
+
+#: The most coefficients one written piece of a run holds
+_PIECE = 1 << 16
 
 # Coefficient digits of V_k, and of F_k and G_{k+1}, per k^2, in 40ths:
 # V_3000 has 677,334 of them, F_3000 and G_3001 have 1,350,816
@@ -128,16 +131,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(str(value) + "\n", args.out)
         return 0
 
-    if kind in _CHAR_RATE:
+    if kind in _RUNS:
         chebfam.check_digits(_CHAR_RATE[kind] * (2 * n + 1) // 10,
                              "characters")
-    else:
-        chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
+        _emit(_run_pieces(kind, n, _RUNS[kind](n), args.format), args.out)
+        return 0
+    chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
     obj = _OBJECTS[kind](n)
     if args.format == "json":
-        coeffs = (laurent_to_json(obj) if isinstance(obj, LaurentPoly)
-                  else intpoly_to_json(obj))
-        _emit(_json_pieces({"kind": kind, "n": n, **coeffs}), args.out)
+        _emit(_json_pieces({"kind": kind, "n": n, **intpoly_to_json(obj)}),
+              args.out)
     elif args.format == "csv":
         _emit(_csv_lines([["n", "coeffs"],
                           [str(n), " ".join(decimal_strs(obj.coeffs))]]),
@@ -145,6 +148,64 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     else:
         _emit(str(obj) + "\n", args.out)
     return 0
+
+
+def _run_pieces(kind: str, n: int, runs: list[tuple[int, int]],
+                fmt: str) -> Iterator[str]:
+    """The output of ``compute cn|pn`` in ``fmt``, written from the
+    (value, length) coefficient runs of a polynomial whose lowest term is
+    q^0, in pieces of at most ``_PIECE`` coefficients each.  Byte for byte
+    what the dense polynomial prints: ``format_laurent``, the JSON of
+    ``_json_pieces`` with its coefficients as decimal strings, and the CSV
+    row with one unquoted field of them."""
+    def repeated(piece: str, k: int) -> Iterator[str]:
+        for done in range(0, k, _PIECE):
+            yield piece * min(_PIECE, k - done)
+
+    def joined(item: str, sep: str) -> Iterator[str]:
+        # sep.join of every coefficient's item: the last one has no sep
+        *init, (last, k) = runs
+        for v, k_v in init:
+            yield from repeated(item.format(v) + sep, k_v)
+        yield from repeated(item.format(last) + sep, k - 1)
+        yield item.format(last)
+
+    if fmt == "json":
+        head, tail = json.dumps({"kind": kind, "n": n, "min_exp": 0,
+                                 "coeffs": []}, indent=2).rsplit("[]", 1)
+        yield head + "["
+        yield from joined('\n    "{}"', ",")
+        yield "\n  ]" + tail + "\n"
+    elif fmt == "csv":
+        yield f"n,coeffs\n{n},"
+        yield from joined("{}", " ")
+        yield "\n"
+    else:
+        yield from _text_run_pieces(runs)
+        yield "\n"
+
+
+def _text_run_pieces(runs: list[tuple[int, int]]) -> Iterator[str]:
+    """``format_laurent`` of the runs, highest exponent first: the terms of
+    a run past q^1 are one join over their exponents, with the repeated
+    prefix (sign, c*, q^) taken from ``term_str``."""
+    top = sum(k for _, k in runs)  # one past the highest exponent
+    first = True
+    for v, k in reversed(runs):
+        hi, top = top - 1, top - k  # the run covers exponents top..hi
+        if not v:
+            continue
+        if first:
+            yield term_str(v, hi, "q", True)
+            hi, first = hi - 1, False
+        prefix = term_str(v, 2, "q", False).removesuffix("2")
+        low = max(top, 2)
+        for start in range(hi, low - 1, -_PIECE):
+            yield prefix + prefix.join(
+                map(str, range(start, max(start - _PIECE, low - 1), -1)))
+        for e in (1, 0):
+            if top <= e <= hi:
+                yield term_str(v, e, "q", False)
 
 
 # -- table ----------------------------------------------------------------------

@@ -7,6 +7,15 @@ Three families, all exact:
   the triangular-number coefficient formula;
 * ``pn_from_cn``: the quotient P_n(q) = C_n(q)/(q-1)^2, palindromic with
   non-negative coefficients;
+* ``cn_runs`` and ``pn_runs``: the coefficients of C_n and P_n as
+  run-length lists, O(tau(n)) long, with no dense tuple: the routes the
+  CLI writes whole polynomials from.  ``cn_runs`` places the at most
+  4 tau_odd(n) terms of the odd divisors; ``pn_runs`` adds the signed
+  intervals of exponents that the consecutive-integer runs of
+  ``sequence_for_divisor`` differ by.  ``cn_via_odd_divisors`` and
+  ``pg_via_sequences`` are their dense expansions, so ``verify routes``
+  checks them against the coefficient formula ("cn two-route") and against
+  C_n divided by (q-1)^2 ("pg sequence route");
 * ``pg_*``: the degree n-1 polynomial G_n with G_n(q + q^{-1}) =
   P_n(q)/q^{n-1}, reachable by four independent routes (divisor-interval
   counts, odd-divisor sums of running-sum polynomials, Laurent round trip,
@@ -20,6 +29,9 @@ checks the laws, reporting the values on both sides.  Only malformed input,
 an n too large to factor, and a count that (q-1)^2 does not divide raise.
 """
 from __future__ import annotations
+
+from collections import Counter
+from itertools import chain, repeat
 
 from .chebfam import fpoly, fpoly_value, fpoly_values
 from .divisors import (
@@ -64,18 +76,80 @@ def pg_via_odd_divisors(n: int) -> IntPoly:
                ZERO)
 
 
-def cn_via_odd_divisors(n: int) -> LaurentPoly:
-    """C_n(q) summed over odd divisors d with offset r = n/d - (d+1)/2:
-    each d contributes q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r})."""
+def cn_runs(n: int) -> list[tuple[int, int]]:
+    """The (value, length) runs of C_n's 2n + 1 coefficients, from q^0 up.
+
+    Each odd divisor d, with offset r = n/d - (d+1)/2, adds
+    q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r}): at most 4 tau_odd(n) nonzero
+    terms, with runs of zeros between them.
+
+    >>> cn_runs(4)
+    [(1, 1), (-1, 1), (0, 5), (-1, 1), (1, 1)]
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    buf = [0] * (2 * n + 1)  # index e holds the coefficient of q^e
+    steps: Counter[int] = Counter()
     for t in odd_divisor_terms(n):
-        buf[n + t.r + 1] += 1
-        buf[n - t.r - 1] += 1
-        buf[n + t.r] -= 1
-        buf[n - t.r] -= 1
-    return LaurentPoly(0, tuple(buf))
+        for e, c in ((n + t.r + 1, 1), (n - t.r - 1, 1),
+                     (n + t.r, -1), (n - t.r, -1)):
+            steps[e] += c
+            steps[e + 1] -= c
+    return _step_runs(steps, 2 * n + 1)
+
+
+def pn_runs(n: int) -> list[tuple[int, int]]:
+    """The (value, length) runs of P_n's 2n - 1 coefficients, from q^0 up.
+
+    The odd run of each odd divisor and its involute share their top
+    element, so they differ by the exponents range(lo + 1, hi + 1) of the
+    centered form P_n/q^{n-1}, lo and hi their two starts a and a': +1 on
+    it when the odd run is positive, -1 when it is negative.  Only the
+    2 tau_odd(n) ends of those intervals are sorted; no run is
+    materialized.
+
+    >>> pn_runs(5)
+    [(1, 3), (0, 3), (1, 3)]
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    steps: Counter[int] = Counter()
+    for d in odd_divisors(n):
+        odd_run, even_run = sequence_for_divisor(n, d)
+        sign = 1 if odd_run.is_positive() else -1
+        lo, hi = sorted((odd_run.a, even_run.a))
+        steps[lo + n] += sign  # centered exponent lo + 1 is q^(lo + n)
+        steps[hi + n] -= sign
+    return _step_runs(steps, 2 * n - 1)
+
+
+def _step_runs(steps: Counter[int], size: int) -> list[tuple[int, int]]:
+    """The (value, length) runs of c_0..c_{size-1}, where c starts at 0 and
+    changes by steps[e] at index e; adjacent runs have distinct values."""
+    runs = []
+    value = start = 0
+    for e in sorted(e for e, c in steps.items() if c) + [size]:
+        if e > start:
+            runs.append((value, e - start))
+            start = e
+        value += steps[e]
+    return runs
+
+
+def expand_runs(runs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The dense coefficients that the (value, length) runs stand for.
+
+    >>> expand_runs([(1, 2), (0, 1), (-1, 1)])
+    (1, 1, 0, -1)
+    """
+    return tuple(chain.from_iterable(repeat(v, k) for v, k in runs))
+
+
+def cn_via_odd_divisors(n: int) -> LaurentPoly:
+    """C_n(q) summed over odd divisors d with offset r = n/d - (d+1)/2:
+    each d contributes q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r}).  The dense
+    expansion of ``cn_runs``, which ``verify`` holds against
+    ``cn_via_coeff_formula``."""
+    return LaurentPoly(0, expand_runs(cn_runs(n)))
 
 
 def cn_via_coeff_formula(n: int) -> LaurentPoly:
@@ -215,19 +289,8 @@ def pg_via_sequences(n: int) -> LaurentPoly:
 
     For each odd divisor with a positive odd run the partner run contains
     it and the difference contributes +q^e; for a negative odd run the
-    containment reverses and the contribution is -q^e.
+    containment reverses and the contribution is -q^e.  The dense
+    expansion of ``pn_runs``, shifted down by n - 1, which ``verify`` holds
+    against C_n divided by (q-1)^2.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    buf = [0] * (2 * n + 1)
-    for d in odd_divisors(n):
-        odd_run, even_run = sequence_for_divisor(n, d)
-        if odd_run.is_positive():
-            diff = set(even_run.elements()) - set(odd_run.elements())
-            for e in diff:
-                buf[n + e] += 1
-        else:
-            diff = set(odd_run.elements()) - set(even_run.elements())
-            for e in diff:
-                buf[n + e] -= 1
-    return LaurentPoly(-n, tuple(buf))
+    return LaurentPoly(-(n - 1), expand_runs(pn_runs(n)))

@@ -469,13 +469,15 @@ def intpoly_to_json(p: IntPoly) -> dict:
     return {"coeffs": decimal_strs(p.coeffs)}
 
 
-def laurent_to_json(lp: LaurentPoly) -> dict:
-    return {"min_exp": lp.min_exp, "coeffs": decimal_strs(lp.coeffs)}
-
-
 # -- rendering ------------------------------------------------------------------
 
-def _term_str(c: int, e: int, var: str, first: bool) -> str:
+def term_str(c: int, e: int, var: str, first: bool) -> str:
+    """The term c * var^e as the formatters write it: ' + 3*q^5', or
+    '-q^5' when it comes first; the one place the term syntax is spelled.
+
+    >>> term_str(3, 5, "q", False), term_str(-1, 5, "q", True)
+    (' + 3*q^5', '-q^5')
+    """
     sign = "-" if c < 0 else "+"
     mag = abs(c)
     power = "" if e == 0 else var if e == 1 else f"{var}^{e}"
@@ -498,7 +500,7 @@ def _format_terms(min_exp: int, cs: Sequence[int], var: str) -> str:
     parts = []
     for e, c in zip(range(min_exp + len(cs) - 1, min_exp - 1, -1), reversed(cs)):
         if c:
-            parts.append(_term_str(c, e, var, not parts))
+            parts.append(term_str(c, e, var, not parts))
     return "".join(parts) or "0"
 
 

@@ -85,7 +85,12 @@ class SequenceSpec:
     values: Callable[[Any, int], list]
 
     def sweep(self, at: int | None, top: int) -> list:
-        """``values`` in the decimal radix, refused if too long."""
+        """``values`` in the decimal radix, refused if too long, or if
+        ``at`` is missing for a sequence without a fixed point or given
+        for one with it."""
+        if self.point is not None and at is not None:
+            raise ValueError(f"sequence {self.key!r} has the fixed point "
+                             f"{self.point}; at={at} does not apply")
         x = self.point if self.point is not None else at
         if x is None:
             raise ValueError(f"sequence {self.key!r} needs an evaluation point")

@@ -13,6 +13,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,8 @@ from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
 from torusideals import chebfam, cli, hilbert, verify, zeta
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
-from torusideals.intpoly import IntPoly, X
+from torusideals.divisors import divisors
+from torusideals.intpoly import IntPoly, X, exact_div, format_laurent
 from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
 
@@ -209,10 +211,12 @@ class TestCompute:
 
     @pytest.mark.parametrize("kind", ["tcheb", "fpoly", "pg", "cn", "pn"])
     def test_eval_prints_the_int_value(self, capsys, kind):
+        polys = {**cli._OBJECTS, "cn": hilbert.cn_via_odd_divisors,
+                 "pn": hilbert.pn_from_cn}
         for n in (1, 2, 5, 12, 50):
             for x in range(-8, 9):
                 want = (hilbert.pg_eval_int(n, x) if kind == "pg"
-                        else cli._OBJECTS[kind](n).eval_int(x))
+                        else polys[kind](n).eval_int(x))
                 code, out = run(capsys, "compute", kind, "--n", str(n),
                                 "--eval", str(x))
                 assert code == 0 and out == f"{want}\n"
@@ -270,6 +274,101 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", "nonsense", "--n", "3"])
         assert exc.value.code == 2
+
+
+def dense_renderings(kind: str, n: int) -> dict[str, str]:
+    """``compute cn|pn`` in each format as the dense polynomial printed it,
+    with C_n from the coefficient formula."""
+    poly = hilbert.cn_via_coeff_formula(n)
+    if kind == "pn":
+        poly = exact_div(exact_div(poly, hilbert.Q_MINUS_ONE),
+                         hilbert.Q_MINUS_ONE)
+    strs = [str(c) for c in poly.coeffs]
+    row = io.StringIO()
+    csv.writer(row, lineterminator="\n").writerows(
+        [["n", "coeffs"], [str(n), " ".join(strs)]])
+    return {"text": format_laurent(poly) + "\n",
+            "json": json.dumps({"kind": kind, "n": n, "min_exp": poly.min_exp,
+                                "coeffs": strs}, indent=2) + "\n",
+            "csv": row.getvalue()}
+
+
+def printed(argv: list[str]) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def runs_printed(text: str, fmt: str) -> list[tuple[int, int]]:
+    """The (value, length) runs of the coefficients in a json or csv
+    answer, read run by run: the strings of millions of coefficients
+    would not fit beside the test."""
+    if fmt == "json":
+        pattern, sep = r'"(-?\d+)"(?:,\n    "\1")*+', '"'
+        start = text.index("[")
+    else:
+        pattern, sep = r"(-?\d+)(?: \1\b)*+", " "
+        start = text.index(",", text.index("\n"))
+    runs = []
+    for m in re.compile(pattern).finditer(text, start):
+        k = text.count(sep, m.start(), m.end())
+        runs.append((int(m[1]), k // 2 if fmt == "json" else k + 1))
+    return runs
+
+
+class TestWholeCounts:
+    """``compute cn|pn`` written from the coefficient runs."""
+
+    @given(st.sampled_from(("cn", "pn")), st.integers(1, 399),
+           st.sampled_from((1, 2, 3, cli._PIECE)))
+    @settings(max_examples=80, deadline=None)
+    def test_runs_print_the_dense_rendering(self, kind, n, piece):
+        # pieces of one to three coefficients put a piece boundary inside
+        # every run of the small counts
+        want = dense_renderings(kind, n)
+        with patch.object(cli, "_PIECE", piece):
+            for fmt in ("text", "json", "csv"):
+                assert printed(["compute", kind, "--n", str(n),
+                                "--format", fmt]) == want[fmt], (fmt, piece)
+
+    @pytest.mark.parametrize("n", [2 ** 17 + 1, 140000])
+    def test_runs_longer_than_a_piece(self, n):
+        # P_n's longest run is 2^16 + 1 at 2^17 + 1, where C_n's, a gap of
+        # zeros, is one short of a piece; both pass a piece at 140000
+        assert max(k for _, k in hilbert.pn_runs(n)) > cli._PIECE
+        for kind in ("cn", "pn"):
+            want = dense_renderings(kind, n)
+            for fmt in ("text", "json", "csv"):
+                assert printed(["compute", kind, "--n", str(n),
+                                "--format", fmt]) == want[fmt], (kind, fmt)
+
+    def test_three_million_in_bounded_memory(self, tmp_path):
+        # 128 MB of address space, limited in the child only; the dense
+        # route needed 476 MB for the first of these
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        n = 3000000
+        sigma = sum(divisors(n))
+        out = tmp_path / "out"
+        for kind, fmt, length, total in (("pn", "json", 2 * n - 1, sigma),
+                                         ("pn", "csv", 2 * n - 1, sigma),
+                                         ("cn", "json", 2 * n + 1, 0)):
+            with out.open("w", encoding="utf-8") as fh:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "torusideals.cli", "compute", kind,
+                     "--n", str(n), "--format", fmt],
+                    stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
+                    preexec_fn=limit, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs = runs_printed(out.read_text(encoding="utf-8"), fmt)
+            out.unlink()
+            assert runs == runs[::-1], (kind, fmt)
+            assert sum(k for _, k in runs) == length, (kind, fmt)
+            assert sum(v * k for v, k in runs) == total, (kind, fmt)
 
 
 compute_argv = st.builds(

@@ -17,9 +17,11 @@ from torusideals.divisors import (
 from torusideals.hilbert import (
     approx_defect,
     cn_eval_int,
+    cn_runs,
     cn_via_coeff_formula,
     cn_via_odd_divisors,
     defect_kind,
+    expand_runs,
     pg_eval_int,
     pg_roundtrip,
     pg_values,
@@ -28,9 +30,11 @@ from torusideals.hilbert import (
     pg_via_sequences,
     pn_eval_int,
     pn_from_cn,
+    pn_runs,
 )
 from torusideals.intpoly import (LaurentPoly, NonDivisibleError, ONE, ZERO,
-                                 chebyshev_sum)
+                                 chebyshev_sum, exact_div)
+from torusideals.cli import main
 from torusideals.verify import VerifySuiteReport, check_factor_identities
 
 
@@ -109,6 +113,64 @@ class TestCn:
             assert p.min_exp == 0 and p.max_exp == 2 * n - 2
             assert all(c >= 0 for c in p.coeffs)
             assert p.eval_int(1) == sum(divisors(n))  # simple root count check
+
+
+def dense_cn(n: int) -> LaurentPoly:
+    """C_n as the dense sum over the odd divisors, with no runs."""
+    buf = [0] * (2 * n + 1)
+    for d in odd_divisors(n):
+        r = n // d - (d + 1) // 2
+        buf[n + r + 1] += 1
+        buf[n - r - 1] += 1
+        buf[n + r] -= 1
+        buf[n - r] -= 1
+    return LaurentPoly(0, tuple(buf))
+
+
+class TestRuns:
+    def test_runs_expand_to_the_dense_counts(self):
+        for n in range(1, 400):
+            cn = dense_cn(n)
+            pn = exact_div(exact_div(cn, hilbert.Q_MINUS_ONE),
+                           hilbert.Q_MINUS_ONE)
+            c_runs, p_runs = cn_runs(n), pn_runs(n)
+            assert expand_runs(c_runs) == cn.coeffs, n
+            assert expand_runs(p_runs) == pn.coeffs, n
+            assert sum(k for _, k in c_runs) == 2 * n + 1
+            assert sum(k for _, k in p_runs) == 2 * n - 1
+            for runs in (c_runs, p_runs):
+                assert all(k >= 1 for _, k in runs)
+                assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+            assert all(v >= 0 for v, _ in p_runs)
+
+    @pytest.mark.parametrize("route,case", [("pn_runs", "pg sequence route"),
+                                            ("cn_runs", "cn two-route")])
+    def test_corrupted_runs_fail_verify(self, monkeypatch, capsys, route,
+                                        case):
+        genuine = getattr(hilbert, route)
+
+        def corrupted(n):  # one more on the first run
+            (v, k), *rest = genuine(n)
+            return [(v + 1, k), *rest]
+
+        want = {n: (str(pn_from_cn(n).shift(-(n - 1))),
+                    str(LaurentPoly(-(n - 1), expand_runs(corrupted(n)))))
+                if route == "pn_runs" else
+                (str(LaurentPoly(0, expand_runs(corrupted(n)))),
+                 str(cn_via_coeff_formula(n)))
+                for n in (1, 2, 3)}
+        monkeypatch.setattr(hilbert, route, corrupted)
+        code = main(["verify", "routes", "--max-n", "12"])
+        out = capsys.readouterr().out
+        assert code == 1
+        for n, (expected, actual) in want.items():
+            assert f"  {case} n={n}: expected {expected}, got {actual}\n" \
+                in out
+        if route == "cn_runs":  # (q-1)^2 no longer divides C_n: reported
+            assert "  pg interval=roundtrip n=1: expected 1, got nonzero " \
+                "remainder in exact division\n" in out
+            assert "  pn structure n=1: expected (q-1)^2 divides C_n, got " \
+                "nonzero remainder in exact division\n" in out
 
 
 class TestApproxDefect:

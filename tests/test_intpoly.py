@@ -21,7 +21,6 @@ from torusideals.intpoly import (
     format_laurent,
     format_poly,
     intpoly_to_json,
-    laurent_to_json,
     laurent_to_x_basis,
     monomial,
     slot_width,
@@ -158,12 +157,8 @@ class TestLaurentPoly:
         d = LaurentPoly(eb, (-root, 1))  # q^eb (q - root)
         assert exact_div(lp * d, d) == lp
 
-    @given(coeff_lists, st.integers(-4, 4))
-    def test_json_round_trip(self, a, e):
-        lp = LaurentPoly(e, tuple(a))
-        assert json.loads(json.dumps(laurent_to_json(lp))) == \
-            {"min_exp": lp.min_exp, "coeffs": [str(c) for c in lp.coeffs]}
-        # one formatter renders both carriers
+    @given(coeff_lists)
+    def test_one_formatter_renders_both_carriers(self, a):
         assert format_laurent(LaurentPoly(0, tuple(a))) == \
             format_poly(IntPoly(tuple(a))).replace("X", "q")
 

@@ -114,6 +114,17 @@ class TestSequenceChecks:
         with pytest.raises(ValueError, match="evaluation point"):
             check_sequence("pg_eval", parse_bfile(path))
 
+    @pytest.mark.parametrize("key", ["pg3", "sigma", "odd_div_count"])
+    def test_at_refused_for_fixed_point_sequences(self, tmp_path, key):
+        # sigma at 5 once compared G_n(2) and reported ok
+        path = write(tmp_path, "b.txt", "1 1\n")
+        out = tmp_path / "emitted.txt"
+        with pytest.raises(ValueError, match="at=5 does not apply"):
+            check_sequence(key, parse_bfile(path), at=5)
+        with pytest.raises(ValueError, match="at=5 does not apply"):
+            emit_bfile(key, out, at=5, max_index=3)
+        assert not out.exists()
+
     def test_report_json(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 2\n")
         report = check_sequence("sigma", parse_bfile(path))
