@@ -1,6 +1,6 @@
 """The codimension-n ideal-count polynomials and their cross-formulas.
 
-Three families, all exact:
+The families, all exact, and the coefficient runs of two of them:
 
 * ``cn_*``: the full count C_n(q), a palindromic monic polynomial of degree
   2n divisible by (q-1)^2 -- built either from the odd divisors of n or from
