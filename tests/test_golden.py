@@ -25,7 +25,9 @@ FORMATS = ("text", "json", "csv")
 def corpus() -> list[list[str]]:
     """``compute`` of every kind at small n, with and without ``--eval``;
     ``table`` of every kind at its default range and at ``--max-n 30``;
-    ``verify all``; each in every format."""
+    ``verify all``; answers written in more than one piece: whole
+    polynomials of over 1500 coefficients and a table of 121 of them; each
+    in every format."""
     commands = []
     for n in (0, 1, 2, 5, 12, 45):
         commands.append(["compute", "zeta", f"--n={n}"])
@@ -37,6 +39,10 @@ def corpus() -> list[list[str]]:
         commands.append(["table", which])
         commands.append(["table", which, "--max-n=30", "--N=3,-5,0,1"])
     commands.append(["verify", "all", "--max-n=12"])
+    commands += [["compute", kind, "--n=1500"]
+                 for kind in ("tcheb", "fpoly", "pg")]
+    commands += [["compute", kind, "--n=140000"] for kind in ("cn", "pn")]
+    commands.append(["table", "fpoly", "--max-n=120"])
     return [[*argv, f"--format={fmt}"] for argv in commands for fmt in FORMATS]
 
 
