@@ -13,20 +13,20 @@ import io
 import json
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import decimal_strs, intpoly_to_json, term_str
+from .intpoly import decimal_strs, format_terms, term_str
 from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
 TABLE_DEFAULTS = {"values": 16, "pg": 12, "tcheb": 12, "fpoly": 11, "decomp": 16}
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, or its pieces one after another, to ``out`` or stdout."""
-    pieces = [text] if isinstance(text, str) else text
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the ``pieces`` one after another to ``out`` or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -72,18 +72,13 @@ _OBJECTS = {
 # C_n and P_n are written from their coefficient runs, never densely
 _RUNS = {"cn": hilbert.cn_runs, "pn": hilbert.pn_runs}
 
-#: The most coefficients one written piece of a run holds
-_PIECE = 1 << 16
+#: The most coefficients one written piece holds: a slice of F_20000's
+#: coefficients, of up to 4178 digits each, stays under 5 MB
+_PIECE = 1 << 10
 
 # Coefficient digits of V_k, and of F_k and G_{k+1}, per k^2, in 40ths:
 # V_3000 has 677,334 of them, F_3000 and G_3001 have 1,350,816
 _DIGIT_RATE = {"tcheb": 3, "fpoly": 6, "pg": 6}
-
-# Characters per coefficient of C_n and P_n (2n + 1 of them), in tenths,
-# the most of the three formats: C_n's JSON puts each one-digit coefficient
-# on a line of its own, 9.04 per coefficient at n = 1000; P_n's text writes
-# " + q^e" per term, 12.48 at n = 3,000,000
-_CHAR_RATE = {"cn": 91, "pn": 130}
 
 _VALUES = {
     "tcheb": chebfam.tcheb_value,
@@ -94,8 +89,21 @@ _VALUES = {
 }
 
 
+def _record(kind: str, fields: dict, text: str, fmt: str) -> Iterable[str]:
+    """A one-record answer: ``{"kind": kind, **fields}`` as JSON, the fields
+    as a CSV header and row (a list field as its items joined by spaces),
+    or the line ``text``."""
+    if fmt == "json":
+        return _json_pieces({"kind": kind, **fields})
+    if fmt == "csv":
+        return _csv_lines([list(fields), [
+            " ".join(map(str, v)) if isinstance(v, list) else str(v)
+            for v in fields.values()]])
+    return [text + "\n"]
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
-    kind, n = args.object, args.n
+    kind, n, fmt = args.object, args.n, args.format
     min_n = 0 if kind in ("tcheb", "fpoly") else 1
     if n < min_n:
         print(f"error: --n must be >= {min_n} for {kind}", file=sys.stderr)
@@ -105,14 +113,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             print("error: --eval does not apply to zeta", file=sys.stderr)
             return 2
         z = zeta.local_zeta_factors(n)
-        if args.format == "json":
-            _emit(_json_pieces({"kind": "zeta", **z.to_json()}), args.out)
-        elif args.format == "csv":
-            _emit(_csv_lines([["n", "num", "den"],
-                              [str(n), " ".join(map(str, z.numerator)),
-                               " ".join(map(str, z.denominator))]]), args.out)
-        else:
-            _emit(zeta.format_local_zeta(z) + "\n", args.out)
+        _emit(_record(kind, z.to_json(), zeta.format_local_zeta(z), fmt),
+              args.out)
         return 0
 
     if args.eval is not None:
@@ -121,68 +123,79 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             n - 1 if kind == "pg" else n, x * x if kind in ("cn", "pn") else x))
         with chebfam.decimal_radix(x) as point:
             value = _VALUES[kind](n, point)
-        if args.format == "json":
-            _emit(_json_pieces({"kind": kind, "n": n, "eval_at": args.eval,
-                                "value": str(value)}), args.out)
-        elif args.format == "csv":
-            _emit(_csv_lines([["n", "eval_at", "value"],
-                              [str(n), str(args.eval), str(value)]]), args.out)
-        else:
-            _emit(str(value) + "\n", args.out)
+        _emit(_record(kind, {"n": n, "eval_at": x, "value": str(value)},
+                      str(value), fmt), args.out)
         return 0
 
     if kind in _RUNS:
-        chebfam.check_digits(_CHAR_RATE[kind] * (2 * n + 1) // 10,
-                             "characters")
-        _emit(_run_pieces(kind, n, _RUNS[kind](n), args.format), args.out)
-        return 0
-    chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
-    obj = _OBJECTS[kind](n)
-    if args.format == "json":
-        _emit(_json_pieces({"kind": kind, "n": n, **intpoly_to_json(obj)}),
-              args.out)
-    elif args.format == "csv":
-        _emit(_csv_lines([["n", "coeffs"],
-                          [str(n), " ".join(decimal_strs(obj.coeffs))]]),
-              args.out)
+        runs = _RUNS[kind](n)
+        chebfam.check_digits(_run_chars(runs, fmt), "characters")
+        text, fields = _text_run_pieces(runs), {"min_exp": 0}
+        pieces = (([str(v)], k) for v, k in runs)
     else:
-        _emit(str(obj) + "\n", args.out)
+        chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
+        cs = _OBJECTS[kind](n).coeffs
+        text, fields, pieces = format_terms(0, cs, "X"), {}, _dense_pieces(cs)
+    _emit(chain(text, ["\n"]) if fmt == "text" else
+          _whole_polys(fmt, [({"kind": kind, "n": n, **fields}, pieces)]),
+          args.out)
     return 0
 
 
-def _run_pieces(kind: str, n: int, runs: list[tuple[int, int]],
-                fmt: str) -> Iterator[str]:
-    """The output of ``compute cn|pn`` in ``fmt``, written from the
-    (value, length) coefficient runs of a polynomial whose lowest term is
-    q^0, in pieces of at most ``_PIECE`` coefficients each.  Byte for byte
-    what the dense polynomial prints: ``format_laurent``, the JSON of
-    ``_json_pieces`` with its coefficients as decimal strings, and the CSV
-    row with one unquoted field of them."""
-    def repeated(piece: str, k: int) -> Iterator[str]:
-        for done in range(0, k, _PIECE):
-            yield piece * min(_PIECE, k - done)
+def _dense_pieces(cs: Sequence[int]) -> Iterator[tuple[list[str], int]]:
+    """``cs`` as slices of at most ``_PIECE`` decimal strings, each once."""
+    for i in range(0, len(cs), _PIECE):
+        yield decimal_strs(cs[i:i + _PIECE]), 1
 
-    def joined(item: str, sep: str) -> Iterator[str]:
-        # sep.join of every coefficient's item: the last one has no sep
-        *init, (last, k) = runs
-        for v, k_v in init:
-            yield from repeated(item.format(v) + sep, k_v)
-        yield from repeated(item.format(last) + sep, k - 1)
-        yield item.format(last)
 
+def _whole_polys(fmt: str,
+                 rows: Iterable[tuple[dict, Iterable[tuple[list[str], int]]]],
+                 table: str | None = None) -> Iterator[str]:
+    """The one writer of whole polynomials, one (fields, pieces) row at a
+    time: the CSV ``n,coeffs`` with one unquoted space-joined field, or the
+    ``indent=2`` JSON ``{**fields, "coeffs": [...]}``, with ``table`` the
+    rows of ``{"table": table, "rows": [...]}``.  Each piece (decimal
+    strings, count) is written ``count`` times over, at most ``_PIECE``
+    coefficients to a string: a dense slice is one join, a run one repeat."""
+    depth = 0 if table is None else 2  # the nesting of a row's object
     if fmt == "json":
-        head, tail = json.dumps({"kind": kind, "n": n, "min_exp": 0,
-                                 "coeffs": []}, indent=2).rsplit("[]", 1)
-        yield head + "["
-        yield from joined('\n    "{}"', ",")
-        yield "\n  ]" + tail + "\n"
-    elif fmt == "csv":
-        yield f"n,coeffs\n{n},"
-        yield from joined("{}", " ")
-        yield "\n"
+        pad = "\n" + "  " * (depth + 2)
+        lead, glue, end = f'[{pad}"', f'",{pad}"', f'"{pad[:-2]}]'
+        sep, between, close = (
+            ("", "", "\n") if table is None else
+            (f'{{\n  "table": {json.dumps(table)},\n  "rows": [\n    ',
+             ",\n    ", "\n  ]\n}\n"))
     else:
-        yield from _text_run_pieces(runs)
-        yield "\n"
+        lead, glue, end, sep, between, close = "", " ", "", "n,coeffs\n", "", ""
+    for fields, pieces in rows:
+        if fmt == "json":
+            head, tail = json.dumps({**fields, "coeffs": []}, indent=2).replace(
+                "\n", "\n" + "  " * depth).rsplit("[]", 1)
+        else:
+            head, tail = f"{fields['n']},", "\n"
+        yield sep + head
+        sep, before = between, lead
+        for strs, count in pieces:
+            for done in range(0, count, _PIECE):
+                yield (before + glue.join(strs)
+                       + (glue + strs[-1]) * (min(_PIECE, count - done) - 1))
+                before = glue
+        yield end + tail
+    yield close
+
+
+def _run_chars(runs: list[tuple[int, int]], fmt: str) -> int:
+    """At most how many characters the runs, lowest term q^0, print as in
+    ``fmt``: each coefficient's JSON or CSV item, or each nonzero term as
+    wide as the widest of its run."""
+    size = top = 0
+    for v, k in runs:
+        top += k
+        if fmt != "text":
+            size += k * (len(str(v)) + (8 if fmt == "json" else 1))
+        elif v:
+            size += k * len(term_str(v, top - 1, "q", False))
+    return size
 
 
 def _text_run_pieces(runs: list[tuple[int, int]]) -> Iterator[str]:
@@ -256,6 +269,17 @@ def fdecomp_string(n: int) -> str:
     return " ".join(parts)
 
 
+def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
+                fmt: str) -> Iterable[str]:
+    """``{"table": which, "rows": rows}`` as JSON, else the ``headers``
+    cells of the rows, one row dict at a time, as CSV or padded text."""
+    if fmt == "json":
+        return _json_pieces({"table": which, "rows": list(rows)})
+    cells = ([str(r[h]) for h in headers] for r in rows)
+    return (_csv_lines(chain([headers], cells)) if fmt == "csv"
+            else _text_table(headers, list(cells)))
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     which = args.which
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULTS[which]
@@ -270,24 +294,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print(f"error: --N repeats the point {repeats[0]}",
                   file=sys.stderr)
             return 2
-        rows = values_rows(max_n, points)
-        if args.format == "json":
-            payload = [{"n": r["n"],
-                        **{f"pg_{x}": str(r[x][0]) for x in points},
-                        **{f"f_{x}": str(r[x][1]) for x in points},
-                        **{f"rel_{x}": r[x][2] for x in points}}
-                       for r in rows]
-            _emit(_json_pieces({"table": "values", "rows": payload}), args.out)
-        else:
-            headers = ["n"]
-            for x in points:
-                headers += [f"pg_{x}", f"f_{x}", f"rel_{x}"]
-            cells = [[str(r["n"])]
-                     + [s for x in points
-                        for s in (str(r[x][0]), str(r[x][1]), r[x][2])]
-                     for r in rows]
-            _emit(_csv_lines([headers, *cells]) if args.format == "csv"
-                  else _text_table(headers, cells), args.out)
+        rows = ({"n": r["n"], **{f"{c}_{x}": str(r[x][i])
+                                 for i, c in enumerate(("pg", "f", "rel"))
+                                 for x in points}}
+                for r in values_rows(max_n, points))
+        headers = ["n", *(f"{c}_{x}" for x in points
+                          for c in ("pg", "f", "rel"))]
+        _emit(_cell_table(which, headers, rows, args.format), args.out)
         return 0
 
     if which == "decomp":
@@ -296,16 +309,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # at n = 4000
         chebfam.check_digits((9 if args.format == "text" else 3)
                              * max_n * max_n, "characters")
-        rows = [(n, tsum_string(n), fdecomp_string(n))
-                for n in range(1, max_n + 1)]
-        if args.format == "json":
-            payload = [{"n": n, "tsum": t, "fdecomp": f} for n, t, f in rows]
-            _emit(_json_pieces({"table": "decomp", "rows": payload}), args.out)
-        else:
-            cells = [[str(n), t, f] for n, t, f in rows]
-            headers = ["n", "tsum", "fdecomp"]
-            _emit(_csv_lines([headers, *cells]) if args.format == "csv"
-                  else _text_table(headers, cells), args.out)
+        rows = ({"n": n, "tsum": tsum_string(n), "fdecomp": fdecomp_string(n)}
+                for n in range(1, max_n + 1))
+        _emit(_cell_table(which, ["n", "tsum", "fdecomp"], rows, args.format),
+              args.out)
         return 0
 
     # polynomial tables
@@ -313,16 +320,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # the rates summed: 1^2 + ... + N^2 = N(N + 1)(2N + 1)/6
     chebfam.check_digits(_DIGIT_RATE[which] * max_n * (max_n + 1)
                          * (2 * max_n + 1) // 240)
-    polys = [(n, _OBJECTS[which](n)) for n in range(start, max_n + 1)]
-    if args.format == "json":
-        payload = [{"n": n, **intpoly_to_json(p)} for n, p in polys]
-        _emit(_json_pieces({"table": which, "rows": payload}), args.out)
-    elif args.format == "csv":
-        cells = [[str(n), " ".join(decimal_strs(p.coeffs))] for n, p in polys]
-        _emit(_csv_lines([["n", "coeffs"], *cells]), args.out)
-    else:
-        cells = [[str(n), str(p)] for n, p in polys]
+    if args.format == "text":
+        cells = [[str(n), str(_OBJECTS[which](n))]
+                 for n in range(start, max_n + 1)]
         _emit(_text_table(["n", which], cells), args.out)
+    else:
+        rows = (({"n": n}, _dense_pieces(_OBJECTS[which](n).coeffs))
+                for n in range(start, max_n + 1))
+        _emit(_whole_polys(args.format, rows, which), args.out)
     return 0
 
 
@@ -337,10 +342,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_json_pieces([r.to_json() for r in reports]), args.out)
     elif args.format == "csv":
-        rows = [["suite", "max_n", "passed", "failed"]]
-        rows += [[r.suite, str(r.max_n), str(r.passed), str(r.failed)]
-                 for r in reports]
-        _emit(_csv_lines(rows), args.out)
+        _emit(_cell_table("verify", ["suite", "max_n", "passed", "failed"],
+                          [r.to_json() for r in reports], "csv"), args.out)
     else:
         lines = []
         for r in reports:
@@ -351,7 +354,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 lines.append(f"  {f.case}: expected {f.expected}, got {f.actual}")
             if len(r.failures) > 20:
                 lines.append(f"  ... and {len(r.failures) - 20} more")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit((line + "\n" for line in lines), args.out)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -389,10 +392,9 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_json_pieces(report.to_json()), args.out)
     elif args.format == "csv":
-        rows = [["sequence", "bfile", "compared", "mismatches"],
-                [report.sequence, report.bfile_id, str(report.compared),
-                 str(len(report.mismatches))]]
-        _emit(_csv_lines(rows), args.out)
+        row = {**report.to_json(), "mismatches": len(report.mismatches)}
+        _emit(_cell_table("oeis", ["sequence", "bfile", "compared",
+                                   "mismatches"], [row], "csv"), args.out)
     else:
         status = "PASS" if report.ok else "FAIL"
         lines = [f"{report.sequence} vs {report.bfile_id}: "
@@ -400,7 +402,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
                  f"{len(report.mismatches)} mismatches: {status}"]
         for idx, expected, computed in report.mismatches[:20]:
             lines.append(f"  index {idx}: b-file {expected}, computed {computed}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit((line + "\n" for line in lines), args.out)
     return 0 if report.ok else 1
 
 

@@ -445,7 +445,7 @@ def unpack_balanced(v: int, w: int, count: int) -> list[int]:
             for i in range(0, len(raw), size)]
 
 
-# -- decimal strings and JSON encoding -----------------------------------------
+# -- decimal strings ------------------------------------------------------------
 # Shared by every module: coefficients as decimal strings so that arbitrary
 # precision survives any JSON implementation.
 
@@ -463,10 +463,6 @@ def decimal_strs(cs: Sequence[int]) -> list[str]:
         return [str(c) for c in cs]
     except ValueError:
         return [str(Decimal(c)) for c in cs]
-
-
-def intpoly_to_json(p: IntPoly) -> dict:
-    return {"coeffs": decimal_strs(p.coeffs)}
 
 
 # -- rendering ------------------------------------------------------------------
@@ -494,21 +490,23 @@ def term_str(c: int, e: int, var: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def _format_terms(min_exp: int, cs: Sequence[int], var: str) -> str:
-    """The nonzero terms c * var^e, e = min_exp + i, highest first; the one
-    rendering loop, behind both carriers."""
-    parts = []
+def format_terms(min_exp: int, cs: Sequence[int], var: str) -> Iterator[str]:
+    """The strings of the nonzero terms c * var^e, e = min_exp + i, highest
+    first, or '0'; the one rendering loop, behind both carriers."""
+    first = True
     for e, c in zip(range(min_exp + len(cs) - 1, min_exp - 1, -1), reversed(cs)):
         if c:
-            parts.append(term_str(c, e, var, not parts))
-    return "".join(parts) or "0"
+            yield term_str(c, e, var, first)
+            first = False
+    if first:
+        yield "0"
 
 
 def format_poly(p: IntPoly) -> str:
     """Human-readable form, highest degree first: 'X^3 + X^2 - 2*X - 1'."""
-    return _format_terms(0, p.coeffs, "X")
+    return "".join(format_terms(0, p.coeffs, "X"))
 
 
 def format_laurent(lp: LaurentPoly) -> str:
     """Human-readable form, highest exponent first; negative powers as q^-k."""
-    return _format_terms(lp.min_exp, lp.coeffs, "q")
+    return "".join(format_terms(lp.min_exp, lp.coeffs, "q"))

@@ -143,6 +143,8 @@ class TestCompute:
         for argv in (("compute", "pg", "--n", n, "--eval", "1"),
                      ("compute", "cn", "--n", n, "--eval", "1"),
                      ("compute", "pn", "--n", n, "--eval", "1"),
+                     ("compute", "cn", "--n", n),
+                     ("compute", "pn", "--n", n, "--format", "json"),
                      ("compute", "zeta", "--n", n)):
             start = time.process_time()
             code = main(list(argv))
@@ -154,6 +156,33 @@ class TestCompute:
                         "--eval", "2")
         assert (code, out) == (0, "463581488934144\n")
 
+    @pytest.mark.parametrize("n", [10 ** 8, 2 ** 100, 2 ** 60 * 3 ** 4 * 5])
+    def test_cn_text_has_at_most_four_tau_odd_terms(self, capsys, n):
+        # the text of C_n lists only its nonzero terms, each odd divisor d,
+        # r = n/d - (d + 1)/2, adding q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r});
+        # its size guard counts those, not the 2n + 1 coefficients
+        odd = n // (n & -n)
+        want = {}
+        for d in (d for d in range(1, odd + 1, 2) if odd % d == 0):
+            r = n // d - (d + 1) // 2
+            for e, c in ((n + r + 1, 1), (n - r - 1, 1), (n + r, -1),
+                         (n - r, -1)):
+                want[e] = want.get(e, 0) + c
+        start = time.process_time()
+        code, out = run(capsys, "compute", "cn", "--n", str(n))
+        assert time.process_time() - start < 1.0
+        assert code == 0 and out.endswith("\n")
+        parts = re.split(r" ([-+]) ", out.strip())
+        got = {}
+        for sign, term in zip(["+", *parts[1::2]], parts[::2]):
+            neg, c, q, e = re.fullmatch(r"(-)?(\d+)?\*?(q)?(?:\^(\d+))?",
+                                        term).groups()
+            got[int(e) if e else int(q is not None)] = \
+                int(c or 1) * (-1 if (sign == "-") != (neg is not None) else 1)
+        assert got == {e: c for e, c in want.items() if c}
+        assert len(got) <= 4 * sum(1 for d in range(1, odd + 1, 2)
+                                   if odd % d == 0)
+
     def test_oversized_answers_refused_up_front(self):
         # 512 MB of address space, limited in the child only
         def limit():
@@ -164,11 +193,13 @@ class TestCompute:
         for argv in (("compute", "fpoly", "--n", "1000000000", "--eval", "3"),
                      ("oeis-check", "f_eval", "--at", "10", "--max-n",
                       "1000000", "--emit", os.devnull),
-                     # whole polynomials: C_n and P_n have 2n + 1 coefficients
-                     # of 9 to 13 characters, a table of F_k about 0.05 k^3
-                     # digits
+                     # whole polynomials: C_n and P_n have about 2n
+                     # coefficients, a JSON item of 9 characters each and a
+                     # CSV item of 2, P_n a text term of up to 14; a table
+                     # of F_k has about 0.05 k^3 digits
                      ("compute", "pn", "--n", "100000000"),
-                     ("compute", "cn", "--n", "100000000"),
+                     ("compute", "pn", "--n", "100000000", "--format", "csv"),
+                     ("compute", "cn", "--n", "100000000", "--format", "json"),
                      ("compute", "cn", "--n", "30000000", "--format", "json"),
                      ("table", "pg", "--max-n", "4000", "--format", "csv"),
                      ("table", "fpoly", "--max-n", "21000", "--format", "csv"),
@@ -276,21 +307,34 @@ class TestCompute:
         assert exc.value.code == 2
 
 
-def dense_renderings(kind: str, n: int) -> dict[str, str]:
-    """``compute cn|pn`` in each format as the dense polynomial printed it,
-    with C_n from the coefficient formula."""
-    poly = hilbert.cn_via_coeff_formula(n)
-    if kind == "pn":
-        poly = exact_div(exact_div(poly, hilbert.Q_MINUS_ONE),
-                         hilbert.Q_MINUS_ONE)
-    strs = [str(c) for c in poly.coeffs]
-    row = io.StringIO()
-    csv.writer(row, lineterminator="\n").writerows(
-        [["n", "coeffs"], [str(n), " ".join(strs)]])
-    return {"text": format_laurent(poly) + "\n",
-            "json": json.dumps({"kind": kind, "n": n, "min_exp": poly.min_exp,
-                                "coeffs": strs}, indent=2) + "\n",
-            "csv": row.getvalue()}
+def dense_renderings(kind: str, n: int,
+                     table: bool = False) -> dict[str, str]:
+    """``compute kind --n n`` in each format, or ``table kind --max-n n`` in
+    json and csv, as ``str``, ``json.dumps`` and ``csv.writer`` print the
+    dense polynomials: C_n from the coefficient formula, P_n divided out of
+    it, G_n from the interval counts."""
+    if kind in ("cn", "pn"):
+        poly = hilbert.cn_via_coeff_formula(n)
+        if kind == "pn":
+            poly = exact_div(exact_div(poly, hilbert.Q_MINUS_ONE),
+                             hilbert.Q_MINUS_ONE)
+        head, text = {"min_exp": poly.min_exp}, format_laurent(poly)
+    else:
+        make = hilbert.pg_via_interval if kind == "pg" else cli._OBJECTS[kind]
+        ns = range(kind == "pg", n + 1) if table else [n]
+        polys = {m: make(m) for m in ns}
+        poly, head, text = polys[n], {}, str(polys[n])
+    if not table:
+        polys = {n: poly}
+    strs = {m: [str(c) for c in p.coeffs] for m, p in polys.items()}
+    rows = io.StringIO()
+    csv.writer(rows, lineterminator="\n").writerows(
+        [["n", "coeffs"], *([str(m), " ".join(s)] for m, s in strs.items())])
+    obj = ({"table": kind, "rows": [{"n": m, "coeffs": s}
+                                    for m, s in strs.items()]} if table
+           else {"kind": kind, "n": n, **head, "coeffs": strs[n]})
+    return {"text": text + "\n", "json": json.dumps(obj, indent=2) + "\n",
+            "csv": rows.getvalue()}
 
 
 def printed(argv: list[str]) -> str:
@@ -318,7 +362,9 @@ def runs_printed(text: str, fmt: str) -> list[tuple[int, int]]:
 
 
 class TestWholeCounts:
-    """``compute cn|pn`` written from the coefficient runs."""
+    """Whole polynomials through the one coefficient writer: ``compute
+    cn|pn`` from the coefficient runs, ``compute tcheb|fpoly|pg`` and
+    ``table pg|tcheb|fpoly`` from dense slices."""
 
     @given(st.sampled_from(("cn", "pn")), st.integers(1, 399),
            st.sampled_from((1, 2, 3, cli._PIECE)))
@@ -332,10 +378,27 @@ class TestWholeCounts:
                 assert printed(["compute", kind, "--n", str(n),
                                 "--format", fmt]) == want[fmt], (fmt, piece)
 
-    @pytest.mark.parametrize("n", [2 ** 17 + 1, 140000])
+    @given(st.sampled_from(("tcheb", "fpoly", "pg")), st.integers(0, 399),
+           st.booleans(), st.sampled_from((1, 2, 3, cli._PIECE)))
+    @settings(max_examples=80, deadline=None)
+    def test_dense_slices_print_the_dense_rendering(self, kind, n, table,
+                                                    piece):
+        # tables at --max-n < 40; G_n starts at n = 1
+        n = max(n // 10 if table else n, int(kind == "pg"))
+        want = dense_renderings(kind, n, table)
+        argv = (["table", kind, "--max-n", str(n)] if table
+                else ["compute", kind, "--n", str(n)])
+        with patch.object(cli, "_PIECE", piece):
+            for fmt in ("json", "csv"):
+                assert printed([*argv, "--format", fmt]) == want[fmt], \
+                    (fmt, piece)
+            if not table:
+                assert printed(argv) == want["text"]
+
+    @pytest.mark.parametrize("n", [2 ** 11 + 1, 140000])
     def test_runs_longer_than_a_piece(self, n):
-        # P_n's longest run is 2^16 + 1 at 2^17 + 1, where C_n's, a gap of
-        # zeros, is one short of a piece; both pass a piece at 140000
+        # P_n's longest run is 2^10 + 1 at 2^11 + 1, where C_n's, a gap of
+        # zeros, is one short of a piece (2^10); both pass a piece at 140000
         assert max(k for _, k in hilbert.pn_runs(n)) > cli._PIECE
         for kind in ("cn", "pn"):
             want = dense_renderings(kind, n)
@@ -369,6 +432,42 @@ class TestWholeCounts:
             assert runs == runs[::-1], (kind, fmt)
             assert sum(k for _, k in runs) == length, (kind, fmt)
             assert sum(v * k for v, k in runs) == total, (kind, fmt)
+
+    def test_dense_answers_in_bounded_memory(self, tmp_path):
+        # 128 MB of address space, limited in the child only; written
+        # whole, the first of these needed 275 MB, the tables 138 and 172
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = tmp_path / "out"
+        values = fpoly_values(12001, 3)
+        for argv in (("compute", "fpoly", "--n", "12000", "--format", "csv"),
+                     ("table", "fpoly", "--max-n", "1100", "--format", "csv"),
+                     ("table", "fpoly", "--max-n", "1100", "--format",
+                      "json")):
+            with out.open("w", encoding="utf-8") as fh:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "torusideals.cli", *argv],
+                    stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
+                    preexec_fn=limit, timeout=120)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            with out.open(encoding="utf-8") as fh:
+                if argv[-1] == "json":
+                    rows = [(r["n"], r["coeffs"])
+                            for r in json.load(fh)["rows"]]
+                else:
+                    assert next(fh) == "n,coeffs\n"
+                    rows = [(int(n), c.split(" ")) for n, c in
+                            (line.rstrip("\n").split(",") for line in fh)]
+            out.unlink()
+            top = int(argv[3])
+            assert [n for n, _ in rows] == list(range(top + 1 - len(rows),
+                                                       top + 1)), argv
+            assert all(len(cs) == n + 1 and cs[-1] == "1" for n, cs in rows)
+            n, cs = rows[-1]
+            assert IntPoly(tuple(map(int, cs))).eval_int(3) == values[n]
 
 
 compute_argv = st.builds(

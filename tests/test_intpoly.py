@@ -1,7 +1,6 @@
 """Exact polynomial and Laurent arithmetic."""
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -20,7 +19,6 @@ from torusideals.intpoly import (
     exact_div,
     format_laurent,
     format_poly,
-    intpoly_to_json,
     laurent_to_x_basis,
     monomial,
     slot_width,
@@ -100,12 +98,6 @@ class TestIntPoly:
         p, q = IntPoly(tuple(a)), IntPoly(tuple(b))
         for r in (p + q, p - q, p * q):
             assert not r.coeffs or r.coeffs[-1] != 0
-
-    @given(coeff_lists)
-    def test_json_round_trip(self, a):
-        p = IntPoly(tuple(a))
-        assert json.loads(json.dumps(intpoly_to_json(p))) == \
-            {"coeffs": [str(c) for c in p.coeffs]}
 
 
 class TestLaurentPoly:
