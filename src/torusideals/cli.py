@@ -8,12 +8,11 @@ orderings, no timestamps, large integers always rendered as decimal strings.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from decimal import Decimal
 from itertools import chain
 
 from . import chebfam, hilbert, zeta
@@ -35,14 +34,14 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
 
 
 def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
-    """The CSV lines of ``rows``, one at a time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """The CSV lines of ``rows``, one at a time, quoted as Python 3.11's
+    ``csv.writer`` quotes them with the line terminator "\\n": a cell with a
+    comma, a quote or a newline, and a row's only cell when it is empty."""
     for row in rows:
-        writer.writerow(row)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+        yield ",".join('"' + c.replace('"', '""') + '"'
+                       if "," in c or '"' in c or "\n" in c
+                       or (not c and len(row) == 1) else c
+                       for c in row) + "\n"
 
 
 def _json_pieces(obj: object) -> Iterator[str]:
@@ -51,11 +50,23 @@ def _json_pieces(obj: object) -> Iterator[str]:
     yield "\n"
 
 
-def _text_table(headers: list[str], rows: list[list[str]]) -> Iterator[str]:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+def _width(cell: object) -> int:
+    """``len(str(cell))``, for an integral ``Decimal`` of exponent 0 (a value
+    from ``decimal_radix``) read off its exponent instead of formatted."""
+    if isinstance(cell, Decimal):
+        return cell.adjusted() + 1 + cell.is_signed()
+    return len(str(cell))
+
+
+def _text_table(headers: list[str], rows: list[list]) -> Iterator[str]:
+    """The cells under ``headers``, each column padded to its widest cell:
+    the widths come from ``_width``, and a cell's ``str`` is made only as
+    its line is written."""
+    widths = [max(len(h), *(_width(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
-    def fmt(cells: list[str]) -> str:  # lines go out one by one, never joined
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
+    def fmt(cells: list) -> str:  # lines go out one by one, never joined
+        return "  ".join(str(c).ljust(w)
+                         for c, w in zip(cells, widths)).rstrip() + "\n"
     yield fmt(headers)
     yield fmt(["-" * w for w in widths])
     yield from map(fmt, rows)
@@ -154,34 +165,50 @@ def _whole_polys(fmt: str,
     """The one writer of whole polynomials, one (fields, pieces) row at a
     time: the CSV ``n,coeffs`` with one unquoted space-joined field, or the
     ``indent=2`` JSON ``{**fields, "coeffs": [...]}``, with ``table`` the
-    rows of ``{"table": table, "rows": [...]}``.  Each piece (decimal
-    strings, count) is written ``count`` times over, at most ``_PIECE``
-    coefficients to a string: a dense slice is one join, a run one repeat."""
+    rows of ``_json_table``.  Each piece (decimal strings, count) is
+    written ``count`` times over, at most ``_PIECE`` coefficients to a
+    string: a dense slice is one join, a run one repeat."""
     depth = 0 if table is None else 2  # the nesting of a row's object
     if fmt == "json":
         pad = "\n" + "  " * (depth + 2)
         lead, glue, end = f'[{pad}"', f'",{pad}"', f'"{pad[:-2]}]'
-        sep, between, close = (
-            ("", "", "\n") if table is None else
-            (f'{{\n  "table": {json.dumps(table)},\n  "rows": [\n    ',
-             ",\n    ", "\n  ]\n}\n"))
     else:
-        lead, glue, end, sep, between, close = "", " ", "", "n,coeffs\n", "", ""
-    for fields, pieces in rows:
+        lead, glue, end = "", " ", ""
+
+    def written(fields: dict,
+                pieces: Iterable[tuple[list[str], int]]) -> Iterator[str]:
         if fmt == "json":
             head, tail = json.dumps({**fields, "coeffs": []}, indent=2).replace(
                 "\n", "\n" + "  " * depth).rsplit("[]", 1)
         else:
             head, tail = f"{fields['n']},", "\n"
-        yield sep + head
-        sep, before = between, lead
+        yield head
+        before = lead
         for strs, count in pieces:
             for done in range(0, count, _PIECE):
                 yield (before + glue.join(strs)
                        + (glue + strs[-1]) * (min(_PIECE, count - done) - 1))
                 before = glue
         yield end + tail
-    yield close
+
+    each = (written(fields, pieces) for fields, pieces in rows)
+    if fmt != "json":
+        return chain(["n,coeffs\n"], chain.from_iterable(each))
+    if table is None:
+        return chain(chain.from_iterable(each), ["\n"])
+    return _json_table(table, each)
+
+
+def _json_table(table: str, rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """``json.dumps({"table": table, "rows": [...]}, indent=2)`` plus a
+    newline, one row at a time: each row is the pieces of its object as
+    ``json.dumps`` indents it two levels deep."""
+    sep = f'{{\n  "table": {json.dumps(table)},\n  "rows": [\n    '
+    for pieces in rows:
+        yield sep
+        yield from pieces
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
 
 
 def _run_chars(runs: list[tuple[int, int]], fmt: str) -> int:
@@ -234,9 +261,9 @@ def values_rows(max_n: int, points: list[int]) -> list[dict]:
     cols = {}
     for x in points:
         with chebfam.decimal_radix(x) as point:
+            fs = chebfam.fpoly_values(max_n, point)
             cols[x] = [(pg, f, _REL_LABEL.get(abs(pg - f), "other"))
-                       for pg, f in zip(hilbert.pg_values(max_n, point),
-                                        chebfam.fpoly_values(max_n, point))]
+                       for pg, f in zip(hilbert.pg_values(fs), fs)]
     return [{"n": n, **{x: col[n - 1] for x, col in cols.items()}}
             for n in range(1, max_n + 1)]
 
@@ -271,13 +298,17 @@ def fdecomp_string(n: int) -> str:
 
 def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
                 fmt: str) -> Iterable[str]:
-    """``{"table": which, "rows": rows}`` as JSON, else the ``headers``
-    cells of the rows, one row dict at a time, as CSV or padded text."""
+    """The rows, one row dict at a time: as the JSON ``_json_table`` of
+    ``which``, each row with ``n`` a number and every other cell its
+    string, or as the ``headers`` cells, in CSV or padded text."""
     if fmt == "json":
-        return _json_pieces({"table": which, "rows": list(rows)})
-    cells = ([str(r[h]) for h in headers] for r in rows)
-    return (_csv_lines(chain([headers], cells)) if fmt == "csv"
-            else _text_table(headers, list(cells)))
+        return _json_table(which, (
+            [json.dumps({k: v if k == "n" else str(v) for k, v in r.items()},
+                        indent=2).replace("\n", "\n    ")] for r in rows))
+    if fmt == "csv":
+        return _csv_lines(chain([headers], (
+            [str(r[h]) for h in headers] for r in rows)))
+    return _text_table(headers, [[r[h] for h in headers] for r in rows])
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -294,7 +325,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print(f"error: --N repeats the point {repeats[0]}",
                   file=sys.stderr)
             return 2
-        rows = ({"n": r["n"], **{f"{c}_{x}": str(r[x][i])
+        rows = ({"n": r["n"], **{f"{c}_{x}": r[x][i]
                                  for i, c in enumerate(("pg", "f", "rel"))
                                  for x in points}}
                 for r in values_rows(max_n, points))

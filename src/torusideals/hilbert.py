@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, repeat
 
-from .chebfam import fpoly, fpoly_value, fpoly_values
+from .chebfam import fpoly, fpoly_value
 from .divisors import (
     OddDivisorTerm,
     a_coeffs,
@@ -225,11 +225,12 @@ def pn_eval_int(n: int, x: int) -> int:
     return cn_eval_int(n, x) // (x - 1) ** 2 if x != 1 else pg_eval_int(n, 2)
 
 
-def pg_values(max_n: int, x: int) -> list[int]:
-    """[G_1(x), ..., G_max_n(x)], the same sums, by a sieve over one list of
-    F-values: each odd d adds its term (r = m - (d+1)/2) to every n = m*d;
-    the primitive for sweeps, with ``pg_eval_int`` as its oracle."""
-    fvals = fpoly_values(max_n, x)
+def pg_values(fvals: list[int]) -> list[int]:
+    """[G_1(x), ..., G_max_n(x)] from ``fvals`` = [F_0(x), ...,
+    F_{max_n-1}(x)] (``fpoly_values(max_n, x)``), the same sums, by a sieve:
+    each odd d adds its term (r = m - (d+1)/2) to every n = m*d; the
+    primitive for sweeps, with ``pg_eval_int`` as its oracle."""
+    max_n = len(fvals)
     out = [0] * (max_n + 1)  # out[n] accumulates G_n(x)
     for d in range(1, max_n + 1, 2):
         half = (d + 1) // 2

@@ -100,12 +100,14 @@ class SequenceSpec:
 
 
 SEQUENCES: dict[str, SequenceSpec] = {
-    "pg3": SequenceSpec("pg3", 3, 1, lambda x, top: pg_values(top, x)),
+    "pg3": SequenceSpec("pg3", 3, 1,
+                        lambda x, top: pg_values(fpoly_values(top, x))),
     "pg_eval": SequenceSpec("pg_eval", None, 1,
-                            lambda x, top: pg_values(top, x)),
+                            lambda x, top: pg_values(fpoly_values(top, x))),
     "f_eval": SequenceSpec("f_eval", None, 0,
                            lambda x, top: fpoly_values(top + 1, x)),
-    "sigma": SequenceSpec("sigma", 2, 1, lambda x, top: pg_values(top, x)),
+    "sigma": SequenceSpec("sigma", 2, 1,
+                          lambda x, top: pg_values(fpoly_values(top, x))),
     "odd_div_count": SequenceSpec(
         "odd_div_count", 0, 1,
         lambda x, top: odd_divisor_counts(top)),
