@@ -204,6 +204,10 @@ class TestCompute:
                      ("table", "pg", "--max-n", "4000", "--format", "csv"),
                      ("table", "fpoly", "--max-n", "21000", "--format", "csv"),
                      ("table", "pg", "--max-n", str(10 ** 18)),
+                     # G_n(x) and F_{n-1}(x) at 3, 4 and 5: about 1.67 n^2
+                     ("table", "values", "--max-n", "10000"),
+                     ("table", "values", "--max-n", "10000", "--format",
+                      "json"),
                      # the decomposition strings: about 3 n^2 characters,
                      # over 8 n^2 as a padded text table
                      ("table", "decomp", "--max-n", "8000", "--format", "csv"),
@@ -469,6 +473,40 @@ class TestWholeCounts:
             n, cs = rows[-1]
             assert IntPoly(tuple(map(int, cs))).eval_int(3) == values[n]
 
+        # the values table, 141 MB as text: its cells stay the sweep's
+        # Decimals, text widths come from their exponents and JSON rows go
+        # out one at a time (53 MB); holding every cell string or row
+        # object ran out of memory here
+        top = 8000
+        for fmt in ("text", "json"):
+            with out.open("w", encoding="utf-8") as fh:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "torusideals.cli", "table",
+                     "values", "--max-n", str(top), "--N=3,-5",
+                     "--format", fmt],
+                    stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
+                    preexec_fn=limit, timeout=120)
+            assert proc.returncode == 0, (fmt, proc.stderr)
+            with out.open("rb") as fh:  # the last row, not the whole table
+                fh.seek(max(0, out.stat().st_size - (1 << 16)))
+                tail = fh.read().decode()
+            out.unlink()
+            if fmt == "json":
+                row = json.loads("{" + tail.rsplit("\n    {", 1)[1]
+                                 .removesuffix("\n  ]\n}\n"))
+            else:
+                row = dict(zip(["n", "pg_3", "f_3", "rel_3",
+                                "pg_-5", "f_-5", "rel_-5"],
+                               tail.splitlines()[-1].split()))
+            assert int(row["n"]) == top, fmt
+            for x in (3, -5):
+                with decimal_radix(x) as point:
+                    assert Decimal(row[f"pg_{x}"]) == \
+                        hilbert.pg_eval_int(top, point), (fmt, x)
+                    assert Decimal(row[f"f_{x}"]) == \
+                        fpoly_value(top - 1, point), (fmt, x)
+                assert row[f"rel_{x}"] == "other", (fmt, x)
+
 
 compute_argv = st.builds(
     lambda kind, n, x: ["compute", kind, f"--n={n}"]
@@ -529,6 +567,32 @@ class TestTable:
             got = [line.split() for line in out.splitlines()[2:]]
         assert got == rows
         assert "-0" not in {cell for row in got for cell in row}
+
+    def test_cell_width_is_the_printed_length(self):
+        # the text table widths a Decimal cell from its exponent, unformatted
+        with decimal_radix(10) as ten:
+            cells = [ten - ten, 12345 * ten ** 4400 + 1]  # past 4300 digits
+            for k in (1, 2, 9, 19, 28, 4300):
+                cells += [ten ** k - 1, ten ** k, 1 - ten ** k, -ten ** k]
+        cells += [0, 1, -1, 9, 10, -10, 2999, "equal", "off_by_one"]
+        assert [cli._width(c) for c in cells] == [len(str(c)) for c in cells]
+
+    def test_csv_cells_quoted_as_csv_writer_quotes(self, capsys, tmp_path):
+        rows = [["n", "a,b", 'say "hi"', "two\nlines", "cr\ronly", "", " x"],
+                [""], ["", ""], [], ['"'], [","], ["\n"]]
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(rows)
+        assert "".join(cli._csv_lines(rows)) == want.getvalue()
+        # a b-file stem is user text that reaches a CSV cell
+        b = tmp_path / "b,1.txt"
+        b.write_text("1 1\n", encoding="utf-8")
+        code, out = run(capsys, "oeis-check", "sigma", str(b),
+                        "--format", "csv")
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [["sequence", "bfile", "compared", "mismatches"],
+             ["sigma", "b,1", "1", "0"]])
+        assert (code, out) == (0, want.getvalue())
 
     def test_decomposition_strings(self):
         for n in range(1, 17):
