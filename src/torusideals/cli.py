@@ -99,6 +99,9 @@ _VALUES = {
     "pn": hilbert.pn_eval_int,
 }
 
+# The first index of each kind, where it is not 1
+_FIRST = {"tcheb": 0, "fpoly": 0}
+
 
 def _record(kind: str, fields: dict, text: str, fmt: str) -> Iterable[str]:
     """A one-record answer: ``{"kind": kind, **fields}`` as JSON, the fields
@@ -115,7 +118,7 @@ def _record(kind: str, fields: dict, text: str, fmt: str) -> Iterable[str]:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     kind, n, fmt = args.object, args.n, args.format
-    min_n = 0 if kind in ("tcheb", "fpoly") else 1
+    min_n = _FIRST.get(kind, 1)
     if n < min_n:
         print(f"error: --n must be >= {min_n} for {kind}", file=sys.stderr)
         return 2
@@ -255,17 +258,24 @@ _REL_LABEL = {0: "equal", 1: "off_by_one"}
 
 def values_rows(max_n: int, points: list[int]) -> list[dict]:
     """Paired exact decimal-radix values of the ideal-count and running-sum
-    families at each point, with the equal / off-by-one / other relation."""
+    families at each point, with the equal / off-by-one / other relation:
+    rows keyed ``n``, every ``pg_x``, every ``f_x``, every ``rel_x``.  A
+    repeated point is refused."""
+    repeats = [x for x, k in Counter(points).items() if k > 1]
+    if repeats:
+        raise ValueError(f"--N repeats the point {repeats[0]}")
     chebfam.check_digits(sum(2 * chebfam.value_digits(0, x, max_n)
                              for x in points))
-    cols = {}
+    pgs, fs, rels = {}, {}, {}  # each key string made once, for every row
     for x in points:
         with chebfam.decimal_radix(x) as point:
-            fs = chebfam.fpoly_values(max_n, point)
-            cols[x] = [(pg, f, _REL_LABEL.get(abs(pg - f), "other"))
-                       for pg, f in zip(hilbert.pg_values(fs), fs)]
-    return [{"n": n, **{x: col[n - 1] for x, col in cols.items()}}
-            for n in range(1, max_n + 1)]
+            f = fs[f"f_{x}"] = chebfam.fpoly_values(max_n, point)
+            pg = pgs[f"pg_{x}"] = hilbert.pg_values(f)
+            rels[f"rel_{x}"] = [_REL_LABEL.get(abs(a - b), "other")
+                                for a, b in zip(pg, f)]
+    keys = ["n", *pgs, *fs, *rels]
+    return [dict(zip(keys, row)) for row in zip(
+        range(1, max_n + 1), *pgs.values(), *fs.values(), *rels.values())]
 
 
 def tsum_string(n: int) -> str:
@@ -314,24 +324,16 @@ def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
 def _cmd_table(args: argparse.Namespace) -> int:
     which = args.which
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULTS[which]
-    if max_n < (0 if which in ("tcheb", "fpoly") else 1):
+    if max_n < _FIRST.get(which, 1):
         print("error: --max-n out of range", file=sys.stderr)
         return 2
 
     if which == "values":
         points = [int(p) for p in args.points.split(",")]
-        repeats = [x for x, k in Counter(points).items() if k > 1]
-        if repeats:
-            print(f"error: --N repeats the point {repeats[0]}",
-                  file=sys.stderr)
-            return 2
-        rows = ({"n": r["n"], **{f"{c}_{x}": r[x][i]
-                                 for i, c in enumerate(("pg", "f", "rel"))
-                                 for x in points}}
-                for r in values_rows(max_n, points))
         headers = ["n", *(f"{c}_{x}" for x in points
                           for c in ("pg", "f", "rel"))]
-        _emit(_cell_table(which, headers, rows, args.format), args.out)
+        _emit(_cell_table(which, headers, values_rows(max_n, points),
+                          args.format), args.out)
         return 0
 
     if which == "decomp":
@@ -347,7 +349,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 0
 
     # polynomial tables
-    start = 1 if which == "pg" else 0
+    start = _FIRST.get(which, 1)
     # the rates summed: 1^2 + ... + N^2 = N(N + 1)(2N + 1)/6
     chebfam.check_digits(_DIGIT_RATE[which] * max_n * (max_n + 1)
                          * (2 * max_n + 1) // 240)
@@ -382,7 +384,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"suite {r.suite}: n <= {r.max_n}: "
                          f"{r.passed} checks passed, {r.failed} failed: {status}")
             for f in r.failures[:20]:
-                lines.append(f"  {f.case}: expected {f.expected}, got {f.actual}")
+                lines.append("  {case}: expected {expected}, got {actual}"
+                             .format(**f))
             if len(r.failures) > 20:
                 lines.append(f"  ... and {len(r.failures) - 20} more")
         _emit((line + "\n" for line in lines), args.out)
@@ -392,19 +395,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- oeis-check --------------------------------------------------------------------
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
-    spec = SEQUENCES[args.sequence]
-    if spec.point is None and args.at is None:
-        print(f"error: sequence {args.sequence!r} requires --at",
-              file=sys.stderr)
-        return 2
-    if spec.point is not None and args.at is not None:
-        print(f"error: --at does not apply to {args.sequence}",
-              file=sys.stderr)
-        return 2
+    SEQUENCES[args.sequence].point_at(args.at)  # refused before any write
     if args.emit:
         count = emit_bfile(args.sequence, args.emit, at=args.at,
                            max_index=100 if args.max_n is None else args.max_n)
-        print(f"wrote {count} terms to {args.emit}")
+        # text keeps the notice on stdout; json and csv keep stdout parseable
+        print(f"wrote {count} terms to {args.emit}",
+              file=sys.stdout if args.format == "text" else sys.stderr)
         if args.bfile is None:
             return 0
     if args.bfile is None:
@@ -414,12 +411,6 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     bfile = parse_bfile(args.bfile)
     report = check_sequence(args.sequence, bfile, at=args.at,
                             max_index=args.max_n)
-    if not report.compared:
-        span = (f">= {spec.min_index}" if args.max_n is None
-                else f"in {spec.min_index}..{args.max_n}")
-        print(f"error: no b-file index {span}: nothing to compare",
-              file=sys.stderr)
-        return 2
     if args.format == "json":
         _emit(_json_pieces(report.to_json()), args.out)
     elif args.format == "csv":
@@ -454,8 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", parents=[common],
                        help="compute one polynomial or factorization")
-    p.add_argument("object",
-                   choices=("tcheb", "fpoly", "pg", "cn", "pn", "zeta"))
+    p.add_argument("object", choices=(*_VALUES, "zeta"))
     p.add_argument("--n", type=int, required=True, help="index n (or k)")
     p.add_argument("--eval", type=int, default=None, metavar="X",
                    help="evaluate at the integer X instead of printing "
@@ -464,8 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common],
                        help="reproduce a reference table")
-    p.add_argument("which",
-                   choices=("values", "pg", "tcheb", "fpoly", "decomp"))
+    p.add_argument("which", choices=tuple(TABLE_DEFAULTS))
     p.add_argument("--max-n", type=int, default=None,
                    help="last row (defaults to the reference range)")
     p.add_argument("--N", dest="points", default="3,4,5",

@@ -84,30 +84,35 @@ class SequenceSpec:
     min_index: int
     values: Callable[[Any, int], list]
 
-    def sweep(self, at: int | None, top: int) -> list:
-        """``values`` in the decimal radix, refused if too long, or if
-        ``at`` is missing for a sequence without a fixed point or given
-        for one with it."""
+    def point_at(self, at: int | None) -> int:
+        """The sweep's x: the fixed ``point``, or ``at`` for a sequence
+        without one; ``at`` is refused where it does not apply."""
+        if self.point is None and at is None:
+            raise ValueError(f"sequence {self.key!r} requires --at")
         if self.point is not None and at is not None:
-            raise ValueError(f"sequence {self.key!r} has the fixed point "
-                             f"{self.point}; at={at} does not apply")
-        x = self.point if self.point is not None else at
-        if x is None:
-            raise ValueError(f"sequence {self.key!r} needs an evaluation point")
+            raise ValueError(f"--at does not apply to {self.key}")
+        return self.point if at is None else at
+
+    def sweep(self, at: int | None, top: int) -> list:
+        """``values`` at ``point_at(at)`` in the decimal radix, refused if
+        too long."""
+        x = self.point_at(at)
         check_digits(value_digits(0, x, top - self.min_index + 1))
         with decimal_radix(x) as point:
             return self.values(point, top)
 
 
+def _pg_sweep(x: Any, top: int) -> list:
+    """G_1(x), ..., G_top(x) from one F-sweep."""
+    return pg_values(fpoly_values(top, x))
+
+
 SEQUENCES: dict[str, SequenceSpec] = {
-    "pg3": SequenceSpec("pg3", 3, 1,
-                        lambda x, top: pg_values(fpoly_values(top, x))),
-    "pg_eval": SequenceSpec("pg_eval", None, 1,
-                            lambda x, top: pg_values(fpoly_values(top, x))),
+    "pg3": SequenceSpec("pg3", 3, 1, _pg_sweep),
+    "pg_eval": SequenceSpec("pg_eval", None, 1, _pg_sweep),
     "f_eval": SequenceSpec("f_eval", None, 0,
                            lambda x, top: fpoly_values(top + 1, x)),
-    "sigma": SequenceSpec("sigma", 2, 1,
-                          lambda x, top: pg_values(fpoly_values(top, x))),
+    "sigma": SequenceSpec("sigma", 2, 1, _pg_sweep),
     "odd_div_count": SequenceSpec(
         "odd_div_count", 0, 1,
         lambda x, top: odd_divisor_counts(top)),
@@ -143,13 +148,16 @@ class SequenceCheckReport:
 def check_sequence(key: str, bfile: BFile, at: int | None = None,
                    max_index: int | None = None) -> SequenceCheckReport:
     """Compare the named sequence against a b-file over the overlapping
-    index range (up to ``max_index``)."""
+    index range (up to ``max_index``); an empty overlap is refused."""
     spec = SEQUENCES[key]
     wanted = [(idx, val) for idx, val in bfile.entries
               if idx >= spec.min_index
               and (max_index is None or idx <= max_index)]
-    top = max((i for i, _ in wanted), default=spec.min_index - 1)
-    values = spec.sweep(at, top)
+    if not wanted:
+        span = (f">= {spec.min_index}" if max_index is None
+                else f"in {spec.min_index}..{max_index}")
+        raise ValueError(f"no b-file index {span}: nothing to compare")
+    values = spec.sweep(at, wanted[-1][0])
     pairs = [(idx, val, values[idx - spec.min_index]) for idx, val in wanted]
     return SequenceCheckReport(key, bfile.sequence_id, len(wanted),
                                [p for p in pairs if p[1] != p[2]])

@@ -23,20 +23,14 @@ from .intpoly import (IntPoly, LaurentPoly, NonDivisibleError, ONE, TWO, X,
 
 
 @dataclass
-class Failure:
-    case: str
-    expected: str
-    actual: str
-
-
-@dataclass
 class VerifySuiteReport:
     """Pass/fail tally of one suite; process exit code is 0 iff no failures."""
 
     suite: str
     max_n: int
     passed: int = 0
-    failures: list[Failure] = field(default_factory=list)
+    # {"case", "expected", "actual"}, as the JSON report prints them
+    failures: list[dict[str, str]] = field(default_factory=list)
 
     @property
     def failed(self) -> int:
@@ -53,7 +47,8 @@ class VerifySuiteReport:
         if ok:
             self.passed += 1
         else:
-            self.failures.append(Failure(case, str(expected), str(actual)))
+            self.failures.append({"case": case, "expected": str(expected),
+                                  "actual": str(actual)})
 
     def equal(self, case: str, expected: object, actual: object) -> None:
         """Check actual == expected; each side is evaluated once, by the
@@ -66,10 +61,7 @@ class VerifySuiteReport:
             "max_n": self.max_n,
             "passed": self.passed,
             "failed": self.failed,
-            "failures": [
-                {"case": f.case, "expected": f.expected, "actual": f.actual}
-                for f in self.failures
-            ],
+            "failures": self.failures,
         }
 
 
@@ -177,7 +169,7 @@ def check_a_tail(rep: VerifySuiteReport, n: int) -> None:
               "all 1", tail)
 
 
-def verify_routes(max_n: int = 200) -> VerifySuiteReport:
+def verify_routes(max_n: int = DEFAULT_RANGES["routes"]) -> VerifySuiteReport:
     """Every route to the same polynomial agrees, and the count structure
     holds: four ways to G_n, two ways to C_n, the monomial route to the
     centered quotient, and the run/divisor combinatorics behind them."""
@@ -190,7 +182,7 @@ def verify_routes(max_n: int = 200) -> VerifySuiteReport:
     return rep
 
 
-def verify_cheb(max_n: int = 64) -> VerifySuiteReport:
+def verify_cheb(max_n: int = DEFAULT_RANGES["cheb"]) -> VerifySuiteReport:
     """Both polynomial families, built from their closed forms, agree with
     the three-term recurrence rolled here and with the matrix trace, and
     satisfy their recurrences and substitution identities."""
@@ -232,7 +224,7 @@ def verify_cheb(max_n: int = 64) -> VerifySuiteReport:
     return rep
 
 
-def verify_series(max_n: int = 64) -> VerifySuiteReport:
+def verify_series(max_n: int = DEFAULT_RANGES["series"]) -> VerifySuiteReport:
     """The generating-function expansions reproduce both families, replay
     the numerator identity, and are stable under deeper truncation."""
     rep = VerifySuiteReport("series", max_n)
@@ -276,7 +268,7 @@ def check_factor_identities(rep: VerifySuiteReport) -> None:
               [square.eval_int(x) for x in (0, -1, 2, -2)])
 
 
-def verify_mult(max_n: int = 60) -> VerifySuiteReport:
+def verify_mult(max_n: int = DEFAULT_RANGES["mult"]) -> VerifySuiteReport:
     """|G_m(x)| * |G_k(x)| = |G_{mk}(x)| for coprime m, k at x in {-2, -1,
     0, 2}; at x = 1 the left side is 1, 2 or 4 times the right according to
     {m, k} mod 3 ({0, 2} -> 2, {2} -> 4, else 1).  Then the closed factor
@@ -305,7 +297,7 @@ def verify_mult(max_n: int = 60) -> VerifySuiteReport:
     return rep
 
 
-def verify_zeta(max_n: int = 500) -> VerifySuiteReport:
+def verify_zeta(max_n: int = DEFAULT_RANGES["zeta"]) -> VerifySuiteReport:
     """Factor counts, exponent symmetry, the functional equation, and
     agreement with the factorization rebuilt from the coefficient formula."""
     rep = VerifySuiteReport("zeta", max_n)
@@ -350,7 +342,7 @@ def _sign_of(index: int | None) -> int:
     return 0 if index is None else 1 if index & 1 else -1
 
 
-def verify_special(max_n: int = 10000) -> VerifySuiteReport:
+def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
     """The defect kind read off the odd-divisor terms against the shape of
     n, with the signs of any F_0 and F_1 term against n being triangular
     (n = r(r+1)/2) or near-triangular (n = r(r+3)/2), sign (-1)^{r+1}; the

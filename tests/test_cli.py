@@ -32,6 +32,19 @@ def run(capsys, *argv: str) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
+def run_limited(mb: int, argv, stdout=subprocess.PIPE, timeout: int = 120):
+    """``python -m torusideals.cli *argv`` in a child process with ``mb``
+    MB of address space, limited in the child only; stderr is captured."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
+
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "torusideals.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, preexec_fn=limit, timeout=timeout)
+
+
 class TestCompute:
     def test_eval(self, capsys):
         code, out = run(capsys, "compute", "pg", "--n", "6", "--eval", "3")
@@ -94,35 +107,27 @@ class TestCompute:
         assert code == 2 and err.startswith("error: out of memory")
 
     def test_large_sizes_in_bounded_memory(self):
-        # 512 MB of address space, limited in the child only
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-
-        def run_limited(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "torusideals.cli", *argv],
-                capture_output=True, text=True, env=env, preexec_fn=limit,
-                timeout=120)
-
-        proc = run_limited("compute", "pg", "--n", "3000", "--format", "json")
+        # 512 MB of address space
+        proc = run_limited(512, ("compute", "pg", "--n", "3000", "--format",
+                                 "json"))
         assert proc.returncode == 0, proc.stderr
         pg = IntPoly(tuple(map(int, json.loads(proc.stdout)["coeffs"])))
         assert pg.degree == 2999 and pg.is_monic()
         assert pg.eval_int(2) == sum(d for d in range(1, 3001) if 3000 % d == 0)
         assert pg.eval_int(3) == hilbert.pg_eval_int(3000, 3)
 
-        proc = run_limited("compute", "fpoly", "--n", "6000", "--eval", "3")
+        proc = run_limited(512, ("compute", "fpoly", "--n", "6000", "--eval",
+                                 "3"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{fpoly_values(6001, 3)[-1]}\n"
 
         # small answers at sizes whose polynomials do not fit: V_k(1) has
         # period 6 in k, and (q - 1)^2 divides C_n
-        proc = run_limited("compute", "tcheb", "--n", "3000000", "--eval", "1")
+        proc = run_limited(512, ("compute", "tcheb", "--n", "3000000",
+                                 "--eval", "1"))
         assert (proc.returncode, proc.stdout) == (0, "2\n"), proc.stderr
-        proc = run_limited("compute", "cn", "--n", "100000000", "--eval", "1")
+        proc = run_limited(512, ("compute", "cn", "--n", "100000000",
+                                 "--eval", "1"))
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
     def test_huge_powers_of_two_answer_at_once(self, capsys):
@@ -184,12 +189,7 @@ class TestCompute:
                                    if odd % d == 0)
 
     def test_oversized_answers_refused_up_front(self):
-        # 512 MB of address space, limited in the child only
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
+        # 512 MB of address space
         for argv in (("compute", "fpoly", "--n", "1000000000", "--eval", "3"),
                      ("oeis-check", "f_eval", "--at", "10", "--max-n",
                       "1000000", "--emit", os.devnull),
@@ -213,10 +213,7 @@ class TestCompute:
                      ("table", "decomp", "--max-n", "8000", "--format", "csv"),
                      ("table", "decomp", "--max-n", "5000", "--format", "text")):
             before = resource.getrusage(resource.RUSAGE_CHILDREN)
-            proc = subprocess.run(
-                [sys.executable, "-m", "torusideals.cli", *argv],
-                capture_output=True, text=True, env=env, preexec_fn=limit,
-                timeout=60)
+            proc = run_limited(512, argv, timeout=60)
             after = resource.getrusage(resource.RUSAGE_CHILDREN)
             cpu = (after.ru_utime + after.ru_stime
                    - before.ru_utime - before.ru_stime)
@@ -411,13 +408,8 @@ class TestWholeCounts:
                                 "--format", fmt]) == want[fmt], (kind, fmt)
 
     def test_three_million_in_bounded_memory(self, tmp_path):
-        # 128 MB of address space, limited in the child only; the dense
-        # route needed 476 MB for the first of these
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
+        # 128 MB of address space; the dense route needed 476 MB for the
+        # first of these
         n = 3000000
         sigma = sum(divisors(n))
         out = tmp_path / "out"
@@ -425,11 +417,8 @@ class TestWholeCounts:
                                          ("pn", "csv", 2 * n - 1, sigma),
                                          ("cn", "json", 2 * n + 1, 0)):
             with out.open("w", encoding="utf-8") as fh:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "torusideals.cli", "compute", kind,
-                     "--n", str(n), "--format", fmt],
-                    stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
-                    preexec_fn=limit, timeout=120)
+                proc = run_limited(128, ("compute", kind, "--n", str(n),
+                                         "--format", fmt), stdout=fh)
             assert proc.returncode == 0, proc.stderr
             runs = runs_printed(out.read_text(encoding="utf-8"), fmt)
             out.unlink()
@@ -438,13 +427,8 @@ class TestWholeCounts:
             assert sum(v * k for v, k in runs) == total, (kind, fmt)
 
     def test_dense_answers_in_bounded_memory(self, tmp_path):
-        # 128 MB of address space, limited in the child only; written
-        # whole, the first of these needed 275 MB, the tables 138 and 172
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
+        # 128 MB of address space; written whole, the first of these
+        # needed 275 MB, the tables 138 and 172
         out = tmp_path / "out"
         values = fpoly_values(12001, 3)
         for argv in (("compute", "fpoly", "--n", "12000", "--format", "csv"),
@@ -452,10 +436,7 @@ class TestWholeCounts:
                      ("table", "fpoly", "--max-n", "1100", "--format",
                       "json")):
             with out.open("w", encoding="utf-8") as fh:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "torusideals.cli", *argv],
-                    stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
-                    preexec_fn=limit, timeout=120)
+                proc = run_limited(128, argv, stdout=fh)
             assert proc.returncode == 0, (argv, proc.stderr)
             with out.open(encoding="utf-8") as fh:
                 if argv[-1] == "json":
@@ -480,12 +461,9 @@ class TestWholeCounts:
         top = 8000
         for fmt in ("text", "json"):
             with out.open("w", encoding="utf-8") as fh:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "torusideals.cli", "table",
-                     "values", "--max-n", str(top), "--N=3,-5",
-                     "--format", fmt],
-                    stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
-                    preexec_fn=limit, timeout=120)
+                proc = run_limited(128, ("table", "values", "--max-n",
+                                         str(top), "--N=3,-5", "--format",
+                                         fmt), stdout=fh)
             assert proc.returncode == 0, (fmt, proc.stderr)
             with out.open("rb") as fh:  # the last row, not the whole table
                 fh.seek(max(0, out.stat().st_size - (1 << 16)))
@@ -538,9 +516,22 @@ class TestTable:
         for row in rows:
             n = row["n"]
             pg3, f3, pg4, f4, pg5, f5 = VALUES_TABLE[n]
-            assert row[3][:2] == (pg3, f3)
-            assert row[4][:2] == (pg4, f4)
-            assert row[5][:2] == (pg5, f5)
+            assert (row["pg_3"], row["f_3"]) == (pg3, f3)
+            assert (row["pg_4"], row["f_4"]) == (pg4, f4)
+            assert (row["pg_5"], row["f_5"]) == (pg5, f5)
+
+    def test_values_rows_keys(self):
+        # every pg_x, every f_x, every rel_x: the JSON key order; one string
+        # per key, shared by every row
+        rows = values_rows(40, [3, -5])
+        assert list(rows[0]) == ["n", "pg_3", "pg_-5", "f_3", "f_-5",
+                                 "rel_3", "rel_-5"]
+        assert all(a is b for row in rows[1:] for a, b in zip(row, rows[0]))
+        with pytest.raises(ValueError, match="^--N repeats the point 3$"):
+            values_rows(3, [3, 3])
+        # the first point, in order of first appearance, that repeats
+        with pytest.raises(ValueError, match="^--N repeats the point 0$"):
+            values_rows(3, [2, 0, -1, -1, 0])
 
     @pytest.mark.parametrize("points", [[0, 1, -1, 2, -2], [3, -3, 7]])
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -777,6 +768,23 @@ class TestOeisCheck:
         code, out = run(capsys, "oeis-check", "f_eval", "--at", "3", "--emit",
                         str(out_file), "--max-n", "0")
         assert code == 0 and out_file.read_text() == "0 1\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_emit_notice_leaves_stdout_parseable(self, capsys, tmp_path, fmt,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("b000203.txt").write_text("1 1\n2 3\n3 4\n", encoding="utf-8")
+        code = main(["oeis-check", "sigma", "b000203.txt", "--emit", "E",
+                     "--max-n", "20", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "wrote 20 terms to E\n"
+        if fmt == "json":
+            assert json.loads(captured.out)["compared"] == 3
+        else:
+            assert list(csv.reader(io.StringIO(captured.out))) == [
+                ["sequence", "bfile", "compared", "mismatches"],
+                ["sigma", "b000203", "3", "0"]]
+        assert len(Path("E").read_text(encoding="utf-8").splitlines()) == 20
 
     def test_no_bfile_no_emit(self, capsys):
         code, _ = run(capsys, "oeis-check", "sigma")

@@ -256,9 +256,9 @@ class TestMultiplicativity:
         rep = VerifySuiteReport("mult", 0)
         check_factor_identities(rep)
         failure, = rep.failures
-        assert failure.case == "square-difference divisibility"
-        assert failure.expected == "[0, 0, 0, 0]"
-        values = [int(v) for v in failure.actual.strip("[]").split(", ")]
+        assert failure["case"] == "square-difference divisibility"
+        assert failure["expected"] == "[0, 0, 0, 0]"
+        values = [int(v) for v in failure["actual"].strip("[]").split(", ")]
         assert len(values) == 4 and all(values)
         assert rep.passed == 2
 

@@ -11,6 +11,7 @@ from torusideals.hilbert import pg_eval_int
 from torusideals.oeis import (
     BFileError,
     SEQUENCES,
+    SequenceSpec,
     check_sequence,
     emit_bfile,
     parse_bfile,
@@ -111,19 +112,55 @@ class TestSequenceChecks:
 
     def test_eval_point_required(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n")
-        with pytest.raises(ValueError, match="evaluation point"):
-            check_sequence("pg_eval", parse_bfile(path))
+        out = tmp_path / "emitted.txt"
+        for key in ("pg_eval", "f_eval"):
+            message = f"^sequence '{key}' requires --at$"
+            with pytest.raises(ValueError, match=message):
+                check_sequence(key, parse_bfile(path))
+            with pytest.raises(ValueError, match=message):
+                emit_bfile(key, out, max_index=3)
+            assert not out.exists()
 
     @pytest.mark.parametrize("key", ["pg3", "sigma", "odd_div_count"])
     def test_at_refused_for_fixed_point_sequences(self, tmp_path, key):
         # sigma at 5 once compared G_n(2) and reported ok
         path = write(tmp_path, "b.txt", "1 1\n")
         out = tmp_path / "emitted.txt"
-        with pytest.raises(ValueError, match="at=5 does not apply"):
+        message = f"^--at does not apply to {key}$"
+        with pytest.raises(ValueError, match=message):
             check_sequence(key, parse_bfile(path), at=5)
-        with pytest.raises(ValueError, match="at=5 does not apply"):
+        with pytest.raises(ValueError, match=message):
             emit_bfile(key, out, at=5, max_index=3)
         assert not out.exists()
+
+    def test_point_at(self):
+        # the one statement of the --at rule: a fixed point or --at, not both
+        assert [SEQUENCES[k].point_at(None)
+                for k in ("pg3", "sigma", "odd_div_count")] == [3, 2, 0]
+        assert SEQUENCES["pg_eval"].point_at(-7) == -7
+        assert SEQUENCES["f_eval"].point_at(0) == 0
+        with pytest.raises(ValueError, match="^sequence 'f_eval' requires"):
+            SEQUENCES["f_eval"].point_at(None)
+        with pytest.raises(ValueError, match="^--at does not apply to pg3$"):
+            SEQUENCES["pg3"].point_at(3)  # even at its own point
+
+    def test_nothing_to_compare_is_refused(self, tmp_path, monkeypatch):
+        # no report with compared == 0: the library refuses before it sweeps
+        def no_sweep(self, at, top):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(SequenceSpec, "sweep", no_sweep)
+        far = parse_bfile(write(tmp_path, "far.txt", "5 6\n7 8\n"))
+        with pytest.raises(ValueError, match=r"^no b-file index in 1\.\.3: "
+                           "nothing to compare$"):
+            check_sequence("sigma", far, max_index=3)
+        low = parse_bfile(write(tmp_path, "low.txt", "-1 1\n0 1\n"))
+        with pytest.raises(ValueError, match="^no b-file index >= 1: "
+                           "nothing to compare$"):
+            check_sequence("sigma", low)
+        empty = parse_bfile(write(tmp_path, "empty.txt", "# no entries\n"))
+        with pytest.raises(ValueError, match="^no b-file index >= 0: "):
+            check_sequence("f_eval", empty, at=3)
 
     def test_report_json(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 2\n")
