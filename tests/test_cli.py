@@ -107,7 +107,6 @@ class TestCompute:
         assert code == 2 and err.startswith("error: out of memory")
 
     def test_large_sizes_in_bounded_memory(self):
-        # 512 MB of address space
         proc = run_limited(512, ("compute", "pg", "--n", "3000", "--format",
                                  "json"))
         assert proc.returncode == 0, proc.stderr
@@ -189,7 +188,6 @@ class TestCompute:
                                    if odd % d == 0)
 
     def test_oversized_answers_refused_up_front(self):
-        # 512 MB of address space
         for argv in (("compute", "fpoly", "--n", "1000000000", "--eval", "3"),
                      ("oeis-check", "f_eval", "--at", "10", "--max-n",
                       "1000000", "--emit", os.devnull),
