@@ -38,6 +38,10 @@ def _lines(pairs) -> str:
     return "".join(f"{i} {v}\n" for i, v in pairs)
 
 
+SPARSE = (1, 2, 7, 2046, 2047, 2048, 2049, 2050, 3001, 4095, 4096, 4097,
+          4500)
+
+
 # b-files from data independent of the library: the reference values
 # table, divisor sums and counts by trial, and the Lucas recurrence
 BFILES = {
@@ -55,6 +59,15 @@ BFILES = {
     "b_low.txt": "# below every first index\n-2 1\n-1 1\n",
     "b_bad.txt": "1 1\n2 x\n",
     "b,comma.txt": "1 1\n2 3\n3 4\n",
+    # sparse indices on both sides of the sweeps' blocks of 2^11 and 2^12,
+    # one value wrong in each
+    "b_sparse_sigma.txt": _lines(
+        (n, sum(d for d in range(1, n + 1) if n % d == 0) + (n == 4096))
+        for n in SPARSE),
+    "b_sparse_odd.txt": _lines(
+        (n, sum(1 for d in range(1, n + 1, 2) if n % d == 0) - (n == 2049))
+        for n in SPARSE),
+    "b_sparse_f2.txt": _lines((k, 2 * k + 1 + (k == 4500)) for k in SPARSE),
 }
 
 
@@ -80,6 +93,10 @@ def _oeis_commands() -> list[list[str]]:
         ["oeis-check", "sigma", "b_bad.txt"],
         ["oeis-check", "sigma", "b,comma.txt"],
         ["oeis-check", "sigma"],
+        ["oeis-check", "sigma", "b_sparse_sigma.txt"],
+        ["oeis-check", "odd_div_count", "b_sparse_odd.txt"],
+        ["oeis-check", "f_eval", "b_sparse_f2.txt", "--at=2"],
+        ["oeis-check", "sigma", "b_sparse_sigma.txt", "--max-n=4095"],
     ]
 
 
@@ -90,8 +107,10 @@ def corpus() -> list[list[str]]:
     polynomials of over 1500 coefficients and a table of 121 of them;
     ``oeis-check`` against the ``BFILES``; the refusals of sizes below
     each first index, of ``--eval`` for zeta, of a repeated point and of
-    ``--max-n 0`` for verify; each in every format.  Last, ``--emit`` in
-    text only."""
+    ``--max-n 0`` for verify; sweeps past a block of the odd-divisor walk:
+    checks against sparse b-files and a values table at |x| <= 2 and 3;
+    each in every format.  Last, ``--emit`` in text only, past a block
+    at every x in -3..3."""
     commands = []
     for n in (-1, 0, 1, 2, 5, 12, 45):
         commands.append(["compute", "zeta", f"--n={n}"])
@@ -113,11 +132,20 @@ def corpus() -> list[list[str]]:
                  for which in TABLE_DEFAULTS for n in (-1, 0)]
     commands.append(["table", "values", "--N=3,5,3"])
     commands.append(["verify", "all", "--max-n=0"])
+    commands.append(["table", "values", "--max-n=4500",
+                     "--N=-2,-1,0,1,2,3"])
     emits = [["oeis-check", "sigma", f"--emit={EMITTED}", "--max-n=20"],
              ["oeis-check", "f_eval", "b002878.txt", "--at=3",
               f"--emit={EMITTED}", "--max-n=12"],
              ["oeis-check", "pg_eval", f"--emit={EMITTED}"],
              ["oeis-check", "odd_div_count", "--at=2", f"--emit={EMITTED}"]]
+    # sweeps past a block: at |x| <= 2 past two of 2^11, at |x| = 3 past one
+    for x in range(-3, 4):
+        top = 4500 if abs(x) <= 2 else 2100
+        emits += [["oeis-check", seq, f"--at={x}", f"--emit={EMITTED}",
+                   f"--max-n={top}"] for seq in ("pg_eval", "f_eval")]
+    emits += [["oeis-check", seq, f"--emit={EMITTED}", "--max-n=4500"]
+              for seq in ("sigma", "odd_div_count")]
     return [[*argv, f"--format={fmt}"] for argv in commands
             for fmt in FORMATS] + [[*argv, "--format=text"] for argv in emits]
 
