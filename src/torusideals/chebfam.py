@@ -11,14 +11,16 @@ closed form, matrix trace, and the three-term recurrence that the ``verify``
 sweep rolls itself) so they can cross-validate one another.  The closed
 forms are the production route; values come from Lucas-sequence doubling
 (``tcheb_value``, ``fpoly_value``) or, for a whole sweep, the value recurrence
-(``fpoly_values``), for any number type: the CLI prints values computed
-in ``decimal_radix`` (linear-time ``str()``).  Nothing is cached.
+(``fpoly_stream``, ``fpoly_values``), for any number type: the CLI prints
+values computed in ``decimal_radix`` (linear-time ``str()``).  At x = -2,
+-1, 0 and 1 the values repeat in k (``fpoly_period``).  Nothing is cached.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
+from itertools import islice
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      DivisionByZero, Inexact, InvalidOperation, Overflow,
                      Rounded, localcontext)
@@ -29,6 +31,12 @@ from .intpoly import ONE, TWO, X, IntPoly
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[
     Inexact, Rounded, InvalidOperation, Overflow, DivisionByZero])
 MAX_DIGITS = 10 ** 8  #: the most digits an answer (summed over a sweep) may have
+#: the most values one sweep may have: the indices of ``oeis-check``, the
+#: rows times the points of ``table values``.  10^7 still admits
+#: ``oeis-check odd_div_count --max-n 10^7``, which answered before there
+#: was a limit; there ``oeis-check sigma --emit`` takes 14 s, and a values
+#: table at one point about 50 s as CSV and 3 min as JSON
+MAX_TERMS = 10 ** 7
 
 
 @contextmanager
@@ -53,6 +61,14 @@ def check_digits(size: int, unit: str = "digits") -> None:
                  else f"10^{math.log10(size):.0f}")
         raise ValueError(f"answer would have about {about} {unit} "
                          f"(limit {MAX_DIGITS:,})")
+
+
+def check_terms(count: int) -> None:
+    """Refuse a sweep of more than ``MAX_TERMS`` values; called after
+    ``check_digits``, which refuses every count past 10^8."""
+    if count > MAX_TERMS:
+        raise ValueError(f"sweep would have {count:,} terms "
+                         f"(limit {MAX_TERMS:,})")
 
 
 def value_digits(k: int, x: int, count: int = 1) -> int:
@@ -118,15 +134,33 @@ def fpoly_value(k: int, x: int) -> int:
     return (v - w) // (2 - x)
 
 
-def fpoly_values(count: int, x: int) -> list[int]:
-    """[F_0(x), ..., F_{count-1}(x)] by the value recurrence
+def fpoly_stream(x: int) -> Iterator[int]:
+    """F_0(x), F_1(x), ... without end, by the value recurrence
     F_{k+1}(x) = x*F_k(x) - F_{k-1}(x); the primitive for sweeps over k."""
+    a, b = 1, x + 1
+    while True:
+        yield a
+        a, b = b, x * b - a
+
+
+def fpoly_values(count: int, x: int) -> list[int]:
+    """[F_0(x), ..., F_{count-1}(x)] from ``fpoly_stream``."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    vals = [1, x + 1][:count]
-    while len(vals) < count:
-        vals.append(x * vals[-1] - vals[-2])
-    return vals
+    return list(islice(fpoly_stream(x), count))
+
+
+def fpoly_period(x: int) -> list[int]:
+    """F_0(x), ..., F_{p-1}(x) for the period p of F_k(x) in k at
+    x = -2, -1, 0 and 1 (p = 2, 3, 4 and 6), rolled from the recurrence.
+
+    >>> fpoly_period(1)
+    [1, 2, 1, -1, -2, -1]
+    """
+    if not -2 <= x <= 1:
+        raise ValueError("F_k(x) is periodic in k at x = -2, -1, 0, 1 only")
+    vals = list(islice(fpoly_stream(x), 8))
+    return vals[:next(p for p in range(2, 7) if vals[p:p + 2] == vals[:2])]
 
 
 def _ucheb(n: int) -> IntPoly:

@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
-from decimal import Decimal
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from decimal import Decimal, localcontext
 from itertools import chain
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
 from .intpoly import decimal_strs, format_terms, term_str
-from .oeis import SEQUENCES, check_sequence, emit_bfile, parse_bfile
+from .oeis import SEQUENCES, check_sequence, emit_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
 TABLE_DEFAULTS = {"values": 16, "pg": 12, "tcheb": 12, "fpoly": 11, "decomp": 16}
@@ -58,18 +58,21 @@ def _width(cell: object) -> int:
     return len(str(cell))
 
 
-def _text_table(headers: list[str], rows: list[list]) -> Iterator[str]:
-    """The cells under ``headers``, each column padded to its widest cell:
-    the widths come from ``_width``, and a cell's ``str`` is made only as
-    its line is written."""
-    widths = [max(len(h), *(_width(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    def fmt(cells: list) -> str:  # lines go out one by one, never joined
+def _text_table(headers: list[str], rows: Iterable[dict]) -> Iterator[str]:
+    """The rows' cells under ``headers``, each column padded to its widest
+    cell.  ``rows`` is iterated twice, first for the widths, from
+    ``_width``, then for the lines, and a cell's ``str`` is made only as its
+    line is written."""
+    widths = list(map(len, headers))
+    for r in rows:
+        widths = [max(w, _width(r[h])) for w, h in zip(widths, headers)]
+    def fmt(cells: Iterable) -> str:  # lines go out one by one, never joined
         return "  ".join(str(c).ljust(w)
                          for c, w in zip(cells, widths)).rstrip() + "\n"
     yield fmt(headers)
     yield fmt(["-" * w for w in widths])
-    yield from map(fmt, rows)
+    for r in rows:
+        yield fmt(r[h] for h in headers)
 
 
 # -- compute --------------------------------------------------------------------
@@ -256,26 +259,44 @@ def _text_run_pieces(runs: list[tuple[int, int]]) -> Iterator[str]:
 _REL_LABEL = {0: "equal", 1: "off_by_one"}
 
 
-def values_rows(max_n: int, points: list[int]) -> list[dict]:
-    """Paired exact decimal-radix values of the ideal-count and running-sum
-    families at each point, with the equal / off-by-one / other relation:
-    rows keyed ``n``, every ``pg_x``, every ``f_x``, every ``rel_x``.  A
-    repeated point is refused."""
+class _Sweep:
+    """The rows that ``rows()`` sweeps, swept anew on each iteration, so
+    that a text table can find its widths first and hold no row."""
+
+    def __init__(self, rows: Callable[[], Iterator[dict]]) -> None:
+        self._rows = rows
+
+    def __iter__(self) -> Iterator[dict]:
+        return self._rows()
+
+
+def values_rows(max_n: int, points: list[int]) -> Iterable[dict]:
+    """Paired exact values of the ideal-count and running-sum families at
+    each point, with the equal / off-by-one / other relation: rows keyed
+    ``n``, every ``pg_x``, every ``f_x``, every ``rel_x``, computed one
+    block of ``hilbert.pg_blocks`` at a time on each iteration.  A repeated
+    point, and a sweep past the digit or term limit, are refused here,
+    before any row."""
     repeats = [x for x, k in Counter(points).items() if k > 1]
     if repeats:
         raise ValueError(f"--N repeats the point {repeats[0]}")
     chebfam.check_digits(sum(2 * chebfam.value_digits(0, x, max_n)
                              for x in points))
-    pgs, fs, rels = {}, {}, {}  # each key string made once, for every row
-    for x in points:
-        with chebfam.decimal_radix(x) as point:
-            f = fs[f"f_{x}"] = chebfam.fpoly_values(max_n, point)
-            pg = pgs[f"pg_{x}"] = hilbert.pg_values(f)
-            rels[f"rel_{x}"] = [_REL_LABEL.get(abs(a - b), "other")
-                                for a, b in zip(pg, f)]
-    keys = ["n", *pgs, *fs, *rels]
-    return [dict(zip(keys, row)) for row in zip(
-        range(1, max_n + 1), *pgs.values(), *fs.values(), *rels.values())]
+    chebfam.check_terms(max_n * len(points))
+    keys = ["n", *(f"{c}_{x}" for c in ("pg", "f", "rel") for x in points)]
+
+    def rows() -> Iterator[dict]:  # each key string made once, for every row
+        start = 1
+        for swept in zip(*(hilbert.pg_blocks(max_n, x) for x in points)):
+            with localcontext(chebfam.EXACT):
+                rels = [[_REL_LABEL.get(abs(g - f), "other")
+                         for g, f in zip(gs, fs)] for fs, gs in swept]
+            stop = start + len(rels[0])
+            yield from (dict(zip(keys, row)) for row in zip(
+                range(start, stop), *(gs for _, gs in swept),
+                *(fs for fs, _ in swept), *rels))
+            start = stop
+    return _Sweep(rows)
 
 
 def tsum_string(n: int) -> str:
@@ -310,15 +331,16 @@ def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
                 fmt: str) -> Iterable[str]:
     """The rows, one row dict at a time: as the JSON ``_json_table`` of
     ``which``, each row with ``n`` a number and every other cell its
-    string, or as the ``headers`` cells, in CSV or padded text."""
-    if fmt == "json":
-        return _json_table(which, (
-            [json.dumps({k: v if k == "n" else str(v) for k, v in r.items()},
-                        indent=2).replace("\n", "\n    ")] for r in rows))
+    string, or as the ``headers`` cells, in CSV or padded text, for which
+    ``rows`` is iterated twice."""
+    if fmt == "json":  # json.dumps(row, indent=2), two levels deep
+        return _json_table(which, (["{\n      " + ",\n      ".join(
+            f"{json.dumps(k)}: {v if k == 'n' else json.dumps(str(v))}"
+            for k, v in r.items()) + "\n    }"] for r in rows))
     if fmt == "csv":
         return _csv_lines(chain([headers], (
             [str(r[h]) for h in headers] for r in rows)))
-    return _text_table(headers, [[r[h] for h in headers] for r in rows])
+    return _text_table(headers, rows)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -344,6 +366,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
                              * max_n * max_n, "characters")
         rows = ({"n": n, "tsum": tsum_string(n), "fdecomp": fdecomp_string(n)}
                 for n in range(1, max_n + 1))
+        if args.format == "text":  # read twice, so held: made once
+            rows = list(rows)
         _emit(_cell_table(which, ["n", "tsum", "fdecomp"], rows, args.format),
               args.out)
         return 0
@@ -354,7 +378,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     chebfam.check_digits(_DIGIT_RATE[which] * max_n * (max_n + 1)
                          * (2 * max_n + 1) // 240)
     if args.format == "text":
-        cells = [[str(n), str(_OBJECTS[which](n))]
+        cells = [{"n": str(n), which: str(_OBJECTS[which](n))}
                  for n in range(start, max_n + 1)]
         _emit(_text_table(["n", which], cells), args.out)
     else:
@@ -408,8 +432,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         print("error: provide a b-file to check against, or --emit",
               file=sys.stderr)
         return 2
-    bfile = parse_bfile(args.bfile)
-    report = check_sequence(args.sequence, bfile, at=args.at,
+    report = check_sequence(args.sequence, args.bfile, at=args.at,
                             max_index=args.max_n)
     if args.format == "json":
         _emit(_json_pieces(report.to_json()), args.out)

@@ -13,9 +13,15 @@ polynomial modules lean on:
   involution pairing the odd-length run for each odd divisor with an
   even-length partner.  These runs index the monomials of the ideal-count
   polynomials.
+
+It also owns the walk behind every sweep over n: ``blocks`` cuts 1..top
+into blocks, and ``odd_divisor_runs`` gives the odd divisors of each block
+as runs of offsets, which ``odd_divisor_counts`` counts and
+``hilbert.pg_blocks`` turns into values.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
@@ -36,16 +42,74 @@ def odd_divisors(n: int) -> list[int]:
     return _trial_divisors(n >> (n & -n).bit_length() - 1, 2)
 
 
-def odd_divisor_counts(top: int) -> list[int]:
-    """[len(odd_divisors(n)) for n = 1..top], by a counting sieve over odd d.
+#: The n that one block of an odd-divisor walk covers, for top < 2^14: the
+#: values of a sweep are held one block at a time
+BLOCK = 1 << 9
 
-    >>> odd_divisor_counts(9)
+
+def odd_divisor_runs(lo: int, hi: int) -> Iterator[tuple[slice, int, int, int]]:
+    """The pairs n = m*d with lo <= n <= hi and d >= 3 an odd divisor, as
+    runs (positions, length, r, step): the positions of their n - lo as a
+    slice, and along them the offset r = m - (d+1)/2, starting at r and
+    moving by step, +1 or -1, without changing sign.
+
+    Each d <= sqrt(hi) walks its multiples, r rising with m; each larger d
+    has a cofactor m < sqrt(hi), which walks the odd d, r falling.  A block
+    costs O(B log B + sqrt(hi)) steps for B = hi - lo + 1.
+
+    Over 9..12: d = 3 at 9 and 12 (r = 1, 2), then the cofactor 1 with
+    d = 9, 11 (r = -4, -5) and the cofactor 2 with d = 5 (r = -1):
+
+    >>> list(odd_divisor_runs(9, 12))  # doctest: +NORMALIZE_WHITESPACE
+    [(slice(0, 4, 3), 2, 1, 1), (slice(0, 3, 2), 2, -4, -1),
+     (slice(1, 2, 4), 1, -1, -1)]
+    """
+    root = isqrt(hi)
+    for d in range(3, root + 1, 2):  # m rises: r < 0 below m = (d+1)/2
+        half = (d + 1) // 2
+        first, last = -(-lo // d), hi // d
+        turn = min(max(first, half), last + 1)
+        for a, b in ((first, turn - 1), (turn, last)):
+            if a <= b:
+                yield (slice(a * d - lo, b * d - lo + 1, d), b - a + 1,
+                       a - half, 1)
+    for m in range(1, hi // (root + 1) + 1):  # d rises: r < 0 from d = 2m+1
+        first = max(root + 1, 3, -(-lo // m)) | 1
+        last = (hi // m - 1) | 1
+        turn = min(max(first, 2 * m + 1), last + 2)
+        for a, b in ((first, turn - 2), (turn, last)):
+            if a <= b:
+                yield (slice(m * a - lo, m * b - lo + 1, 2 * m),
+                       (b - a) // 2 + 1, m - (a + 1) // 2, -1)
+
+
+def blocks(top: int) -> Iterator[range]:
+    """n = 1..top as consecutive ranges of ``BLOCK`` n, or from top = 2^14
+    on of about 8 sqrt(top): the walk of a block costs about 1.5 sqrt(top)
+    runs besides its n, and the count of odd divisors to 10^7 took 27 s in
+    blocks of 2^11 and 7 s in blocks of 2^14.
+
+    >>> list(blocks(1200))
+    [range(1, 513), range(513, 1025), range(1025, 1201)]
+    >>> len(next(blocks(10 ** 7)))
+    25088
+    """
+    size = BLOCK * max(1, isqrt(top) >> 6)
+    return (range(lo, min(lo + size, top + 1)) for lo in range(1, top + 1, size))
+
+
+def odd_divisor_counts(top: int) -> Iterator[int]:
+    """len(odd_divisors(n)) for n = 1..top, one block at a time: the walk of
+    ``odd_divisor_runs`` with every term 1.
+
+    >>> list(odd_divisor_counts(9))
     [1, 1, 2, 1, 2, 2, 2, 1, 3]
     """
-    counts = [0] * (top + 1)
-    for d in range(1, top + 1, 2):
-        counts[d::d] = [c + 1 for c in counts[d::d]]
-    return counts[1:]
+    for block in blocks(top):
+        counts = [1] * len(block)  # d = 1
+        for sl, *_ in odd_divisor_runs(block.start, block[-1]):
+            counts[sl] = [c + 1 for c in counts[sl]]
+        yield from counts
 
 
 #: The most trial divisions one divisor list may take: about a second.

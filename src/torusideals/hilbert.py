@@ -19,7 +19,10 @@ The families, all exact, and the coefficient runs of two of them:
 * ``pg_*``: the degree n-1 polynomial G_n with G_n(q + q^{-1}) =
   P_n(q)/q^{n-1}, reachable by four independent routes (divisor-interval
   counts, odd-divisor sums of running-sum polynomials, Laurent round trip,
-  and the generating-function oracle in ``series``).
+  and the generating-function oracle in ``series``);
+* ``pg_blocks``: the values G_n(x) of a sweep over n, one block at a time,
+  from the odd-divisor walk of ``divisors.odd_divisor_runs``; the kernel of
+  every sweep that the CLI prints, with ``pg_eval_int`` as its oracle.
 
 The defect G_n - F_{n-1} has two routes of its own: ``approx_defect``
 builds it from the interval counts, ``defect_kind`` reads its shape off the
@@ -31,13 +34,18 @@ an n too large to factor, and a count that (q-1)^2 does not divide raise.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from collections.abc import Callable, Iterator
+from decimal import Decimal, localcontext
+from itertools import chain, cycle, islice, repeat
+from operator import add, sub
 
-from .chebfam import fpoly, fpoly_value
+from .chebfam import EXACT, fpoly, fpoly_period, fpoly_stream, fpoly_value
 from .divisors import (
     OddDivisorTerm,
     a_coeffs,
+    blocks,
     divisors,
+    odd_divisor_runs,
     odd_divisor_terms,
     odd_divisors,
     sequence_for_divisor,
@@ -225,20 +233,90 @@ def pn_eval_int(n: int, x: int) -> int:
     return cn_eval_int(n, x) // (x - 1) ** 2 if x != 1 else pg_eval_int(n, 2)
 
 
-def pg_values(fvals: list[int]) -> list[int]:
-    """[G_1(x), ..., G_max_n(x)] from ``fvals`` = [F_0(x), ...,
-    F_{max_n-1}(x)] (``fpoly_values(max_n, x)``), the same sums, by a sieve:
-    each odd d adds its term (r = m - (d+1)/2) to every n = m*d; the
-    primitive for sweeps, with ``pg_eval_int`` as its oracle."""
-    max_n = len(fvals)
-    out = [0] * (max_n + 1)  # out[n] accumulates G_n(x)
-    for d in range(1, max_n + 1, 2):
-        half = (d + 1) // 2
-        for m in range(1, min(half, max_n // d + 1)):  # r < 0
-            out[m * d] -= fvals[half - m - 1]
-        for n, f in zip(range(half * d, max_n + 1, d), fvals):  # r >= 0
-            out[n] += f
-    return out[1:]
+def _closed_terms(x: int) -> Callable[[int, int, int], tuple] | None:
+    """At |x| <= 2, the signed F-terms of the runs of ``odd_divisor_runs``
+    as ints: (r, step, count) -> (add, F_r(x), F_{r+step}(x), ... count of
+    them), with F_{-k-1}(x) = -F_k(x), the recurrence run backwards.  They
+    are 2r + 1 at x = 2 and periodic in r at x = -2, -1, 0, 1, so no list
+    of values is kept.  None at |x| > 2."""
+    if x == 2:
+        return lambda r, step, count: (
+            add, range(2 * r + 1, 2 * (r + step * count) + 1, 2 * step))
+    if abs(x) > 2:
+        return None
+    ahead = fpoly_period(x)
+    back, p = ahead[::-1], len(ahead)
+
+    def terms(r: int, step: int, count: int) -> tuple:
+        start = r % p if step > 0 else (-r - 1) % p
+        return add, islice(cycle(ahead if step > 0 else back),
+                           start, start + count)
+    return terms
+
+
+def _listed_terms(x: int, top: int) -> Callable[[int, int, int], tuple]:
+    """At |x| > 2, the signed F-terms of the runs for n <= top, as exact
+    ``Decimal``s from the list F_0(x), ..., F_{top//2}(x): (r, step, count)
+    -> (op, terms), with op subtracting F_{-r-1}(x) where r < 0.  Every
+    index asked for is below n/2: r < n/3 where r >= 0, and -r-1 <= (d-3)/2
+    where r < 0, for an odd divisor d >= 3 of n."""
+    with localcontext(EXACT):
+        fs = list(islice(fpoly_stream(Decimal(x)), top // 2 + 1))
+
+    def terms(r: int, step: int, count: int) -> tuple:
+        op = add
+        if r < 0:
+            r, step, op = -r - 1, -step, sub
+        stop = r + step * count
+        return op, fs[r:stop if stop >= 0 else None:step]
+    return terms
+
+
+def fpoly_blocks(count: int, x: int) -> Iterator[list]:
+    """F_0(x), ..., F_{count-1}(x) in the blocks of ``divisors.blocks``: as
+    ints at |x| <= 2, from the closed and periodic forms, and otherwise as
+    exact ``Decimal``s rolled by the value recurrence, printable in linear
+    time.  ``x`` may be an int or an integral ``Decimal``."""
+    x = int(x)
+    closed = _closed_terms(x)
+    stream = fpoly_stream(Decimal(x))
+    for block in blocks(count):
+        if closed:
+            yield list(closed(block.start - 1, 1, len(block))[1])
+        else:
+            with localcontext(EXACT):
+                fs = list(islice(stream, len(block)))
+            yield fs
+
+
+def pg_blocks(top: int, x: int) -> Iterator[tuple[list, list]]:
+    """The sweep of G_n(x) for n = 1..top, one block of ``divisors.blocks``
+    at a time: the lists of F_{n-1}(x) and of G_n(x) over the block, as
+    ``fpoly_blocks`` gives its values.
+
+    G_n(x) is the sum of F_r(x) over the odd divisors d of n, r = n/d -
+    (d+1)/2 and F_{-k-1} = -F_k: F_{n-1}(x) for d = 1, and the runs of
+    ``odd_divisor_runs`` for the rest.  So a sweep holds one block, and
+    at |x| > 2 also F_0(x), ..., F_{top//2}(x), about a quarter of the
+    sweep's digits.  ``pg_eval_int`` is its oracle.
+
+    >>> [gs for _, gs in pg_blocks(6, 2)]  # sigma(n)
+    [[1, 3, 4, 7, 6, 12]]
+    """
+    x = int(x)
+    terms = _closed_terms(x) or _listed_terms(x, top)
+    for block, fs in zip(blocks(top), fpoly_blocks(top, x)):
+        with localcontext(EXACT):
+            gs = list(fs)  # the d = 1 term
+            for sl, count, r, step in odd_divisor_runs(block.start, block[-1]):
+                op, vals = terms(r, step, count)
+                gs[sl] = map(op, gs[sl], vals)
+        yield fs, gs
+
+
+def pg_values(top: int, x: int) -> list:
+    """[G_1(x), ..., G_top(x)] from ``pg_blocks``, as one list."""
+    return [g for _, gs in pg_blocks(top, x) for g in gs]
 
 
 def approx_defect(n: int) -> IntPoly:

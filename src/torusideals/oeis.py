@@ -17,44 +17,43 @@ mode here.  The registry:
 
 ``sigma`` deliberately routes through G_n(2) rather than summing divisors:
 the point of the check is to validate the pipeline against independent
-reference data.  b-file values and sweeps are exact ``Decimal``s
-(``chebfam.decimal_radix``): linear time for values of any length.
+reference data.  b-file values are exact ``Decimal``s, and so are sweeps
+at |x| > 2 (small ints at |x| <= 2): linear time for values of any length.
+Neither a b-file nor a sweep is held whole: both are read a line or a
+block at a time (``hilbert.pg_blocks``), and a sweep is refused before its
+first value past ``chebfam.MAX_DIGITS`` digits or ``chebfam.MAX_TERMS``
+terms.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Decimal
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from .chebfam import (EXACT, check_digits, decimal_radix, fpoly_values,
-                      value_digits)
+from .chebfam import check_digits, check_terms, value_digits
 from .divisors import odd_divisor_counts
-from .hilbert import pg_values
+from .hilbert import fpoly_blocks, pg_blocks
 
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # an int() literal, unspaced
+_ZERO = Decimal(0)  # what a b-file's -0 reads as
 
 
 class BFileError(ValueError):
     """Malformed b-file; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class BFile:
-    """Parsed b-file: (index, value) entries with strictly increasing index."""
-
-    sequence_id: str
-    entries: tuple[tuple[int, Decimal], ...]
-
-
-def parse_bfile(path: str | Path) -> BFile:
-    """Read a b-file; raises ``BFileError`` with a line number on bad input.
-    Values are ``int()`` literals of any length, read as exact ``Decimal``."""
+def parse_bfile(path: str | Path) -> Iterator[tuple[int, Decimal]]:
+    """The (index, value) entries of a b-file, read a line at a time;
+    raises ``BFileError`` with a line number on a bad line, as it is
+    reached.  Values are ``int()`` literals of any length, read as exact
+    ``Decimal``."""
     path = Path(path)
-    entries: list[tuple[int, Decimal]] = []
     prev: int | None = None
-    with path.open(encoding="utf-8") as fh, localcontext(EXACT):
+    with path.open(encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -64,25 +63,24 @@ def parse_bfile(path: str | Path) -> BFile:
                 shown = line if len(line) <= 80 else line[:77] + "..."
                 raise BFileError(f"{path}:{lineno}: expected two integers "
                                  f"'index value', got {shown!r}")
-            idx, val = int(Decimal(parts[0])), +Decimal(parts[1])  # + reads -0 as 0
+            idx, val = int(Decimal(parts[0])), Decimal(parts[1]) or _ZERO
             if prev is not None and idx <= prev:
                 raise BFileError(
                     f"{path}:{lineno}: index {idx} not increasing (after {prev})")
             prev = idx
-            entries.append((idx, val))
-    return BFile(path.stem, tuple(entries))
+            yield idx, val
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A checkable sequence: ``values(x, top)`` lists the values at the
-    b-file indices min_index..top, as one sweep at x = ``point`` or, if
-    that is None, ``--at`` (the odd-divisor count ignores x)."""
+    """A checkable sequence: ``values(x, top)`` gives the values at the
+    b-file indices min_index..top, in order, as one sweep at x = ``point``
+    or, if that is None, ``--at`` (the odd-divisor count ignores x)."""
 
     key: str
     point: int | None
     min_index: int
-    values: Callable[[Any, int], list]
+    values: Callable[[int, int], Iterable]
 
     def point_at(self, at: int | None) -> int:
         """The sweep's x: the fixed ``point``, or ``at`` for a sequence
@@ -93,29 +91,33 @@ class SequenceSpec:
             raise ValueError(f"--at does not apply to {self.key}")
         return self.point if at is None else at
 
-    def sweep(self, at: int | None, top: int) -> list:
-        """``values`` at ``point_at(at)`` in the decimal radix, refused if
-        too long."""
+    def sweep(self, at: int | None, top: int) -> Iterator:
+        """``values`` at ``point_at(at)``, refused at once if too long;
+        computed one block at a time as they are read."""
         x = self.point_at(at)
-        check_digits(value_digits(0, x, top - self.min_index + 1))
-        with decimal_radix(x) as point:
-            return self.values(point, top)
+        count = top - self.min_index + 1
+        check_digits(value_digits(0, x, count))
+        check_terms(count)
+        return iter(self.values(x, top))
 
 
-def _pg_sweep(x: Any, top: int) -> list:
-    """G_1(x), ..., G_top(x) from one F-sweep."""
-    return pg_values(fpoly_values(top, x))
+def _pg_sweep(x: int, top: int) -> Iterator:
+    """G_1(x), ..., G_top(x)."""
+    return chain.from_iterable(gs for _, gs in pg_blocks(top, x))
+
+
+def _f_sweep(x: int, top: int) -> Iterator:
+    """F_0(x), ..., F_top(x)."""
+    return chain.from_iterable(fpoly_blocks(top + 1, x))
 
 
 SEQUENCES: dict[str, SequenceSpec] = {
     "pg3": SequenceSpec("pg3", 3, 1, _pg_sweep),
     "pg_eval": SequenceSpec("pg_eval", None, 1, _pg_sweep),
-    "f_eval": SequenceSpec("f_eval", None, 0,
-                           lambda x, top: fpoly_values(top + 1, x)),
+    "f_eval": SequenceSpec("f_eval", None, 0, _f_sweep),
     "sigma": SequenceSpec("sigma", 2, 1, _pg_sweep),
     "odd_div_count": SequenceSpec(
-        "odd_div_count", 0, 1,
-        lambda x, top: odd_divisor_counts(top)),
+        "odd_div_count", 0, 1, lambda x, top: odd_divisor_counts(top)),
 }
 
 
@@ -145,31 +147,44 @@ class SequenceCheckReport:
         }
 
 
-def check_sequence(key: str, bfile: BFile, at: int | None = None,
+def check_sequence(key: str, path: str | Path, at: int | None = None,
                    max_index: int | None = None) -> SequenceCheckReport:
-    """Compare the named sequence against a b-file over the overlapping
-    index range (up to ``max_index``); an empty overlap is refused."""
+    """Compare the named sequence against the b-file at ``path`` over the
+    overlapping index range (up to ``max_index``); an empty overlap is
+    refused.  The file is read twice: once to validate it and find the
+    last index of the overlap, which sizes the sweep, and once to compare
+    its entries with the sweep's values as they come."""
     spec = SEQUENCES[key]
-    wanted = [(idx, val) for idx, val in bfile.entries
-              if idx >= spec.min_index
-              and (max_index is None or idx <= max_index)]
-    if not wanted:
+
+    def wanted(entries: Iterable[tuple[int, Decimal]]) -> Iterator:
+        return ((idx, val) for idx, val in entries if idx >= spec.min_index
+                and (max_index is None or idx <= max_index))
+
+    compared = top = 0
+    for top, _ in wanted(parse_bfile(path)):
+        compared += 1
+    if not compared:
         span = (f">= {spec.min_index}" if max_index is None
                 else f"in {spec.min_index}..{max_index}")
         raise ValueError(f"no b-file index {span}: nothing to compare")
-    values = spec.sweep(at, wanted[-1][0])
-    pairs = [(idx, val, values[idx - spec.min_index]) for idx, val in wanted]
-    return SequenceCheckReport(key, bfile.sequence_id, len(wanted),
-                               [p for p in pairs if p[1] != p[2]])
+    values, at_index = spec.sweep(at, top), spec.min_index
+    report = SequenceCheckReport(key, Path(path).stem, compared)
+    for idx, val in wanted(parse_bfile(path)):
+        computed = next(islice(values, idx - at_index, None))
+        at_index = idx + 1
+        if val != computed:
+            report.mismatches.append((idx, val, computed))
+    return report
 
 
 def emit_bfile(key: str, path: str | Path, at: int | None = None,
                max_index: int = 100) -> int:
     """Write computed values in b-file format (candidate reference data for
-    sequences without one); returns the number of lines written."""
+    sequences without one), one line at a time as the sweep's blocks come;
+    returns the number of lines written."""
     spec = SEQUENCES[key]
     top = max(max_index, spec.min_index - 1)  # no lines below min_index
     values = spec.sweep(at, top)
-    with open(path, "w", encoding="utf-8") as fh:  # line by line: no copy
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{i} {v}\n" for i, v in enumerate(values, spec.min_index))
-    return len(values)
+    return top - spec.min_index + 1

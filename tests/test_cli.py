@@ -22,8 +22,10 @@ from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
 from torusideals import chebfam, cli, hilbert, verify, zeta
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
-from torusideals.divisors import divisors
-from torusideals.intpoly import IntPoly, X, exact_div, format_laurent
+from torusideals.divisors import divisors, odd_divisors
+from torusideals.intpoly import (IntPoly, LaurentPoly, X, exact_div,
+                                 format_laurent)
+from torusideals.oeis import emit_bfile
 from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
 
@@ -484,6 +486,92 @@ class TestWholeCounts:
                 assert row[f"rel_{x}"] == "other", (fmt, x)
 
 
+def tail(path: Path) -> str:
+    """The last 4 KB of a file, read from its end."""
+    with path.open("rb") as fh:
+        fh.seek(max(0, path.stat().st_size - (1 << 12)))
+        return fh.read().decode()
+
+
+class TestSweeps:
+    """``oeis-check`` and ``table values`` sweep one block at a time, and a
+    sweep past ``chebfam.MAX_TERMS`` is refused before its first byte."""
+
+    @pytest.mark.parametrize("seq,top", [("sigma", 500000),
+                                         ("odd_div_count", 5000000)])
+    def test_emit_in_bounded_memory(self, tmp_path, seq, top):
+        # 128 MB of address space: the whole sweep ran out of memory here
+        value = {"sigma": lambda n: sum(divisors(n)),
+                 "odd_div_count": lambda n: len(odd_divisors(n))}[seq]
+        emitted = tmp_path / "E"
+        proc = run_limited(128, ("oeis-check", seq, "--emit", str(emitted),
+                                 "--max-n", str(top)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote {top} terms to {emitted}\n"
+        assert tail(emitted).splitlines()[-3:] == [
+            f"{n} {value(n)}" for n in range(top - 2, top + 1)]
+
+    def test_check_in_bounded_memory(self, tmp_path):
+        # 128 MB of address space: holding the b-file of 500,000 lines and
+        # the sweep ran out of memory
+        bfile = tmp_path / "b000203.txt"
+        emit_bfile("sigma", bfile, max_index=500000)
+        with bfile.open("a", encoding="utf-8") as fh:
+            fh.write("500001 0\n")  # past --max-n
+        proc = run_limited(128, ("oeis-check", "sigma", str(bfile),
+                                 "--max-n", "500000"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == \
+            "sigma vs b000203: 500000 terms compared, 0 mismatches: PASS\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_values_table_in_bounded_memory(self, tmp_path, fmt):
+        # 128 MB of address space; the whole table of 250,000 rows ran out
+        # of memory in every format
+        top, out = 250000, tmp_path / "out"
+        with out.open("w", encoding="utf-8") as fh:
+            proc = run_limited(128, ("table", "values", "--N=1", "--max-n",
+                                     str(top), "--format", fmt), stdout=fh)
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "json":
+            row = json.loads("{" + tail(out).rsplit("\n    {", 1)[1]
+                             .removesuffix("\n  ]\n}\n"))
+            row = [str(row[k]) for k in ("n", "pg_1", "f_1", "rel_1")]
+        else:
+            row = tail(out).splitlines()[-1].split("," if fmt == "csv"
+                                                    else None)
+        assert row == [str(top), str(hilbert.pg_eval_int(top, 1)),
+                       str(fpoly_value(top - 1, 1)), "other"]
+
+    def test_sweeps_past_the_term_limit_refused_up_front(self, tmp_path):
+        # each exits 2 at once: no file, no byte on stdout
+        over = chebfam.MAX_TERMS + 1
+        emitted, table = tmp_path / "E", tmp_path / "T"
+        bfile = tmp_path / "b.txt"
+        bfile.write_text(f"1 1\n{over} 1\n", encoding="utf-8")
+        for argv, count in (
+                (("oeis-check", "sigma", "--emit", str(emitted), "--max-n",
+                  str(over)), over),
+                (("oeis-check", "odd_div_count", "--emit", str(emitted),
+                  "--max-n", str(2 * over)), 2 * over),
+                (("oeis-check", "f_eval", "--at", "-1", "--emit",
+                  str(emitted), "--max-n", str(over - 1)), over),
+                (("oeis-check", "sigma", str(bfile)), over),
+                (("table", "values", "--N=1", "--max-n", str(over), "--out",
+                  str(table)), over),
+                (("table", "values", "--N=0,-2", "--max-n",
+                  str(over // 2 + 1), "--format", "json"), over + 1)):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            proc = run_limited(128, argv, timeout=60)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            assert (proc.returncode, proc.stdout) == (2, ""), argv
+            assert proc.stderr == f"error: sweep would have {count:,} " \
+                "terms (limit 10,000,000)\n", argv
+            assert after.ru_utime + after.ru_stime \
+                - before.ru_utime - before.ru_stime < 1.0, argv
+            assert not emitted.exists() and not table.exists(), argv
+
+
 compute_argv = st.builds(
     lambda kind, n, x: ["compute", kind, f"--n={n}"]
     + ([] if x is None else [f"--eval={x}"]),
@@ -521,7 +609,7 @@ class TestTable:
     def test_values_rows_keys(self):
         # every pg_x, every f_x, every rel_x: the JSON key order; one string
         # per key, shared by every row
-        rows = values_rows(40, [3, -5])
+        rows = list(values_rows(40, [3, -5]))
         assert list(rows[0]) == ["n", "pg_3", "pg_-5", "f_3", "f_-5",
                                  "rel_3", "rel_-5"]
         assert all(a is b for row in rows[1:] for a, b in zip(row, rows[0]))
@@ -671,6 +759,15 @@ class TestVerify:
                       lambda n, x: pg_eval_int(n, x) + (n == 6))
             assert "  mult x=2 m=2 k=3: expected 13, got 12\n" \
                 in failures("mult", 3)
+        with monkeypatch.context() as m:
+            # a quotient that is not palindromic: the basis change refuses
+            # it, which is a failed check, not a usage error
+            pn_from_cn = hilbert.pn_from_cn
+            m.setattr(hilbert, "pn_from_cn", lambda n: pn_from_cn(n)
+                      + LaurentPoly(0, (int(n == 7),)))
+            assert "  pg interval=roundtrip n=7: expected X^6 + X^5 - " \
+                "5*X^4 - 4*X^3 + 5*X^2 + 2*X, got not palindromic: cannot " \
+                "change basis to X = q + 1/q\n" in failures("routes", 8)
         with monkeypatch.context() as m:
             m.setattr(hilbert, "defect_kind", lambda terms: "other")
             out = failures("special", 2)

@@ -1,11 +1,15 @@
 """Divisor arithmetic, interval counts, and consecutive-run combinatorics."""
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import square_plus_twice_square_count, two_squares_count
+from torusideals import divisors as divisors_module
 from torusideals.divisors import (
+    BLOCK,
     TRIAL_LIMIT,
     IncreasingSequence,
     a_coeff,
@@ -13,6 +17,8 @@ from torusideals.divisors import (
     divisors,
     involute,
     is_prime,
+    odd_divisor_counts,
+    odd_divisor_runs,
     odd_divisor_terms,
     odd_divisors,
     representations,
@@ -52,6 +58,29 @@ class TestDivisorBasics:
             if m > 1:
                 count *= 2
             assert len(odd_divisors(n)) == count, n
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, BLOCK])
+    def test_odd_divisor_counts_walk_the_blocks(self, block):
+        # the walk with every term 1, against the per-n divisor lists
+        with patch.object(divisors_module, "BLOCK", block):
+            assert list(odd_divisor_counts(1999)) == \
+                [len(odd_divisors(n)) for n in range(1, 2000)]
+
+    @given(st.integers(1, 5000), st.integers(0, 400))
+    def test_runs_hold_each_odd_divisor_once(self, lo, length):
+        # every odd d >= 3 of every n in the block, with its offset r, and
+        # no run that changes sign
+        hi = lo + length
+        got: dict[int, list[int]] = {n: [] for n in range(lo, hi + 1)}
+        for sl, count, r, step in odd_divisor_runs(lo, hi):
+            ns, rs = range(lo, hi + 1)[sl], range(r, r + step * count, step)
+            assert len(ns) == len(rs) == count > 0
+            assert min(rs) >= 0 or max(rs) < 0
+            for n, r_n in zip(ns, rs):
+                got[n].append(r_n)
+        assert {n: sorted(rs) for n, rs in got.items()} == {
+            n: sorted(t.r for t in odd_divisor_terms(n) if t.d > 1)
+            for n in got}
 
     def test_work_limit(self):
         # an odd part past (2 TRIAL_LIMIT)^2 is refused before any division;

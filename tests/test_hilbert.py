@@ -1,15 +1,22 @@
 """The ideal-count polynomial families and their cross-formulas."""
 from __future__ import annotations
 
+from itertools import chain
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import square_plus_twice_square_count, two_squares_count
 from refdata import PG_TABLE, VALUES_TABLE
-from torusideals import hilbert
-from torusideals.chebfam import fpoly, fpoly_values, tcheb, tcheb_value
+from torusideals import divisors as divisors_module, hilbert
+from torusideals.chebfam import (decimal_radix, fpoly, fpoly_period,
+                                 fpoly_value, fpoly_values, tcheb,
+                                 tcheb_value)
 from torusideals.divisors import (
+    BLOCK,
     a_coeffs,
+    blocks,
     divisors,
     odd_divisor_terms,
     odd_divisors,
@@ -22,6 +29,8 @@ from torusideals.hilbert import (
     cn_via_odd_divisors,
     defect_kind,
     expand_runs,
+    fpoly_blocks,
+    pg_blocks,
     pg_eval_int,
     pg_roundtrip,
     pg_values,
@@ -214,9 +223,45 @@ class TestValues:
     @pytest.mark.parametrize("x", range(-6, 7))
     def test_value_list_matches_single_values(self, x):
         # the odd-divisor sieve against the per-n sums
-        assert pg_values(fpoly_values(2000, x)) == \
+        assert pg_values(2000, x) == \
             [pg_eval_int(n, x) for n in range(1, 2001)]
-        assert pg_values([]) == []
+        assert pg_values(0, x) == []
+
+    @given(st.integers(0, 300), st.integers(-6, 6),
+           st.sampled_from((1, 2, 3, 7, BLOCK)), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_block_kernel_matches_the_oracles(self, top, x, block, radix):
+        # G_n(x) and F_{n-1}(x) block by block, with the point an int or in
+        # the decimal radix, against the per-n sums and Lucas doubling
+        with patch.object(divisors_module, "BLOCK", block), \
+                decimal_radix(x) as point:
+            at = point if radix else x
+            swept = list(pg_blocks(top, at))
+            fs = list(chain.from_iterable(fpoly_blocks(top + 1, at)))
+            assert [len(f) for f, _ in swept] == list(map(len, blocks(top)))
+            assert all(len(f) == len(g) <= block for f, g in swept)
+            assert [g for _, gs in swept for g in gs] == \
+                [pg_eval_int(n, at) for n in range(1, top + 1)]
+            assert [v for f, _ in swept for v in f] == fs[:top]
+            assert fs == [fpoly_value(k, at) for k in range(top + 1)]
+        assert "-0" not in {str(v) for _, gs in swept for v in gs} | \
+            {str(v) for v in fs}
+
+    @pytest.mark.parametrize("x", range(-2, 3))
+    def test_closed_and_periodic_forms(self, x):
+        # at |x| <= 2 the sweep keeps no list: F_k(2) = 2k + 1, and F_k(x)
+        # repeats with period 2, 3, 4, 6 at x = -2, -1, 0, 1
+        want = [fpoly_value(k, x) for k in range(1000)]
+        assert list(chain.from_iterable(fpoly_blocks(1000, x))) == want
+        if x == 2:
+            assert want == list(range(1, 2000, 2))
+            with pytest.raises(ValueError, match="periodic"):
+                fpoly_period(x)
+        else:
+            period = fpoly_period(x)
+            assert len(period) == {-2: 2, -1: 3, 0: 4, 1: 6}[x]
+            assert want == [period[k % len(period)] for k in range(1000)]
+        assert fpoly_values(1000, x) == want
 
     def test_count_values_match_polynomials(self):
         # the values behind ``compute tcheb|cn|pn --eval``, in ints

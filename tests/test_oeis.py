@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from decimal import Decimal
+from itertools import islice
 
 import pytest
 
@@ -35,33 +36,32 @@ class TestParsing:
     def test_comments_and_blanks(self, tmp_path):
         path = write(tmp_path, "b.txt",
                      "# header comment\n\n1 1\n2 3\n# inline comment line\n3 4\n")
-        bf = parse_bfile(path)
-        assert bf.entries == ((1, 1), (2, 3), (3, 4))
-        assert bf.sequence_id == "b"
+        assert tuple(parse_bfile(path)) == ((1, 1), (2, 3), (3, 4))
+        assert check_sequence("sigma", path).bfile_id == "b"
 
     def test_negative_and_large_values(self, tmp_path):
         path = write(tmp_path, "b.txt", "0 -5\n1 123456789012345678901234567890\n")
-        bf = parse_bfile(path)
-        assert bf.entries[1][1] == 123456789012345678901234567890
+        entries = tuple(parse_bfile(path))
+        assert entries[1][1] == 123456789012345678901234567890
 
     def test_bad_column_count(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n2 3 4\n")
         with pytest.raises(BFileError, match=r":2:"):
-            parse_bfile(path)
+            tuple(parse_bfile(path))
 
     def test_non_integer(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\nx 3\n")
         with pytest.raises(BFileError, match=r":2:"):
-            parse_bfile(path)
+            tuple(parse_bfile(path))
 
     def test_non_increasing_index(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n3 4\n2 3\n")
         with pytest.raises(BFileError, match=r":3:.*increasing"):
-            parse_bfile(path)
+            tuple(parse_bfile(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            parse_bfile(tmp_path / "nope.txt")
+            tuple(parse_bfile(tmp_path / "nope.txt"))
 
 
 class TestSequenceChecks:
@@ -69,7 +69,7 @@ class TestSequenceChecks:
         # the degree-k running sum at 3 equals the Lucas number L(2k+1)
         lines = "\n".join(f"{k} {lucas(2 * k + 1)}" for k in range(60))
         path = write(tmp_path, "b002878.txt", lines + "\n")
-        report = check_sequence("f_eval", parse_bfile(path), at=3)
+        report = check_sequence("f_eval", path, at=3)
         assert report.ok and report.compared == 60
 
     def test_sigma_against_divisor_sums(self, tmp_path):
@@ -78,7 +78,7 @@ class TestSequenceChecks:
 
         lines = "\n".join(f"{n} {sigma(n)}" for n in range(1, 120))
         path = write(tmp_path, "b000203.txt", lines + "\n")
-        report = check_sequence("sigma", parse_bfile(path))
+        report = check_sequence("sigma", path)
         assert report.ok and report.compared == 119
 
     def test_odd_divisor_count(self, tmp_path):
@@ -88,26 +88,26 @@ class TestSequenceChecks:
 
         lines = "\n".join(f"{n} {count(n)}" for n in range(1, 2000))
         path = write(tmp_path, "b001227.txt", lines + "\n")
-        report = check_sequence("odd_div_count", parse_bfile(path))
+        report = check_sequence("odd_div_count", path)
         assert report.ok and report.compared == 1999
-        assert SEQUENCES["odd_div_count"].sweep(None, 1999) == [
+        assert list(SEQUENCES["odd_div_count"].sweep(None, 1999)) == [
             len(odd_divisors(n)) for n in range(1, 2000)]
 
     def test_mismatch_is_reported(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n2 4\n3 999\n4 7\n")
-        report = check_sequence("sigma", parse_bfile(path))
+        report = check_sequence("sigma", path)
         assert not report.ok
         assert report.mismatches == [(2, 4, 3), (3, 999, 4)]
         assert report.compared == 4
 
     def test_max_index_cap(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n2 3\n3 4\n4 999\n")
-        report = check_sequence("sigma", parse_bfile(path), max_index=3)
+        report = check_sequence("sigma", path, max_index=3)
         assert report.ok and report.compared == 3
 
     def test_entries_below_min_index_skipped(self, tmp_path):
         path = write(tmp_path, "b.txt", "0 123\n1 1\n2 3\n")
-        report = check_sequence("sigma", parse_bfile(path))
+        report = check_sequence("sigma", path)
         assert report.ok and report.compared == 2
 
     def test_eval_point_required(self, tmp_path):
@@ -116,7 +116,7 @@ class TestSequenceChecks:
         for key in ("pg_eval", "f_eval"):
             message = f"^sequence '{key}' requires --at$"
             with pytest.raises(ValueError, match=message):
-                check_sequence(key, parse_bfile(path))
+                check_sequence(key, path)
             with pytest.raises(ValueError, match=message):
                 emit_bfile(key, out, max_index=3)
             assert not out.exists()
@@ -128,7 +128,7 @@ class TestSequenceChecks:
         out = tmp_path / "emitted.txt"
         message = f"^--at does not apply to {key}$"
         with pytest.raises(ValueError, match=message):
-            check_sequence(key, parse_bfile(path), at=5)
+            check_sequence(key, path, at=5)
         with pytest.raises(ValueError, match=message):
             emit_bfile(key, out, at=5, max_index=3)
         assert not out.exists()
@@ -150,21 +150,21 @@ class TestSequenceChecks:
             raise AssertionError("swept")
 
         monkeypatch.setattr(SequenceSpec, "sweep", no_sweep)
-        far = parse_bfile(write(tmp_path, "far.txt", "5 6\n7 8\n"))
+        far = write(tmp_path, "far.txt", "5 6\n7 8\n")
         with pytest.raises(ValueError, match=r"^no b-file index in 1\.\.3: "
                            "nothing to compare$"):
             check_sequence("sigma", far, max_index=3)
-        low = parse_bfile(write(tmp_path, "low.txt", "-1 1\n0 1\n"))
+        low = write(tmp_path, "low.txt", "-1 1\n0 1\n")
         with pytest.raises(ValueError, match="^no b-file index >= 1: "
                            "nothing to compare$"):
             check_sequence("sigma", low)
-        empty = parse_bfile(write(tmp_path, "empty.txt", "# no entries\n"))
+        empty = write(tmp_path, "empty.txt", "# no entries\n")
         with pytest.raises(ValueError, match="^no b-file index >= 0: "):
             check_sequence("f_eval", empty, at=3)
 
     def test_report_json(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 2\n")
-        report = check_sequence("sigma", parse_bfile(path))
+        report = check_sequence("sigma", path)
         enc = report.to_json()
         assert enc["compared"] == 1
         assert enc["mismatches"] == [
@@ -176,14 +176,13 @@ class TestEmit:
         out = tmp_path / "candidate.txt"
         count = emit_bfile("pg_eval", out, at=4, max_index=16)
         assert count == 16
-        report = check_sequence("pg_eval", parse_bfile(out), at=4)
+        report = check_sequence("pg_eval", out, at=4)
         assert report.ok and report.compared == 16
 
     def test_emit_respects_min_index(self, tmp_path):
         out = tmp_path / "f.txt"
         emit_bfile("f_eval", out, at=5, max_index=5)
-        bf = parse_bfile(out)
-        assert bf.entries[0] == (0, 1)  # the degree-0 polynomial is 1
+        assert next(parse_bfile(out)) == (0, 1)  # the degree-0 polynomial is 1
 
     def test_registry_metadata(self):
         assert SEQUENCES["pg3"].min_index == 1
@@ -208,34 +207,33 @@ class TestLongValues:
         with decimal_radix(big) as exact_big:
             text = f"0 1\n1 -{exact_big}\n2 +{exact_big}\n"
         path = write(tmp_path, "b.txt", text)
-        (_, a), (_, b), (_, c) = parse_bfile(path).entries
+        (_, a), (_, b), (_, c) = parse_bfile(path)
         assert (a, b, c) == (1, -big, big)
         assert isinstance(b, Decimal)
 
     def test_int_literals_only(self, tmp_path):
         path = write(tmp_path, "ok.txt", "1 -0\n2 007\n3 1_000\n4 +5\n")
-        entries = parse_bfile(path).entries
+        entries = tuple(parse_bfile(path))
         assert entries == ((1, 0), (2, 7), (3, 1000), (4, 5))
         assert str(entries[0][1]) == "0"
         for bad in ("1e5", "NaN", "1.0", "Infinity", "0x10", "1__0", "_1"):
             path = write(tmp_path, "bad.txt", f"1 1\n2 {bad}\n")
             with pytest.raises(BFileError, match=r":2:"):
-                parse_bfile(path)
+                tuple(parse_bfile(path))
 
     def test_long_line_cut_in_message(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 " + "9" * 10000 + "x\n")
         with pytest.raises(BFileError) as exc:
-            parse_bfile(path)
+            tuple(parse_bfile(path))
         quoted = str(exc.value).split(" got ", 1)[1]
         assert len(quoted) <= 82 and quoted.endswith("...'")
 
     def test_round_trip_past_the_int_digit_limit(self, tmp_path):
         out = tmp_path / "f7.txt"  # F_k(7) passes 4300 digits at k ~ 5150
         assert emit_bfile("f_eval", out, at=7, max_index=6000) == 6001
-        bfile = parse_bfile(out)
-        report = check_sequence("f_eval", bfile, at=7)
+        report = check_sequence("f_eval", out, at=7)
         assert report.ok and report.compared == 6001
-        index, value = bfile.entries[6000]
+        index, value = next(islice(parse_bfile(out), 6000, None))
         assert index == 6000 and value == fpoly_value(6000, 7)
 
     def test_refuses_oversized_sweeps(self, tmp_path):
