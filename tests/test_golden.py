@@ -109,8 +109,9 @@ def corpus() -> list[list[str]]:
     each first index, of ``--eval`` for zeta, of a repeated point and of
     ``--max-n 0`` for verify; sweeps past a block of the odd-divisor walk:
     checks against sparse b-files and a values table at |x| <= 2 and 3;
-    each in every format.  Last, ``--emit`` in text only, past a block
-    at every x in -3..3."""
+    whole polynomials at n = 3000 and a malformed ``--N``; each in every
+    format.  Last, in text only: ``--emit`` past a block at every x in
+    -3..3, and the polynomial and decomposition tables to 200."""
     commands = []
     for n in (-1, 0, 1, 2, 5, 12, 45):
         commands.append(["compute", "zeta", f"--n={n}"])
@@ -134,20 +135,28 @@ def corpus() -> list[list[str]]:
     commands.append(["verify", "all", "--max-n=0"])
     commands.append(["table", "values", "--max-n=4500",
                      "--N=-2,-1,0,1,2,3"])
-    emits = [["oeis-check", "sigma", f"--emit={EMITTED}", "--max-n=20"],
-             ["oeis-check", "f_eval", "b002878.txt", "--at=3",
-              f"--emit={EMITTED}", "--max-n=12"],
-             ["oeis-check", "pg_eval", f"--emit={EMITTED}"],
-             ["oeis-check", "odd_div_count", "--at=2", f"--emit={EMITTED}"]]
+    commands += [["compute", kind, "--n=3000"]
+                 for kind in ("tcheb", "fpoly", "pg")]
+    commands += [["table", "values", "--N=3,,4"], ["table", "values", "--N=x"]]
+    text_only = [
+        ["oeis-check", "sigma", f"--emit={EMITTED}", "--max-n=20"],
+        ["oeis-check", "f_eval", "b002878.txt", "--at=3", f"--emit={EMITTED}",
+         "--max-n=12"],
+        ["oeis-check", "pg_eval", f"--emit={EMITTED}"],
+        ["oeis-check", "odd_div_count", "--at=2", f"--emit={EMITTED}"]]
     # sweeps past a block: at |x| <= 2 past two of 2^11, at |x| = 3 past one
     for x in range(-3, 4):
         top = 4500 if abs(x) <= 2 else 2100
-        emits += [["oeis-check", seq, f"--at={x}", f"--emit={EMITTED}",
-                   f"--max-n={top}"] for seq in ("pg_eval", "f_eval")]
-    emits += [["oeis-check", seq, f"--emit={EMITTED}", "--max-n=4500"]
-              for seq in ("sigma", "odd_div_count")]
-    return [[*argv, f"--format={fmt}"] for argv in commands
-            for fmt in FORMATS] + [[*argv, "--format=text"] for argv in emits]
+        text_only += [["oeis-check", seq, f"--at={x}", f"--emit={EMITTED}",
+                       f"--max-n={top}"] for seq in ("pg_eval", "f_eval")]
+    text_only += [["oeis-check", seq, f"--emit={EMITTED}", "--max-n=4500"]
+                  for seq in ("sigma", "odd_div_count")]
+    # text tables of 200 rows, whose columns are padded to the widest cell
+    text_only += [["table", which, "--max-n=200"]
+                  for which in ("tcheb", "pg", "fpoly", "decomp")]
+    return ([[*argv, f"--format={fmt}"] for argv in commands
+             for fmt in FORMATS]
+            + [[*argv, "--format=text"] for argv in text_only])
 
 
 @contextmanager
