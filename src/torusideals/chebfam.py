@@ -18,9 +18,10 @@ values computed in ``decimal_radix`` (linear-time ``str()``).  At x = -2,
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice, repeat, zip_longest
+from operator import mul
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      DivisionByZero, Inexact, InvalidOperation, Overflow,
                      Rounded, localcontext)
@@ -163,34 +164,130 @@ def fpoly_period(x: int) -> list[int]:
     return vals[:next(p for p in range(2, 7) if vals[p:p + 2] == vals[:2])]
 
 
-def _ucheb(n: int) -> IntPoly:
-    """U_n = sum (-1)^m C(n-m, m) X^{n-2m}, the monic second-kind Chebyshev
-    polynomial (zero for n < 0); each binomial comes from the previous one
-    by the ratio (n-2m+2)(n-2m+1) / (m(n-m+1)), one small product each."""
-    out = [0] * (n + 1)
-    c = 1
-    for m in range(n // 2 + 1):
+def _binomial_run(n: int, shift: int, descending: bool) -> Iterator[int]:
+    """(-1)^m c_m for m = 0..n//2, the coefficients of X^{n-2m}: from
+    X^n down or, ascending, from the lowest power up.  c_0 = 1 and
+    c_m = c_{m-1} (n-2m+2)(n-2m+1) / (m (n-m+1-shift)), one small product
+    and one exact division per step, run backwards from c_{n//2} when
+    ascending: c_m = C(n-m, m) at shift 0, the monic second-kind
+    Chebyshev polynomial U_n (nothing for n < 0), and
+    c_m = n/(n-m) C(n-m, m) = C(n-m, m) + C(n-m-1, m-1) at shift 1, V_n
+    for n >= 1."""
+    top, n1 = n // 2, n + 1 - shift
+    if descending:
+        c, a = 1, n  # a = n - 2m + 2 at step m
+        for m in range(top + 1):
+            if m:  # an exact division: the sign alternates with -c
+                c = -c * (a * (a - 1)) // (m * (n1 - m))
+                a -= 2
+            yield c
+        return
+    # c_top: 1 and 2 for even n, (n+1)/2 and n for odd n
+    c = (shift + 1) if n % 2 == 0 else (n if shift else (n + 1) // 2)
+    c, a = (-c if top & 1 else c), n - 2 * top + 2
+    for m in range(top, -1, -1):
+        yield c
         if m:
-            c = c * (n - 2 * m + 2) * (n - 2 * m + 1) // (m * (n - m + 1))
-        out[n - 2 * m] = -c if m & 1 else c
-    return IntPoly(tuple(out))
+            c = -c * (m * (n1 - m)) // (a * (a - 1))
+            a += 2
+
+
+def _interleave(k: int, hi: Iterable[int], lo: Iterable[int],
+                descending: bool) -> Iterator[int]:
+    """The k + 1 coefficients of a degree-k polynomial whose terms
+    X^{k-2m} come from the run ``hi`` and X^{k-1-2m} from ``lo``, both in
+    the order asked for; the ascending order starts from ``lo`` when k is
+    odd.  ``lo`` may be longer than its share, as V_k's endless zeros."""
+    if not descending and k % 2:
+        hi, lo = lo, hi
+    return islice(chain.from_iterable(zip_longest(hi, lo)), k + 1)
+
+
+def tcheb_coeffs(k: int, descending: bool = False) -> Iterator[int]:
+    """The k + 1 coefficients of V_k, from X^0 up or, descending, from X^k
+    down, each made as it is read: the coefficient of X^{k-2m} is
+    (-1)^m (C(k-m, m) + C(k-m-1, m-1)), with zeros between.
+
+    >>> list(tcheb_coeffs(4)), list(tcheb_coeffs(3, descending=True))
+    ([2, 0, -4, 0, 1], [1, 0, -3, 0])
+    """
+    if k < 0:
+        raise ValueError("tcheb index must be non-negative")
+    if not k:
+        return iter((2,))
+    return _interleave(k, _binomial_run(k, 1, descending), repeat(0),
+                       descending)
+
+
+def fpoly_coeffs(k: int, descending: bool = False) -> Iterator[int]:
+    """The k + 1 coefficients of F_k = U_k + U_{k-1}, from X^0 up or,
+    descending, from X^k down, each made as it is read: two interleaved
+    binomial runs, (-1)^m C(k-m, m) at X^{k-2m} and (-1)^m C(k-m-1, m) at
+    X^{k-2m-1}.
+
+    >>> list(fpoly_coeffs(4)), list(fpoly_coeffs(3, descending=True))
+    ([1, -2, -3, 1, 1], [1, 1, -2, -1])
+    """
+    if k < 0:
+        raise ValueError("fpoly index must be non-negative")
+    return _interleave(k, _binomial_run(k, 0, descending),
+                       _binomial_run(k - 1, 0, descending), descending)
+
+
+def fpoly_sum(terms: Iterable[tuple[int, int]],
+              descending: bool = False) -> Iterator[int]:
+    """The coefficients of sum c F_r over the (c, r) ``terms``, up to the
+    largest r, from X^0 up or, descending, from the top down: the streams
+    of ``fpoly_coeffs`` merged as they come, one coefficient of each at a
+    time; no dense polynomial is built.  Nothing for no terms.
+
+    >>> list(fpoly_sum([(1, 2), (-3, 0)]))  # X^2 + X - 1 - 3
+    [-4, 1, 1]
+    """
+    terms = sorted(terms, key=lambda t: t[1], reverse=descending)
+    streams = [(r, fpoly_coeffs(r, descending) if c == 1
+                else map(mul, fpoly_coeffs(r, descending), repeat(c)))
+               for c, r in terms]
+
+    def merged(active: list[Iterator[int]]) -> Iterator[int]:
+        # zip stops at its first argument's end without reading the rest
+        return active[0] if len(active) == 1 else map(sum, zip(*active))
+
+    # one segment per span of powers that the same streams cover, chained
+    # in C: nothing is read before its segment is
+    segments = []
+    if descending:  # a term joins at its top power; all end at X^0
+        active: list[Iterator[int]] = []
+        for r, stream in streams:
+            if active and e > r:
+                segments.append(islice(merged(active), e - r))
+            active.append(stream)
+            e = r
+        if active:
+            segments.append(merged(active))
+    else:
+        while streams:  # the shortest first, dropped at its end
+            segments.append(merged([stream for _, stream in streams]))
+            streams = [(r, st) for r, st in streams if r > streams[0][0]]
+    return chain.from_iterable(segments)
 
 
 def tcheb_closed(k: int) -> IntPoly:
     """Closed form of tcheb(k) for k >= 1: the coefficient of X^{k-2m} is
-    (-1)^m * (C(k-m, m) + C(k-m-1, m-1)), i.e. V_k = U_k - U_{k-2}."""
+    (-1)^m * (C(k-m, m) + C(k-m-1, m-1)), i.e. V_k = U_k - U_{k-2};
+    ``tcheb_coeffs`` collected."""
     if k < 1:
         raise ValueError("closed form is stated for k >= 1")
-    return _ucheb(k) - _ucheb(k - 2)
+    return IntPoly(tuple(tcheb_coeffs(k)))
 
 
 def fpoly_closed(k: int) -> IntPoly:
     """Closed form of fpoly(k) for k >= 1 as two interleaved binomial sums:
     sum (-1)^m C(k-m, m) X^{k-2m}  +  sum (-1)^m C(k-m-1, m) X^{k-2m-1},
-    i.e. F_k = U_k + U_{k-1}."""
+    i.e. F_k = U_k + U_{k-1}; ``fpoly_coeffs`` collected."""
     if k < 1:
         raise ValueError("closed form is stated for k >= 1")
-    return _ucheb(k) + _ucheb(k - 1)
+    return IntPoly(tuple(fpoly_coeffs(k)))
 
 
 def tcheb_trace(k: int) -> IntPoly:

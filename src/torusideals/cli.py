@@ -11,13 +11,13 @@ import argparse
 import json
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, localcontext
-from itertools import chain
+from itertools import chain, islice
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import decimal_strs, format_terms, term_str
+from .intpoly import decimal_strs, format_terms, term_str, terms_width
 from .oeis import SEQUENCES, check_sequence, emit_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -52,9 +52,12 @@ def _json_pieces(obj: object) -> Iterator[str]:
 
 def _width(cell: object) -> int:
     """``len(str(cell))``, for an integral ``Decimal`` of exponent 0 (a value
-    from ``decimal_radix``) read off its exponent instead of formatted."""
+    from ``decimal_radix``) read off its exponent, and for a ``_Poly``
+    summed from its terms, instead of formatted."""
     if isinstance(cell, Decimal):
         return cell.adjusted() + 1 + cell.is_signed()
+    if isinstance(cell, _Poly):
+        return terms_width(cell.degree, cell.coeffs(descending=True), "X")
     return len(str(cell))
 
 
@@ -62,7 +65,8 @@ def _text_table(headers: list[str], rows: Iterable[dict]) -> Iterator[str]:
     """The rows' cells under ``headers``, each column padded to its widest
     cell.  ``rows`` is iterated twice, first for the widths, from
     ``_width``, then for the lines, and a cell's ``str`` is made only as its
-    line is written."""
+    line is written; the last column is padded too, so the dash line
+    under it is as wide as its widest cell, before the line's ``rstrip``."""
     widths = list(map(len, headers))
     for r in rows:
         widths = [max(w, _width(r[h])) for w, h in zip(widths, headers)]
@@ -77,18 +81,20 @@ def _text_table(headers: list[str], rows: Iterable[dict]) -> Iterator[str]:
 
 # -- compute --------------------------------------------------------------------
 
-_OBJECTS = {
-    "tcheb": chebfam.tcheb,
-    "fpoly": chebfam.fpoly,
-    "pg": hilbert.pg_via_odd_divisors,
+# each dense kind's coefficient stream, from X^0 up or, descending, from
+# the top down; written as it comes, never held
+_COEFFS = {
+    "tcheb": chebfam.tcheb_coeffs,
+    "fpoly": chebfam.fpoly_coeffs,
+    "pg": hilbert.pg_coeffs,
 }
 
 # C_n and P_n are written from their coefficient runs, never densely
 _RUNS = {"cn": hilbert.cn_runs, "pn": hilbert.pn_runs}
 
-#: The most coefficients one written piece holds: a slice of F_20000's
-#: coefficients, of up to 4178 digits each, stays under 5 MB
-_PIECE = 1 << 10
+#: The most coefficients one written piece holds: a slice of F_25000's
+#: coefficients, of up to 5223 digits each, stays under 1.5 MB
+_PIECE = 1 << 8
 
 # Coefficient digits of V_k, and of F_k and G_{k+1}, per k^2, in 40ths:
 # V_3000 has 677,334 of them, F_3000 and G_3001 have 1,350,816
@@ -151,18 +157,39 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         pieces = (([str(v)], k) for v, k in runs)
     else:
         chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
-        cs = _OBJECTS[kind](n).coeffs
-        text, fields, pieces = format_terms(0, cs, "X"), {}, _dense_pieces(cs)
+        poly = _Poly(kind, n)
+        text, fields, pieces = poly.terms(), {}, _coeff_pieces(poly.coeffs())
     _emit(chain(text, ["\n"]) if fmt == "text" else
           _whole_polys(fmt, [({"kind": kind, "n": n, **fields}, pieces)]),
           args.out)
     return 0
 
 
-def _dense_pieces(cs: Sequence[int]) -> Iterator[tuple[list[str], int]]:
-    """``cs`` as slices of at most ``_PIECE`` decimal strings, each once."""
-    for i in range(0, len(cs), _PIECE):
-        yield decimal_strs(cs[i:i + _PIECE]), 1
+class _Poly:
+    """The dense polynomial ``kind`` at index n, read from a fresh
+    coefficient stream of ``_COEFFS`` each time: its terms for text, and
+    the width of that text, which ``_width`` sums without a string."""
+
+    def __init__(self, kind: str, n: int) -> None:
+        self.kind, self.n = kind, n
+        self.degree = n - 1 if kind == "pg" else n
+
+    def coeffs(self, descending: bool = False) -> Iterator[int]:
+        return _COEFFS[self.kind](self.n, descending)
+
+    def terms(self) -> Iterator[str]:
+        return format_terms(self.degree, self.coeffs(descending=True), "X")
+
+    def __str__(self) -> str:
+        return "".join(self.terms())
+
+
+def _coeff_pieces(cs: Iterable[int]) -> Iterator[tuple[list[str], int]]:
+    """``cs`` as slices of at most ``_PIECE`` decimal strings, each made
+    once, as the coefficients come."""
+    cs = iter(cs)
+    while chunk := list(islice(cs, _PIECE)):
+        yield decimal_strs(chunk), 1
 
 
 def _whole_polys(fmt: str,
@@ -202,19 +229,22 @@ def _whole_polys(fmt: str,
         return chain(["n,coeffs\n"], chain.from_iterable(each))
     if table is None:
         return chain(chain.from_iterable(each), ["\n"])
-    return _json_table(table, each)
+    return _json_list({"table": table}, "rows", each)
 
 
-def _json_table(table: str, rows: Iterable[Iterable[str]]) -> Iterator[str]:
-    """``json.dumps({"table": table, "rows": [...]}, indent=2)`` plus a
-    newline, one row at a time: each row is the pieces of its object as
+def _json_list(fields: dict, key: str,
+               items: Iterable[Iterable[str]]) -> Iterator[str]:
+    """``json.dumps({**fields, key: [...]}, indent=2)`` plus a newline, one
+    item at a time, the list last: each item is the pieces of its value as
     ``json.dumps`` indents it two levels deep."""
-    sep = f'{{\n  "table": {json.dumps(table)},\n  "rows": [\n    '
-    for pieces in rows:
+    head, tail = json.dumps({**fields, key: []}, indent=2).rsplit("[]", 1)
+    yield head
+    sep, end = "[\n    ", "[]"
+    for pieces in items:
         yield sep
         yield from pieces
-        sep = ",\n    "
-    yield "\n  ]\n}\n"
+        sep, end = ",\n    ", "\n  ]"
+    yield end + tail + "\n"
 
 
 def _run_chars(runs: list[tuple[int, int]], fmt: str) -> int:
@@ -329,18 +359,31 @@ def fdecomp_string(n: int) -> str:
 
 def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
                 fmt: str) -> Iterable[str]:
-    """The rows, one row dict at a time: as the JSON ``_json_table`` of
+    """The rows, one row dict at a time: as the JSON ``_json_list`` of
     ``which``, each row with ``n`` a number and every other cell its
     string, or as the ``headers`` cells, in CSV or padded text, for which
     ``rows`` is iterated twice."""
     if fmt == "json":  # json.dumps(row, indent=2), two levels deep
-        return _json_table(which, (["{\n      " + ",\n      ".join(
-            f"{json.dumps(k)}: {v if k == 'n' else json.dumps(str(v))}"
-            for k, v in r.items()) + "\n    }"] for r in rows))
+        return _json_list({"table": which}, "rows", (
+            ["{\n      " + ",\n      ".join(
+                f"{json.dumps(k)}: {v if k == 'n' else json.dumps(str(v))}"
+                for k, v in r.items()) + "\n    }"] for r in rows))
     if fmt == "csv":
         return _csv_lines(chain([headers], (
             [str(r[h]) for h in headers] for r in rows)))
     return _text_table(headers, rows)
+
+
+def _points(text: str) -> list[int]:
+    """The evaluation points of ``--N``, refused with the flag named."""
+    points = []
+    for p in text.split(","):
+        try:
+            points.append(int(p))
+        except ValueError:
+            raise ValueError(f"--N takes comma-separated integers, "
+                             f"got {p!r}") from None
+    return points
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -351,7 +394,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 2
 
     if which == "values":
-        points = [int(p) for p in args.points.split(",")]
+        points = _points(args.points)
         headers = ["n", *(f"{c}_{x}" for x in points
                           for c in ("pg", "f", "rel"))]
         _emit(_cell_table(which, headers, values_rows(max_n, points),
@@ -364,26 +407,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # at n = 4000
         chebfam.check_digits((9 if args.format == "text" else 3)
                              * max_n * max_n, "characters")
-        rows = ({"n": n, "tsum": tsum_string(n), "fdecomp": fdecomp_string(n)}
-                for n in range(1, max_n + 1))
-        if args.format == "text":  # read twice, so held: made once
-            rows = list(rows)
+        rows = _Sweep(lambda: (
+            {"n": n, "tsum": tsum_string(n), "fdecomp": fdecomp_string(n)}
+            for n in range(1, max_n + 1)))
         _emit(_cell_table(which, ["n", "tsum", "fdecomp"], rows, args.format),
               args.out)
         return 0
 
     # polynomial tables
-    start = _FIRST.get(which, 1)
+    ns = range(_FIRST.get(which, 1), max_n + 1)
     # the rates summed: 1^2 + ... + N^2 = N(N + 1)(2N + 1)/6
     chebfam.check_digits(_DIGIT_RATE[which] * max_n * (max_n + 1)
                          * (2 * max_n + 1) // 240)
     if args.format == "text":
-        cells = [{"n": str(n), which: str(_OBJECTS[which](n))}
-                 for n in range(start, max_n + 1)]
-        _emit(_text_table(["n", which], cells), args.out)
+        _emit(_text_table(["n", which], _Sweep(lambda: (
+            {"n": n, which: _Poly(which, n)} for n in ns))), args.out)
     else:
-        rows = (({"n": n}, _dense_pieces(_OBJECTS[which](n).coeffs))
-                for n in range(start, max_n + 1))
+        rows = (({"n": n}, _coeff_pieces(_Poly(which, n).coeffs()))
+                for n in ns)
         _emit(_whole_polys(args.format, rows, which), args.out)
     return 0
 
@@ -434,21 +475,29 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         return 2
     report = check_sequence(args.sequence, args.bfile, at=args.at,
                             max_index=args.max_n)
-    if args.format == "json":
-        _emit(_json_pieces(report.to_json()), args.out)
-    elif args.format == "csv":
-        row = {**report.to_json(), "mismatches": len(report.mismatches)}
+    shown = list(islice(report.mismatches, 20))  # the rest not held
+    if args.format == "json":  # every mismatch, written as it is found
+        _emit(_json_list(report.to_json(), "mismatches", (
+            [f'{{\n      "index": {idx},\n      "expected": '
+             f'{json.dumps(str(expected))},\n      "computed": '
+             f'{json.dumps(str(computed))}\n    }}']
+            for idx, expected, computed in chain(shown, report.mismatches))),
+            args.out)
+        return 1 if shown else 0
+    mismatched = len(shown) + sum(1 for _ in report.mismatches)
+    if args.format == "csv":
+        row = {**report.to_json(), "mismatches": mismatched}
         _emit(_cell_table("oeis", ["sequence", "bfile", "compared",
                                    "mismatches"], [row], "csv"), args.out)
     else:
-        status = "PASS" if report.ok else "FAIL"
+        status = "FAIL" if mismatched else "PASS"
         lines = [f"{report.sequence} vs {report.bfile_id}: "
                  f"{report.compared} terms compared, "
-                 f"{len(report.mismatches)} mismatches: {status}"]
-        for idx, expected, computed in report.mismatches[:20]:
+                 f"{mismatched} mismatches: {status}"]
+        for idx, expected, computed in shown:
             lines.append(f"  index {idx}: b-file {expected}, computed {computed}")
         _emit((line + "\n" for line in lines), args.out)
-    return 0 if report.ok else 1
+    return 1 if shown else 0
 
 
 # -- argument parsing ----------------------------------------------------------------

@@ -19,7 +19,10 @@ The families, all exact, and the coefficient runs of two of them:
 * ``pg_*``: the degree n-1 polynomial G_n with G_n(q + q^{-1}) =
   P_n(q)/q^{n-1}, reachable by four independent routes (divisor-interval
   counts, odd-divisor sums of running-sum polynomials, Laurent round trip,
-  and the generating-function oracle in ``series``);
+  and the generating-function oracle in ``series``).  The odd-divisor
+  route is also a coefficient stream, ``pg_coeffs``, that holds no dense
+  polynomial: the route the CLI writes G_n from, which
+  ``pg_via_odd_divisors`` collects;
 * ``pg_blocks``: the values G_n(x) of a sweep over n, one block at a time,
   from the odd-divisor walk of ``divisors.odd_divisor_runs``; the kernel of
   every sweep that the CLI prints, with ``pg_eval_int`` as its oracle.
@@ -39,7 +42,7 @@ from decimal import Decimal, localcontext
 from itertools import chain, cycle, islice, repeat
 from operator import add, sub
 
-from .chebfam import EXACT, fpoly, fpoly_period, fpoly_stream, fpoly_value
+from .chebfam import EXACT, fpoly_period, fpoly_stream, fpoly_sum, fpoly_value
 from .divisors import (
     OddDivisorTerm,
     a_coeffs,
@@ -52,7 +55,6 @@ from .divisors import (
     triangular_index,
 )
 from .intpoly import (
-    ZERO,
     IntPoly,
     LaurentPoly,
     chebyshev_sum,
@@ -75,13 +77,26 @@ def pg_via_interval(n: int) -> IntPoly:
     return chebyshev_sum(a_coeffs(n))
 
 
-def pg_via_odd_divisors(n: int) -> IntPoly:
-    """G_n as the signed sum of F-polynomials indexed by the odd divisors:
-    +F_{r} for divisors with offset r >= 0, -F_{-r-1} for the rest."""
+def pg_coeffs(n: int, descending: bool = False) -> Iterator[int]:
+    """The n coefficients of G_n, from X^0 up or, descending, from X^{n-1}
+    down, each made as it is read: the signed sum of F-polynomials indexed
+    by the odd divisors, +F_{r} for divisors with offset r >= 0,
+    -F_{-r-1} for the rest, as ``fpoly_sum`` merges their tau_odd(n)
+    coefficient streams.
+
+    >>> list(pg_coeffs(3))
+    [-2, 1, 1]
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    return sum((fpoly(t.f_index) * t.sign for t in odd_divisor_terms(n)),
-               ZERO)
+    return fpoly_sum(((t.sign, t.f_index) for t in odd_divisor_terms(n)),
+                     descending)
+
+
+def pg_via_odd_divisors(n: int) -> IntPoly:
+    """G_n as the signed sum of F-polynomials indexed by the odd divisors:
+    ``pg_coeffs`` collected."""
+    return IntPoly(tuple(pg_coeffs(n)))
 
 
 def cn_runs(n: int) -> list[tuple[int, int]]:
@@ -338,8 +353,8 @@ def approx_defect(n: int) -> IntPoly:
     if n < 2:
         raise ValueError("defect is defined for n >= 2")
     b = [a - 1 for a in a_coeffs(n)] + [0]
-    return sum((fpoly(j) * (b[j] - b[j + 1])
-                for j in range(n) if b[j] != b[j + 1]), ZERO)
+    return IntPoly(tuple(fpoly_sum((b[j] - b[j + 1], j)
+                                   for j in range(n) if b[j] != b[j + 1])))
 
 
 def defect_kind(terms: list[OddDivisorTerm]) -> str:

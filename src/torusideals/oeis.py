@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, islice
 from pathlib import Path
@@ -123,37 +123,30 @@ SEQUENCES: dict[str, SequenceSpec] = {
 
 @dataclass
 class SequenceCheckReport:
-    """Outcome of comparing computed values against a b-file overlap."""
+    """A comparison of computed values with a b-file overlap: ``compared``
+    from the first read of the file, and ``mismatches``, the (index,
+    b-file value, computed value) triples that differ, found by the sweep
+    and the second read as they are iterated, once; none is held."""
 
     sequence: str
     bfile_id: str
     compared: int
-    mismatches: list[tuple[int, Decimal, Any]] = field(default_factory=list)
-    # (index, value from b-file, computed value)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
+    mismatches: Iterator[tuple[int, Decimal, Any]]
 
     def to_json(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "bfile": self.bfile_id,
-            "compared": self.compared,
-            "mismatches": [
-                {"index": i, "expected": str(e), "computed": str(c)}
-                for i, e, c in self.mismatches
-            ],
-        }
+        """The fields that precede the mismatches in the JSON report."""
+        return {"sequence": self.sequence, "bfile": self.bfile_id,
+                "compared": self.compared}
 
 
 def check_sequence(key: str, path: str | Path, at: int | None = None,
                    max_index: int | None = None) -> SequenceCheckReport:
     """Compare the named sequence against the b-file at ``path`` over the
-    overlapping index range (up to ``max_index``); an empty overlap is
-    refused.  The file is read twice: once to validate it and find the
-    last index of the overlap, which sizes the sweep, and once to compare
-    its entries with the sweep's values as they come."""
+    overlapping index range (up to ``max_index``); an empty overlap, and a
+    sweep past the limits, are refused here.  The file is read twice: once
+    now, to validate it and find the last index of the overlap, which
+    sizes the sweep, and once as the report's mismatches are iterated, to
+    compare its entries with the sweep's values as they come."""
     spec = SEQUENCES[key]
 
     def wanted(entries: Iterable[tuple[int, Decimal]]) -> Iterator:
@@ -167,16 +160,19 @@ def check_sequence(key: str, path: str | Path, at: int | None = None,
         span = (f">= {spec.min_index}" if max_index is None
                 else f"in {spec.min_index}..{max_index}")
         raise ValueError(f"no b-file index {span}: nothing to compare")
-    values, at_index = spec.sweep(at, top), spec.min_index
-    report = SequenceCheckReport(key, Path(path).stem, compared)
-    for idx, val in wanted(parse_bfile(path)):
-        computed = next(islice(values, idx - at_index, None))
-        at_index = idx + 1
-        if val != computed:
-            report.mismatches.append((idx, val, computed))
-        if idx == top:  # the rest was validated by the first read
-            break
-    return report
+    values = spec.sweep(at, top)
+
+    def mismatches() -> Iterator[tuple[int, Decimal, Any]]:
+        at_index = spec.min_index
+        for idx, val in wanted(parse_bfile(path)):
+            computed = next(islice(values, idx - at_index, None))
+            at_index = idx + 1
+            if val != computed:
+                yield idx, val, computed
+            if idx == top:  # the rest was validated by the first read
+                break
+
+    return SequenceCheckReport(key, Path(path).stem, compared, mismatches())
 
 
 def emit_bfile(key: str, path: str | Path, at: int | None = None,

@@ -1,5 +1,7 @@
 """Brute-force representation counters, the oracles of the root-of-unity
-values of G_n; deliberately independent of the library's polynomial code."""
+values of G_n, and the binomial coefficients of the second-kind Chebyshev
+polynomials, the oracle of the coefficient streams; deliberately
+independent of the library's polynomial code."""
 from __future__ import annotations
 
 from math import isqrt
@@ -31,3 +33,30 @@ def square_plus_twice_square_count(n: int) -> int:
         if x * x == rem:
             count += 1 if x == 0 else 2
     return count
+
+
+def ucheb(n: int) -> list[int]:
+    """The coefficients of U_n = sum (-1)^m C(n-m, m) X^{n-2m} from X^0 up
+    (none for n < 0), each binomial from the previous one by the ratio
+    (n-2m+2)(n-2m+1) / (m(n-m+1)): the library's dense formula before its
+    coefficient streams, kept as their oracle."""
+    out = [0] * (n + 1)
+    c = 1
+    for m in range(n // 2 + 1):
+        if m:
+            c = c * (n - 2 * m + 2) * (n - 2 * m + 1) // (m * (n - m + 1))
+        out[n - 2 * m] = -c if m & 1 else c
+    return out
+
+
+def tcheb_oracle(k: int) -> list[int]:
+    """V_k = U_k - U_{k-2} (V_0 = 2), coefficients from X^0 up."""
+    if k == 0:
+        return [2]
+    low = ucheb(k - 2) + [0, 0]
+    return [a - b for a, b in zip(ucheb(k), low)]
+
+
+def fpoly_oracle(k: int) -> list[int]:
+    """F_k = U_k + U_{k-1}, coefficients from X^0 up."""
+    return [a + b for a, b in zip(ucheb(k), ucheb(k - 1) + [0])]

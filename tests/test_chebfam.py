@@ -4,8 +4,9 @@ from __future__ import annotations
 import decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import fpoly_oracle, tcheb_oracle
 from refdata import F_TABLE, TCHEB_TABLE
 from torusideals.chebfam import (
     EXACT,
@@ -14,14 +15,17 @@ from torusideals.chebfam import (
     decimal_radix,
     fpoly,
     fpoly_closed,
+    fpoly_coeffs,
+    fpoly_sum,
     fpoly_value,
     fpoly_values,
     tcheb,
     tcheb_closed,
+    tcheb_coeffs,
     tcheb_trace,
     value_digits,
 )
-from torusideals.intpoly import TWO, X, monomial
+from torusideals.intpoly import TWO, X, ZERO, monomial
 
 
 @pytest.mark.parametrize("k,coeffs", sorted(TCHEB_TABLE.items()))
@@ -49,6 +53,43 @@ def test_three_route_agreement():
         if k >= 1:
             f = f + tcheb(k)
             assert fpoly(k) == f
+
+
+class TestCoefficientStreams:
+    """Both directions of each stream, against the binomial formula of
+    ``oracles`` for every k < 400 and the matrix trace at sampled k."""
+
+    def test_streams_match_the_binomial_formula(self):
+        for k in range(400):
+            for stream, want in ((tcheb_coeffs, tcheb_oracle(k)),
+                                 (fpoly_coeffs, fpoly_oracle(k))):
+                assert list(stream(k)) == want, (stream, k)
+                assert list(stream(k, descending=True)) == want[::-1], \
+                    (stream, k)
+
+    @given(st.integers(0, 399))
+    @settings(max_examples=25, deadline=None)
+    def test_tcheb_stream_matches_the_trace(self, k):
+        want = tcheb_trace(k).coeffs
+        assert tuple(tcheb_coeffs(k)) == want
+        assert tuple(tcheb_coeffs(k, descending=True)) == want[::-1]
+
+    def test_negative_index_refused(self):
+        for stream in (tcheb_coeffs, fpoly_coeffs):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                stream(-1)
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 60)),
+                    max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_merges_the_streams(self, terms):
+        # repeated indices and zero weights included; the top may cancel
+        want = sum((fpoly(r) * c for c, r in terms), ZERO).coeffs
+        size = max((r + 1 for _, r in terms), default=0)
+        asc, desc = list(fpoly_sum(terms)), list(fpoly_sum(terms, True))
+        assert len(asc) == size and desc == asc[::-1]
+        assert tuple(asc[:len(want)]) == want
+        assert not any(asc[len(want):])
 
 
 def test_trace_base_cases():

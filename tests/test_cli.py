@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
@@ -18,13 +19,15 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fpoly_oracle, tcheb_oracle
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
 from torusideals import chebfam, cli, hilbert, verify, zeta
-from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
+from torusideals.chebfam import (decimal_radix, fpoly_value, fpoly_values,
+                                 tcheb_value)
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.divisors import divisors, odd_divisors
 from torusideals.intpoly import (IntPoly, LaurentPoly, X, exact_div,
-                                 format_laurent)
+                                 format_laurent, format_poly)
 from torusideals.oeis import emit_bfile
 from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
@@ -100,10 +103,10 @@ class TestCompute:
         assert code == 2
 
     def test_memory_error_exits_two(self, capsys, monkeypatch):
-        def exhausted(n):
+        def exhausted(n, descending=False):
             raise MemoryError
 
-        monkeypatch.setitem(cli._OBJECTS, "pg", exhausted)
+        monkeypatch.setitem(cli._COEFFS, "pg", exhausted)
         code = main(["compute", "pg", "--n", "5"])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: out of memory")
@@ -243,8 +246,8 @@ class TestCompute:
 
     @pytest.mark.parametrize("kind", ["tcheb", "fpoly", "pg", "cn", "pn"])
     def test_eval_prints_the_int_value(self, capsys, kind):
-        polys = {**cli._OBJECTS, "cn": hilbert.cn_via_odd_divisors,
-                 "pn": hilbert.pn_from_cn}
+        polys = {"tcheb": chebfam.tcheb, "fpoly": chebfam.fpoly,
+                 "cn": hilbert.cn_via_odd_divisors, "pn": hilbert.pn_from_cn}
         for n in (1, 2, 5, 12, 50):
             for x in range(-8, 9):
                 want = (hilbert.pg_eval_int(n, x) if kind == "pg"
@@ -274,8 +277,12 @@ class TestCompute:
         # here have 5000
         digits = "7" + "0" * 4998 + "3"
         big = 7 * 10 ** 4999 + 3
-        monkeypatch.setitem(cli._OBJECTS, "fpoly",
-                            lambda n: IntPoly((-big, big, 1)))
+
+        def coeffs(n, descending=False):  # -big + big*X + X^2, cut to n + 1
+            cs = (-big, big, 1)[2 - n:]
+            return iter(cs[::-1] if descending else cs)
+
+        monkeypatch.setitem(cli._COEFFS, "fpoly", coeffs)
         want = {"text": f"X^2 + {digits}*X - {digits}\n",
                 "json": ["-" + digits, digits, "1"],
                 "csv": f"-{digits} {digits} 1"}
@@ -289,18 +296,21 @@ class TestCompute:
                 assert out == f"n,coeffs\n2,{want['csv']}\n"
             else:
                 assert out == want["text"]
-            code, out = run(capsys, "table", "fpoly", "--max-n", "1",
+            code, out = run(capsys, "table", "fpoly", "--max-n", "2",
                             "--format", fmt)
             assert code == 0
             if fmt == "json":
                 assert [r["coeffs"] for r in json.loads(out)["rows"]] \
-                    == [want["json"]] * 2
+                    == [["1"], [digits, "1"], want["json"]]
             elif fmt == "csv":
-                assert out.splitlines()[1:] == [f"{n},{want['csv']}"
-                                                for n in (0, 1)]
+                assert out.splitlines()[1:] == [
+                    "0,1", f"1,{digits} 1", f"2,{want['csv']}"]
             else:
-                assert [line.split(None, 1)[1] for line in
-                        out.splitlines()[2:]] == [want["text"].strip()] * 2
+                lines = out.splitlines()
+                assert [line.split(None, 1)[1] for line in lines[2:]] == [
+                    "1", f"X + {digits}", want["text"].strip()]
+                # the dash line is as wide as the widest cell, unformatted
+                assert lines[1] == "-  " + "-" * (len(want["text"]) - 1)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -310,10 +320,11 @@ class TestCompute:
 
 def dense_renderings(kind: str, n: int,
                      table: bool = False) -> dict[str, str]:
-    """``compute kind --n n`` in each format, or ``table kind --max-n n`` in
-    json and csv, as ``str``, ``json.dumps`` and ``csv.writer`` print the
-    dense polynomials: C_n from the coefficient formula, P_n divided out of
-    it, G_n from the interval counts."""
+    """``compute kind --n n`` or ``table kind --max-n n`` in each format, as
+    ``str`` (padded to the widest cell in a table), ``json.dumps`` and
+    ``csv.writer`` print the dense polynomials: C_n from the coefficient
+    formula, P_n divided out of it, G_n from the interval counts, V_k and
+    F_k from the binomial formula of ``oracles``."""
     if kind in ("cn", "pn"):
         poly = hilbert.cn_via_coeff_formula(n)
         if kind == "pn":
@@ -321,11 +332,19 @@ def dense_renderings(kind: str, n: int,
                              hilbert.Q_MINUS_ONE)
         head, text = {"min_exp": poly.min_exp}, format_laurent(poly)
     else:
-        make = hilbert.pg_via_interval if kind == "pg" else cli._OBJECTS[kind]
+        make = {"pg": hilbert.pg_via_interval,
+                "tcheb": lambda k: IntPoly(tuple(tcheb_oracle(k))),
+                "fpoly": lambda k: IntPoly(tuple(fpoly_oracle(k)))}[kind]
         ns = range(kind == "pg", n + 1) if table else [n]
         polys = {m: make(m) for m in ns}
         poly, head, text = polys[n], {}, str(polys[n])
-    if not table:
+    if table:
+        cells = [("n", kind), *((str(m), str(p)) for m, p in polys.items())]
+        widths = [max(len(c[i]) for c in cells) for i in (0, 1)]
+        cells.insert(1, tuple("-" * w for w in widths))
+        text = "\n".join(f"{a.ljust(widths[0])}  {b}".rstrip()
+                         for a, b in cells)
+    else:
         polys = {n: poly}
     strs = {m: [str(c) for c in p.coeffs] for m, p in polys.items()}
     rows = io.StringIO()
@@ -393,13 +412,12 @@ class TestWholeCounts:
             for fmt in ("json", "csv"):
                 assert printed([*argv, "--format", fmt]) == want[fmt], \
                     (fmt, piece)
-            if not table:
-                assert printed(argv) == want["text"]
+            assert printed(argv) == want["text"]
 
     @pytest.mark.parametrize("n", [2 ** 11 + 1, 140000])
     def test_runs_longer_than_a_piece(self, n):
         # P_n's longest run is 2^10 + 1 at 2^11 + 1, where C_n's, a gap of
-        # zeros, is one short of a piece (2^10); both pass a piece at 140000
+        # zeros, is 2^10 - 1; both pass a piece (2^8), also at 140000
         assert max(k for _, k in hilbert.pn_runs(n)) > cli._PIECE
         for kind in ("cn", "pn"):
             want = dense_renderings(kind, n)
@@ -453,6 +471,47 @@ class TestWholeCounts:
             assert all(len(cs) == n + 1 and cs[-1] == "1" for n, cs in rows)
             n, cs = rows[-1]
             assert IntPoly(tuple(map(int, cs))).eval_int(3) == values[n]
+
+        # 48 MB of address space: built dense or held as cells, these
+        # peaked at 87, 55, 52 and 46 MB and ran out of memory under this
+        # limit; each row now comes from a coefficient stream, twice for a
+        # text table, whose width pass makes no string.  Two children run
+        # at a time.
+        cases = [(("table", "fpoly", "--max-n", "1100"),
+                  format_poly(IntPoly(tuple(fpoly_oracle(1100))))),
+                 (("table", "pg", "--max-n", "900"),
+                  format_poly(hilbert.pg_via_interval(900))),
+                 (("table", "decomp", "--max-n", "3333"),
+                  fdecomp_string(3333)),
+                 (("compute", "tcheb", "--n", "15000", "--format", "json"),
+                  None)]
+
+        def answer(i: int) -> subprocess.CompletedProcess:
+            with (tmp_path / f"out{i}").open("w", encoding="utf-8") as fh:
+                return run_limited(48, cases[i][0], stdout=fh)
+
+        with ThreadPoolExecutor(2) as pool:
+            procs = list(pool.map(answer, range(len(cases))))
+        for i, ((argv, want), proc) in enumerate(zip(cases, procs)):
+            assert proc.returncode == 0, (argv, proc.stderr)
+            path = tmp_path / f"out{i}"
+            if want is None:  # V_k: 2 + ... - k X^{k-2} + X^k for k = 0 mod 4
+                with path.open(encoding="utf-8") as fh:
+                    obj = json.load(fh)
+                cs = obj["coeffs"]
+                assert (obj["n"], len(cs), cs[0], cs[-3], cs[-1]) == \
+                    (15000, 15001, "2", "-15000", "1")
+                with decimal_radix(1) as one:
+                    assert sum(map(Decimal, cs)) == tcheb_value(15000, one)
+            else:  # the last row, not the whole table
+                with path.open("rb") as fh:
+                    fh.seek(max(0, path.stat().st_size - (1 << 20)))
+                    last = fh.read().decode().splitlines()[-1]
+                assert last.startswith(argv[-1] + "  "), argv
+                assert last.endswith(want), argv
+                if argv[1] == "decomp":
+                    assert f"  {tsum_string(3333)}  " in last
+            path.unlink()
 
         # the values table, 141 MB as text: its cells stay the sweep's
         # Decimals, text widths come from their exponents and JSON rows go
@@ -523,6 +582,23 @@ class TestSweeps:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == \
             "sigma vs b000203: 500000 terms compared, 0 mismatches: PASS\n"
+
+        # 48 MB: every mismatch of an all-wrong b-file was held, and the
+        # JSON report of 100,000 ran out of memory; each is now written as
+        # it is found (the text keeps the first 20 and counts the rest)
+        top = 100000
+        wrong = tmp_path / "b_wrong.txt"
+        wrong.write_text("".join(f"{n} 0\n" for n in range(1, top + 1)),
+                         encoding="utf-8")
+        proc = run_limited(48, ("oeis-check", "sigma", str(wrong),
+                                "--format", "json"))
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads(proc.stdout)
+        assert list(report) == ["sequence", "bfile", "compared", "mismatches"]
+        assert [m["index"] for m in report["mismatches"]] == \
+            list(range(1, top + 1))
+        assert report["mismatches"][-1] == {
+            "index": top, "expected": "0", "computed": str(sum(divisors(top)))}
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_values_table_in_bounded_memory(self, tmp_path, fmt):
@@ -653,6 +729,24 @@ class TestTable:
                 cells += [ten ** k - 1, ten ** k, 1 - ten ** k, -ten ** k]
         cells += [0, 1, -1, 9, 10, -10, 2999, "equal", "off_by_one"]
         assert [cli._width(c) for c in cells] == [len(str(c)) for c in cells]
+
+    def test_text_table_pads_to_the_widest_row(self, monkeypatch):
+        # the widest cell is in the middle row, and the widest n in the
+        # first: no real table to n = 600 has such a row, so a width read
+        # off the last row would pass the golden corpus and fail here
+        def coeffs(n, descending=False):  # -X^n + 10^n (X^(n-1) + ... + 1)
+            cs = [10 ** n] * n + [-1]
+            return iter(cs[::-1] if descending else cs)
+
+        monkeypatch.setitem(cli._COEFFS, "syn", coeffs)
+        ns = (12, 30, 2)
+        rows = [{"n": n, "p": cli._Poly("syn", n)} for n in ns]
+        cells = [("n", "p"), *((str(n), format_poly(
+            IntPoly((10 ** n,) * n + (-1,)))) for n in ns)]
+        widths = [max(len(c[i]) for c in cells) for i in (0, 1)]
+        cells.insert(1, tuple("-" * w for w in widths))
+        assert "".join(cli._text_table(["n", "p"], rows)) == "".join(
+            f"{a.ljust(widths[0])}  {b}".rstrip() + "\n" for a, b in cells)
 
     def test_csv_cells_quoted_as_csv_writer_quotes(self, capsys, tmp_path):
         rows = [["n", "a,b", 'say "hi"', "two\nlines", "cr\ronly", "", " x"],

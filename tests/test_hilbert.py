@@ -31,6 +31,7 @@ from torusideals.hilbert import (
     expand_runs,
     fpoly_blocks,
     pg_blocks,
+    pg_coeffs,
     pg_eval_int,
     pg_roundtrip,
     pg_values,
@@ -63,6 +64,14 @@ class TestPgRoutes:
         assert [(t.sign, t.f_index) for t in terms] == [(1, 7)]
         terms = odd_divisor_terms(10)
         assert [(t.sign, t.f_index) for t in terms] == [(1, 9), (-1, 0)]
+
+    def test_stream_matches_the_interval_route(self):
+        for n in range(1, 400):
+            want = pg_via_interval(n).coeffs
+            assert tuple(pg_coeffs(n)) == want, n
+            assert tuple(pg_coeffs(n, descending=True)) == want[::-1], n
+        with pytest.raises(ValueError, match="n must be positive"):
+            pg_coeffs(0)
 
     def test_roundtrip_rows(self):
         assert pg_roundtrip(4).coeffs == PG_TABLE[4]

@@ -1,12 +1,14 @@
 """b-file parsing and sequence comparisons."""
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 from itertools import islice
 
 import pytest
 
 from torusideals.chebfam import decimal_radix, fpoly_value, fpoly_values
+from torusideals.cli import main
 from torusideals.divisors import odd_divisors
 from torusideals.hilbert import pg_eval_int
 from torusideals.oeis import (
@@ -70,7 +72,7 @@ class TestSequenceChecks:
         lines = "\n".join(f"{k} {lucas(2 * k + 1)}" for k in range(60))
         path = write(tmp_path, "b002878.txt", lines + "\n")
         report = check_sequence("f_eval", path, at=3)
-        assert report.ok and report.compared == 60
+        assert report.compared == 60 and not list(report.mismatches)
 
     def test_sigma_against_divisor_sums(self, tmp_path):
         def sigma(n):
@@ -79,7 +81,7 @@ class TestSequenceChecks:
         lines = "\n".join(f"{n} {sigma(n)}" for n in range(1, 120))
         path = write(tmp_path, "b000203.txt", lines + "\n")
         report = check_sequence("sigma", path)
-        assert report.ok and report.compared == 119
+        assert report.compared == 119 and not list(report.mismatches)
 
     def test_odd_divisor_count(self, tmp_path):
         # the sweep's sieve against a plain count and the per-n list
@@ -89,26 +91,25 @@ class TestSequenceChecks:
         lines = "\n".join(f"{n} {count(n)}" for n in range(1, 2000))
         path = write(tmp_path, "b001227.txt", lines + "\n")
         report = check_sequence("odd_div_count", path)
-        assert report.ok and report.compared == 1999
+        assert report.compared == 1999 and not list(report.mismatches)
         assert list(SEQUENCES["odd_div_count"].sweep(None, 1999)) == [
             len(odd_divisors(n)) for n in range(1, 2000)]
 
     def test_mismatch_is_reported(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n2 4\n3 999\n4 7\n")
         report = check_sequence("sigma", path)
-        assert not report.ok
-        assert report.mismatches == [(2, 4, 3), (3, 999, 4)]
+        assert list(report.mismatches) == [(2, 4, 3), (3, 999, 4)]
         assert report.compared == 4
 
     def test_max_index_cap(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n2 3\n3 4\n4 999\n")
         report = check_sequence("sigma", path, max_index=3)
-        assert report.ok and report.compared == 3
+        assert report.compared == 3 and not list(report.mismatches)
 
     def test_entries_below_min_index_skipped(self, tmp_path):
         path = write(tmp_path, "b.txt", "0 123\n1 1\n2 3\n")
         report = check_sequence("sigma", path)
-        assert report.ok and report.compared == 2
+        assert report.compared == 2 and not list(report.mismatches)
 
     def test_eval_point_required(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 1\n")
@@ -162,13 +163,20 @@ class TestSequenceChecks:
         with pytest.raises(ValueError, match="^no b-file index >= 0: "):
             check_sequence("f_eval", empty, at=3)
 
-    def test_report_json(self, tmp_path):
-        path = write(tmp_path, "b.txt", "1 2\n")
+    def test_report_json(self, tmp_path, capsys):
+        path = write(tmp_path, "b.txt", "1 2\n2 3\n3 5\n")
         report = check_sequence("sigma", path)
-        enc = report.to_json()
-        assert enc["compared"] == 1
-        assert enc["mismatches"] == [
-            {"index": 1, "expected": "2", "computed": "1"}]
+        assert report.to_json() == {"sequence": "sigma", "bfile": "b",
+                                    "compared": 3}
+        assert list(report.mismatches) == [(1, 2, 1), (3, 5, 4)]
+        # the CLI writes every mismatch, last, as it is found
+        assert main(["oeis-check", "sigma", str(path), "--format",
+                     "json"]) == 1
+        assert capsys.readouterr().out == json.dumps(
+            {**report.to_json(), "mismatches": [
+                {"index": 1, "expected": "2", "computed": "1"},
+                {"index": 3, "expected": "5", "computed": "4"}]},
+            indent=2) + "\n"
 
 
 class TestEmit:
@@ -177,7 +185,7 @@ class TestEmit:
         count = emit_bfile("pg_eval", out, at=4, max_index=16)
         assert count == 16
         report = check_sequence("pg_eval", out, at=4)
-        assert report.ok and report.compared == 16
+        assert report.compared == 16 and not list(report.mismatches)
 
     def test_emit_respects_min_index(self, tmp_path):
         out = tmp_path / "f.txt"
@@ -232,7 +240,7 @@ class TestLongValues:
         out = tmp_path / "f7.txt"  # F_k(7) passes 4300 digits at k ~ 5150
         assert emit_bfile("f_eval", out, at=7, max_index=6000) == 6001
         report = check_sequence("f_eval", out, at=7)
-        assert report.ok and report.compared == 6001
+        assert report.compared == 6001 and not list(report.mismatches)
         index, value = next(islice(parse_bfile(out), 6000, None))
         assert index == 6000 and value == fpoly_value(6000, 7)
 
