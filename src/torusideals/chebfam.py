@@ -9,7 +9,10 @@ monic of degree k.
 Each family has at least two independent construction routes (binomial
 closed form, matrix trace, and the three-term recurrence that the ``verify``
 sweep rolls itself) so they can cross-validate one another.  The closed
-forms are the production route; values come from Lucas-sequence doubling
+forms are the production route, as coefficient streams that make one
+coefficient at a time from the last, in either order (``tcheb_coeffs``,
+``fpoly_coeffs``, and ``fpoly_sum`` for signed sums of F_k), which the
+dense ``tcheb`` and ``fpoly`` collect; values come from Lucas-sequence doubling
 (``tcheb_value``, ``fpoly_value``) or, for a whole sweep, the value recurrence
 (``fpoly_stream``, ``fpoly_values``), for any number type: the CLI prints
 values computed in ``decimal_radix`` (linear-time ``str()``).  At x = -2,

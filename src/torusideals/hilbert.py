@@ -30,7 +30,7 @@ The families, all exact, and the coefficient runs of two of them:
 The defect G_n - F_{n-1} has two routes of its own: ``approx_defect``
 builds it from the interval counts, ``defect_kind`` reads its shape off the
 odd-divisor terms.  Every function here computes a route, returns a plain
-polynomial and asserts no law about it: ``verify`` compares the routes and
+polynomial (or its coefficients) and asserts no law about it: ``verify`` compares the routes and
 checks the laws, reporting the values on both sides.  Only malformed input,
 an n too large to factor, and a count that (q-1)^2 does not divide raise.
 """

@@ -19,8 +19,9 @@ mode here.  The registry:
 the point of the check is to validate the pipeline against independent
 reference data.  b-file values are exact ``Decimal``s, and so are sweeps
 at |x| > 2 (small ints at |x| <= 2): linear time for values of any length.
-Neither a b-file nor a sweep is held whole: both are read a line or a
-block at a time (``hilbert.pg_blocks``), and a sweep is refused before its
+Neither a b-file nor a sweep nor the list of mismatches is held whole:
+they are read a line or a block at a time (``hilbert.pg_blocks``) and the
+mismatches found as they are read, and a sweep is refused before its
 first value past ``chebfam.MAX_DIGITS`` digits or ``chebfam.MAX_TERMS``
 terms.
 """
