@@ -41,7 +41,7 @@ one-term remainder.  Any other divisor raises ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import Decimal
 from itertools import accumulate, count
 from typing import Iterable, Iterator, Sequence
 
@@ -465,12 +465,11 @@ def decimal_strs(cs: Sequence[int]) -> list[str]:
         return [str(Decimal(c)) for c in cs]
 
 
-#: floor(log10(2) * 2^_LOG_BITS), from log10(2) to 100 digits, so that
-#: b * _LOG10_2 >> _LOG_BITS is floor(b * log10(2)) for every bit length b
-#: an int can have
+#: floor(log10(2) * 2^_LOG_BITS), so that b * _LOG10_2 >> _LOG_BITS is
+#: floor(b * log10(2)) for every bit length b an int can have; a literal,
+#: which the tests derive again from log10(2) to 100 digits
 _LOG_BITS = 256
-_LOG10_2 = int(Context(prec=100).multiply(Decimal(2).log10(Context(prec=100)),
-                                          1 << _LOG_BITS))
+_LOG10_2 = 0x4d104d427de7fbcc47c4acd605be48bc13569862a1e8f9a4c52f37935be631e5
 _LOG_MASK = (1 << _LOG_BITS) - 1
 
 

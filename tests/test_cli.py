@@ -278,7 +278,7 @@ class TestCompute:
         digits = "7" + "0" * 4998 + "3"
         big = 7 * 10 ** 4999 + 3
 
-        def coeffs(n, descending=False):  # -big + big*X + X^2, cut to n + 1
+        def coeffs(n, descending=False):  # the top n + 1 of -big, big, 1
             cs = (-big, big, 1)[2 - n:]
             return iter(cs[::-1] if descending else cs)
 
@@ -384,7 +384,7 @@ def runs_printed(text: str, fmt: str) -> list[tuple[int, int]]:
 class TestWholeCounts:
     """Whole polynomials through the one coefficient writer: ``compute
     cn|pn`` from the coefficient runs, ``compute tcheb|fpoly|pg`` and
-    ``table pg|tcheb|fpoly`` from dense slices."""
+    ``table pg|tcheb|fpoly`` from slices of coefficient streams."""
 
     @given(st.sampled_from(("cn", "pn")), st.integers(1, 399),
            st.sampled_from((1, 2, 3, cli._PIECE)))

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from torusideals import intpoly
 from torusideals.intpoly import (
     IntPoly,
     LaurentPoly,
@@ -123,6 +125,11 @@ class TestWidths:
         p = IntPoly(tuple(cs))
         assert terms_width(len(cs) - 1, reversed(cs), "X") == \
             len(format_poly(p))
+
+    def test_log10_2_literal(self):
+        ctx = Context(prec=100)
+        assert intpoly._LOG10_2 == int(ctx.multiply(
+            Decimal(2).log10(ctx), 1 << intpoly._LOG_BITS))
 
     @given(st.integers(1, 10 ** 5000) | st.builds(
         lambda k, d: 10 ** k + d, st.integers(1, 5000), st.integers(-1, 1)))
