@@ -157,8 +157,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         pieces = (([str(v)], k) for v, k in runs)
     else:
         chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
-        poly = _Poly(kind, n)
-        text, fields, pieces = poly.terms(), {}, _coeff_pieces(poly.coeffs())
+        poly = _Poly(kind, n)  # only the stream that is read is made
+        text, fields, pieces = poly.terms(), {}, _coeff_pieces(poly)
     _emit(chain(text, ["\n"]) if fmt == "text" else
           _whole_polys(fmt, [({"kind": kind, "n": n, **fields}, pieces)]),
           args.out)
@@ -178,16 +178,17 @@ class _Poly:
         return _COEFFS[self.kind](self.n, descending)
 
     def terms(self) -> Iterator[str]:
-        return format_terms(self.degree, self.coeffs(descending=True), "X")
+        yield from format_terms(self.degree, self.coeffs(descending=True),
+                                "X")
 
     def __str__(self) -> str:
         return "".join(self.terms())
 
 
-def _coeff_pieces(cs: Iterable[int]) -> Iterator[tuple[list[str], int]]:
-    """``cs`` as slices of at most ``_PIECE`` decimal strings, each made
-    once, as the coefficients come."""
-    cs = iter(cs)
+def _coeff_pieces(poly: _Poly) -> Iterator[tuple[list[str], int]]:
+    """The coefficients of ``poly`` from X^0 up, as slices of at most
+    ``_PIECE`` decimal strings, each made once, as the coefficients come."""
+    cs = poly.coeffs()
     while chunk := list(islice(cs, _PIECE)):
         yield decimal_strs(chunk), 1
 
@@ -423,8 +424,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         _emit(_text_table(["n", which], _Sweep(lambda: (
             {"n": n, which: _Poly(which, n)} for n in ns))), args.out)
     else:
-        rows = (({"n": n}, _coeff_pieces(_Poly(which, n).coeffs()))
-                for n in ns)
+        rows = (({"n": n}, _coeff_pieces(_Poly(which, n))) for n in ns)
         _emit(_whole_polys(args.format, rows, which), args.out)
     return 0
 
