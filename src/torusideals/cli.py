@@ -199,7 +199,7 @@ def _whole_polys(fmt: str,
     """The one writer of whole polynomials, one (fields, pieces) row at a
     time: the CSV ``n,coeffs`` with one unquoted space-joined field, or the
     ``indent=2`` JSON ``{**fields, "coeffs": [...]}``, with ``table`` the
-    rows of ``_json_table``.  Each piece (decimal strings, count) is
+    rows of a ``_json_list``.  Each piece (decimal strings, count) is
     written ``count`` times over, at most ``_PIECE`` coefficients to a
     string: a dense slice is one join, a run one repeat."""
     depth = 0 if table is None else 2  # the nesting of a row's object
