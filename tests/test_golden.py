@@ -111,7 +111,9 @@ def corpus() -> list[list[str]]:
     checks against sparse b-files and a values table at |x| <= 2 and 3;
     whole polynomials at n = 3000 and a malformed ``--N``; each in every
     format.  Last, in text only: ``--emit`` past a block at every x in
-    -3..3, and the polynomial and decomposition tables to 200."""
+    -3..3, the polynomial and decomposition tables to 200, and the
+    polynomial tables of one to three rows, whose header is as wide as
+    their last row or wider."""
     commands = []
     for n in (-1, 0, 1, 2, 5, 12, 45):
         commands.append(["compute", "zeta", f"--n={n}"])
@@ -154,6 +156,8 @@ def corpus() -> list[list[str]]:
     # text tables of 200 rows, whose columns are padded to the widest cell
     text_only += [["table", which, "--max-n=200"]
                   for which in ("tcheb", "pg", "fpoly", "decomp")]
+    text_only += [["table", which, f"--max-n={n}"]
+                  for which in ("tcheb", "pg", "fpoly") for n in (1, 2, 3)]
     return ([[*argv, f"--format={fmt}"] for argv in commands
              for fmt in FORMATS]
             + [[*argv, "--format=text"] for argv in text_only])
