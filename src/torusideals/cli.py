@@ -17,7 +17,7 @@ from itertools import chain, islice
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import decimal_strs, format_terms, term_str, terms_width
+from .intpoly import decimal_strs, format_terms, term_str
 from .oeis import SEQUENCES, check_sequence, emit_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -52,23 +52,23 @@ def _json_pieces(obj: object) -> Iterator[str]:
 
 def _width(cell: object) -> int:
     """``len(str(cell))``, for an integral ``Decimal`` of exponent 0 (a value
-    from ``decimal_radix``) read off its exponent, and for a ``_Poly``
-    summed from its terms, instead of formatted."""
+    from ``decimal_radix``) read off its exponent instead of formatted."""
     if isinstance(cell, Decimal):
         return cell.adjusted() + 1 + cell.is_signed()
-    if isinstance(cell, _Poly):
-        return terms_width(cell.degree, cell.coeffs(descending=True), "X")
     return len(str(cell))
 
 
-def _text_table(headers: list[str], rows: Iterable[dict]) -> Iterator[str]:
-    """The rows' cells under ``headers``, each column padded to its widest
-    cell.  ``rows`` is iterated twice, first for the widths, from
-    ``_width``, then for the lines, and a cell's ``str`` is made only as its
-    line is written; the last column is padded too, so the dash line
-    under it is as wide as its widest cell, before the line's ``rstrip``."""
+def _text_table(headers: list[str], rows: Iterable[dict],
+                sized: Iterable[dict]) -> Iterator[str]:
+    """The cells of ``rows`` under ``headers``, each column padded to its
+    widest cell in the header and the rows ``sized``: ``rows`` again where
+    a later cell can be narrower, or a polynomial table's last row, whose
+    cells no earlier row's outgrow.  The widths come from ``_width``
+    before the first line, and a cell's ``str`` is made only as its line
+    is written; the last column is padded too, so the dash line under it
+    is as wide as its widest cell, before the line's ``rstrip``."""
     widths = list(map(len, headers))
-    for r in rows:
+    for r in sized:
         widths = [max(w, _width(r[h])) for w, h in zip(widths, headers)]
     def fmt(cells: Iterable) -> str:  # lines go out one by one, never joined
         return "  ".join(str(c).ljust(w)
@@ -99,6 +99,13 @@ _PIECE = 1 << 8
 # Coefficient digits of V_k, and of F_k and G_{k+1}, per k^2, in 40ths:
 # V_3000 has 677,334 of them, F_3000 and G_3001 have 1,350,816
 _DIGIT_RATE = {"tcheb": 3, "fpoly": 6, "pg": 6}
+
+
+def _table_digits(which: str, max_n: int) -> int:
+    """About how many coefficient digits ``table which --max-n max_n`` has:
+    the ``_DIGIT_RATE`` summed, as 1^2 + ... + N^2 = N(N + 1)(2N + 1)/6."""
+    return _DIGIT_RATE[which] * max_n * (max_n + 1) * (2 * max_n + 1) // 240
+
 
 _VALUES = {
     "tcheb": chebfam.tcheb_value,
@@ -167,8 +174,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 class _Poly:
     """The dense polynomial ``kind`` at index n, read from a fresh
-    coefficient stream of ``_COEFFS`` each time: its terms for text, and
-    the width of that text, which ``_width`` sums without a string."""
+    coefficient stream of ``_COEFFS`` each time: its coefficients, or its
+    terms for text.  No row's text is longer than the next row's, so a
+    text table's last row is its widest: for V_k and F_k each term maps to
+    a term of the next row that is no shorter, and G_n, F_{n-1} plus
+    F-terms of lower index, is checked at every n the digit guard admits
+    (``tests/test_cli.py``)."""
 
     def __init__(self, kind: str, n: int) -> None:
         self.kind, self.n = kind, n
@@ -372,7 +383,7 @@ def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
     if fmt == "csv":
         return _csv_lines(chain([headers], (
             [str(r[h]) for h in headers] for r in rows)))
-    return _text_table(headers, rows)
+    return _text_table(headers, rows, rows)
 
 
 def _points(text: str) -> list[int]:
@@ -417,12 +428,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     # polynomial tables
     ns = range(_FIRST.get(which, 1), max_n + 1)
-    # the rates summed: 1^2 + ... + N^2 = N(N + 1)(2N + 1)/6
-    chebfam.check_digits(_DIGIT_RATE[which] * max_n * (max_n + 1)
-                         * (2 * max_n + 1) // 240)
-    if args.format == "text":
-        _emit(_text_table(["n", which], _Sweep(lambda: (
-            {"n": n, which: _Poly(which, n)} for n in ns))), args.out)
+    chebfam.check_digits(_table_digits(which, max_n))
+    if args.format == "text":  # sized from the last row, the widest
+        def row(n: int) -> dict:
+            return {"n": n, which: _Poly(which, n)}
+        _emit(_text_table(["n", which], map(row, ns), [row(max_n)]), args.out)
     else:
         rows = (({"n": n}, _coeff_pieces(_Poly(which, n))) for n in ns)
         _emit(_whole_polys(args.format, rows, which), args.out)

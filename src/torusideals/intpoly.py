@@ -465,34 +465,6 @@ def decimal_strs(cs: Sequence[int]) -> list[str]:
         return [str(Decimal(c)) for c in cs]
 
 
-#: floor(log10(2) * 2^_LOG_BITS), so that b * _LOG10_2 >> _LOG_BITS is
-#: floor(b * log10(2)) for every bit length b an int can have; a literal,
-#: which the tests derive again from log10(2) to 100 digits
-_LOG_BITS = 256
-_LOG10_2 = 0x4d104d427de7fbcc47c4acd605be48bc13569862a1e8f9a4c52f37935be631e5
-_LOG_MASK = (1 << _LOG_BITS) - 1
-
-
-def decimal_digits(m: int) -> int:
-    """``len(str(m))`` for m >= 1, at any size, with no string made.
-
-    With b the bit length, 2^(b-1) <= m < 2^b, so log10 m lies in
-    [(b-1) log10 2, b log10 2), an interval shorter than 1: the digit count
-    is t + 1 for t = floor(b log10 2) when the interval holds no integer,
-    and otherwise t or t + 1, which one comparison with 10^t tells apart.
-
-    >>> [decimal_digits(m) for m in (1, 9, 10, 99, 100, 2 ** 64)]
-    [1, 1, 2, 2, 3, 20]
-    >>> decimal_digits(10 ** 5000 - 1), decimal_digits(10 ** 5000)
-    (5000, 5001)
-    """
-    x = m.bit_length() * _LOG10_2
-    t = x >> _LOG_BITS
-    # the fractional part of b log10 2 is at least log10 2 exactly when
-    # (b-1) log10 2 has the same integer part
-    return t + 1 if x & _LOG_MASK >= _LOG10_2 else t + (m >= 10 ** t)
-
-
 # -- rendering ------------------------------------------------------------------
 
 def term_str(c: int, e: int, var: str, first: bool) -> str:
@@ -529,38 +501,6 @@ def format_terms(top: int, cs: Iterable[int], var: str) -> Iterator[str]:
             first = False
     if first:
         yield "0"
-
-
-def terms_width(top: int, cs: Iterable[int], var: str) -> int:
-    """``len("".join(format_terms(top, cs, var)))`` for top >= 0, summed
-    from the sizes of the terms as the coefficients come, with no string
-    made: each term takes its separator ' + ' or ' - ', the digits of |c|
-    (``decimal_digits``; none for +-1 at e >= 1), and '*var^e' less what
-    e = 0 and 1 and a bare +-1 leave out; the first term has a bare '-' or
-    no sign for its separator.
-
-    >>> terms_width(2, [-1, 0, 12], "X"), len(format_poly(IntPoly((12, 0, -1))))
-    (9, 9)
-    """
-    width = lead = 0  # lead: the first nonzero coefficient
-    edigits = decimal_digits(max(top, 1))
-    elow = 10 ** (edigits - 1)
-    for e, c in zip(count(top, -1), cs):
-        if not c:
-            continue
-        lead = lead or c
-        if e >= 2:
-            while e < elow:  # the digits of e, one fewer below each 10^j
-                edigits, elow = edigits - 1, elow // 10
-            power = len(var) + 1 + edigits
-        else:
-            power = len(var) if e else 0
-        mag = -c if c < 0 else c
-        if mag == 1 and e:
-            width += 3 + power
-        else:
-            width += 3 + decimal_digits(mag) + (power + 1 if e else 0)
-    return width - 3 + (lead < 0) if lead else 1
 
 
 def format_poly(p: IntPoly) -> str:

@@ -27,7 +27,7 @@ from torusideals.chebfam import (decimal_radix, fpoly_value, fpoly_values,
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.divisors import divisors, odd_divisors
 from torusideals.intpoly import (IntPoly, LaurentPoly, X, exact_div,
-                                 format_laurent, format_poly)
+                                 format_laurent, format_poly, term_str)
 from torusideals.oeis import emit_bfile
 from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
@@ -730,23 +730,70 @@ class TestTable:
         cells += [0, 1, -1, 9, 10, -10, 2999, "equal", "off_by_one"]
         assert [cli._width(c) for c in cells] == [len(str(c)) for c in cells]
 
-    def test_text_table_pads_to_the_widest_row(self, monkeypatch):
-        # the widest cell is in the middle row, and the widest n in the
-        # first: no real table to n = 600 has such a row, so a width read
-        # off the last row would pass the golden corpus and fail here
-        def coeffs(n, descending=False):  # -X^n + 10^n (X^(n-1) + ... + 1)
-            cs = [10 ** n] * n + [-1]
-            return iter(cs[::-1] if descending else cs)
-
-        monkeypatch.setitem(cli._COEFFS, "syn", coeffs)
-        ns = (12, 30, 2)
-        rows = [{"n": n, "p": cli._Poly("syn", n)} for n in ns]
-        cells = [("n", "p"), *((str(n), format_poly(
-            IntPoly((10 ** n,) * n + (-1,)))) for n in ns)]
-        widths = [max(len(c[i]) for c in cells) for i in (0, 1)]
+    def test_text_table_pads_to_the_widest_row(self):
+        # values and decomp size each column from every row, because their
+        # cells do not grow with n: here each column's widest cell is in
+        # the middle row, so a width read off the first or last row fails
+        with decimal_radix(10) as ten:
+            rows = [{"n": 7, "v": ten - 1, "s": "F2 - F0"},
+                    {"n": 100, "v": -ten ** 30, "s": "F14 - F6 + F3 + F0"},
+                    {"n": 12, "v": ten, "s": "F3"}]
+        cells = [("n", "v", "s"),
+                 *((str(r["n"]), str(r["v"]), r["s"]) for r in rows)]
+        widths = [max(len(c[i]) for c in cells) for i in range(3)]
         cells.insert(1, tuple("-" * w for w in widths))
-        assert "".join(cli._text_table(["n", "p"], rows)) == "".join(
-            f"{a.ljust(widths[0])}  {b}".rstrip() + "\n" for a, b in cells)
+        assert "".join(cli._cell_table("t", ["n", "v", "s"], rows, "text")) \
+            == "".join("  ".join(c.ljust(w) for c, w in zip(line, widths))
+                       .rstrip() + "\n" for line in cells)
+
+    @staticmethod
+    def guard_top(which: str) -> int:
+        """The largest ``--max-n`` that the digit guard admits for the
+        polynomial table ``which``."""
+        top = 1
+        while cli._table_digits(which, top + 1) <= chebfam.MAX_DIGITS:
+            top += 1
+        return top
+
+    @staticmethod
+    def text_length(kind: str, n: int) -> int:
+        return sum(map(len, cli._Poly(kind, n).terms()))
+
+    def test_pg_rows_never_narrow(self, capsys):
+        # a text polynomial table pads to its last row: G_n is F_{n-1}
+        # plus F-terms of lower index, and its text is no shorter than
+        # G_{n-1}'s at every n that the digit guard admits
+        top = self.guard_top("pg")
+        assert run(capsys, "table", "pg", "--max-n", str(top + 1)) == (2, "")
+        lengths = [self.text_length("pg", n) for n in range(1, top + 1)]
+        assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+
+    @pytest.mark.parametrize("kind", ["tcheb", "fpoly"])
+    def test_chebyshev_rows_never_narrow(self, kind):
+        # Row k of V_k or F_k prints no longer than row k + 1, for every k.
+        # V_k (k >= 1) has (-1)^m (C(k-m, m) + C(k-m-1, m-1)) at X^(k-2m),
+        # and F_k has (-1)^m C(k-m, m) at X^(k-2m) and (-1)^m C(k-m-1, m)
+        # at X^(k-2m-1).  So the term at X^e of row k, for the same m, maps
+        # to the term at X^(e+1) of row k + 1: the same sign, and binomials
+        # with the same bottoms and tops one larger, so no smaller.  A
+        # term's text is its separator, which the sign fixes (X^k maps to
+        # the leading X^(k+1)), the digits of |c| unless |c| = 1 < e + 1,
+        # and the power: none at e = 0, "X" at e = 1, else "X^e".  Neither
+        # shrinks: a constant c becomes "d*X", or "X" when |d| = 1 = |c|,
+        # and the power only gains.  Row k + 1 may have more terms (its
+        # constant); V_0 = 2 and V_1 = X print one character each.
+        coeffs = cli._COEFFS[kind]
+        for k in range(kind == "tcheb", 400):
+            first = True
+            for e, c, d in zip(range(k, -1, -1), coeffs(k, True),
+                               coeffs(k + 1, True)):
+                if c:
+                    assert c * d > 0 and abs(d) >= abs(c), (k, e)
+                    assert len(term_str(d, e + 1, "X", first)) >= \
+                        len(term_str(c, e, "X", first)), (k, e)
+                    first = False
+        lengths = [self.text_length(kind, k) for k in range(400)]
+        assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
     def test_csv_cells_quoted_as_csv_writer_quotes(self, capsys, tmp_path):
         rows = [["n", "a,b", 'say "hi"', "two\nlines", "cr\ronly", "", " x"],

@@ -2,12 +2,10 @@
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
-from torusideals import intpoly
 from torusideals.intpoly import (
     IntPoly,
     LaurentPoly,
@@ -18,14 +16,12 @@ from torusideals.intpoly import (
     ZERO,
     add_product,
     chebyshev_sum,
-    decimal_digits,
     exact_div,
     format_laurent,
     format_poly,
     laurent_to_x_basis,
     monomial,
     slot_width,
-    terms_width,
     unpack_balanced,
 )
 from torusideals.chebfam import tcheb, tcheb_value
@@ -102,39 +98,6 @@ class TestIntPoly:
         p, q = IntPoly(tuple(a)), IntPoly(tuple(b))
         for r in (p + q, p - q, p * q):
             assert not r.coeffs or r.coeffs[-1] != 0
-
-
-BIG = 7 * 10 ** 4999 + 3  # past str()'s 4300 digits
-width_coeffs = st.lists(st.one_of(
-    st.just(0), st.sampled_from((1, -1)), st.integers(-10 ** 40, 10 ** 40),
-    st.sampled_from((BIG, -BIG, 10 ** 4300, 1 - 10 ** 4301))), max_size=12)
-
-
-class TestWidths:
-    """The text width of a polynomial, summed from the sizes of its
-    coefficients and exponents without a string."""
-
-    @given(width_coeffs)
-    @example([])
-    @example([1, 1, 1])  # +1 at e = 0, 1 and 2
-    @example([-1, -1, -1])
-    @example([0, 0, -5])  # negative leading, zeros below it
-    @example([BIG, -1, 0, -BIG])
-    @example([1] * 10 + [-1])  # two-digit exponents
-    def test_width_is_the_printed_length(self, cs):
-        p = IntPoly(tuple(cs))
-        assert terms_width(len(cs) - 1, reversed(cs), "X") == \
-            len(format_poly(p))
-
-    def test_log10_2_literal(self):
-        ctx = Context(prec=100)
-        assert intpoly._LOG10_2 == int(ctx.multiply(
-            Decimal(2).log10(ctx), 1 << intpoly._LOG_BITS))
-
-    @given(st.integers(1, 10 ** 5000) | st.builds(
-        lambda k, d: 10 ** k + d, st.integers(1, 5000), st.integers(-1, 1)))
-    def test_digits_are_the_printed_length(self, m):
-        assert decimal_digits(m) == len(format_poly(IntPoly((m,))))
 
 
 class TestLaurentPoly:
