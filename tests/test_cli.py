@@ -777,11 +777,12 @@ class TestTable:
         # to the term at X^(e+1) of row k + 1: the same sign, and binomials
         # with the same bottoms and tops one larger, so no smaller.  A
         # term's text is its separator, which the sign fixes (X^k maps to
-        # the leading X^(k+1)), the digits of |c| unless |c| = 1 < e + 1,
-        # and the power: none at e = 0, "X" at e = 1, else "X^e".  Neither
-        # shrinks: a constant c becomes "d*X", or "X" when |d| = 1 = |c|,
-        # and the power only gains.  Row k + 1 may have more terms (its
-        # constant); V_0 = 2 and V_1 = X print one character each.
+        # the leading X^(k+1)), the digits of |c|, left out for |c| = 1 at
+        # e >= 1, and the power: none at e = 0, "X" at e = 1, else "X^e".
+        # Neither shrinks: a constant c becomes "d*X", or "X" when
+        # |d| = 1 = |c|, and the power only gains.  Row k + 1 may have
+        # more terms (its constant); V_0 = 2 and V_1 = X print one
+        # character each.
         coeffs = cli._COEFFS[kind]
         for k in range(kind == "tcheb", 400):
             first = True
