@@ -21,8 +21,8 @@ as runs of offsets, which ``odd_divisor_counts`` counts and
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
 
@@ -200,8 +200,7 @@ def near_triangular_index(n: int) -> int | None:
     return (s - 3) // 2 if s * s == 8 * n + 9 and s >= 5 else None
 
 
-@dataclass(frozen=True)
-class IncreasingSequence:
+class IncreasingSequence(namedtuple("IncreasingSequence", "a h")):
     """The run of consecutive integers {a+1, ..., a+h}; h >= 1 elements.
 
     Stores only the pair (a, h); the element set is materialized on demand.
@@ -209,12 +208,14 @@ class IncreasingSequence:
     sum is h*(h + 2a + 1)/2.
     """
 
+    __slots__ = ()
     a: int
     h: int
 
-    def __post_init__(self) -> None:
-        if self.h < 1:
+    def __new__(cls, a: int, h: int) -> IncreasingSequence:
+        if h < 1:
             raise ValueError("run length h must be >= 1")
+        return super().__new__(cls, a, h)
 
     def elements(self) -> range:
         return range(self.a + 1, self.a + self.h + 1)
@@ -270,14 +271,14 @@ def representations(n: int) -> list[IncreasingSequence]:
     return out
 
 
-@dataclass(frozen=True)
-class OddDivisorTerm:
+class OddDivisorTerm(namedtuple("OddDivisorTerm", "d r")):
     """One odd divisor d of n with its offset r = n/d - (d+1)/2.
 
     The term contributes the degree ``f_index`` running-sum polynomial with
     sign ``sign`` to the decompositions: +F_r when r >= 0, else -F_{-r-1}.
     """
 
+    __slots__ = ()
     d: int
     r: int
 

@@ -40,10 +40,9 @@ one-term remainder.  Any other divisor raises ``ValueError``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from itertools import accumulate, count
-from typing import Iterable, Iterator, Sequence
 
 
 class NonDivisibleError(ArithmeticError):
@@ -57,7 +56,12 @@ def _strip(cs: tuple[int, ...]) -> tuple[int, ...]:
     return cs[:end]
 
 
-@dataclass(frozen=True)
+def _immutable(self: object, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the polynomial classes."""
+    raise AttributeError(
+        f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class IntPoly:
     """Dense polynomial in X; ``coeffs[i]`` is the coefficient of X^i.
 
@@ -70,10 +74,24 @@ class IntPoly:
     True
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _strip(tuple(self.coeffs)))
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        object.__setattr__(self, "coeffs", _strip(tuple(coeffs)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.coeffs,)
 
     # -- structure ----------------------------------------------------------
 
@@ -190,7 +208,6 @@ TWO = IntPoly((2,))
 X = IntPoly((0, 1))
 
 
-@dataclass(frozen=True)
 class LaurentPoly:
     """Laurent polynomial in q; ``coeffs[i]`` is the coefficient of q^{min_exp+i}.
 
@@ -198,17 +215,31 @@ class LaurentPoly:
     polynomial is ``LaurentPoly(0, ())``.
     """
 
-    min_exp: int = 0
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("min_exp", "coeffs")
+    min_exp: int
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        cs = tuple(self.coeffs)
+    def __init__(self, min_exp: int = 0, coeffs: Iterable[int] = ()) -> None:
+        cs = tuple(coeffs)
         lead = 0
         while lead < len(cs) and cs[lead] == 0:
             lead += 1
         cs = _strip(cs[lead:])
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "min_exp", self.min_exp + lead if cs else 0)
+        object.__setattr__(self, "min_exp", min_exp + lead if cs else 0)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.min_exp, self.coeffs) == (other.min_exp, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.min_exp, self.coeffs))
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.min_exp, self.coeffs)
 
     # -- structure ----------------------------------------------------------
 

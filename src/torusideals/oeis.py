@@ -28,12 +28,11 @@ terms.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any
 
 from .chebfam import check_digits, check_terms, value_digits
 from .divisors import odd_divisor_counts
@@ -72,12 +71,12 @@ def parse_bfile(path: str | Path) -> Iterator[tuple[int, Decimal]]:
             yield idx, val
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", "key point min_index values")):
     """A checkable sequence: ``values(x, top)`` gives the values at the
     b-file indices min_index..top, in order, as one sweep at x = ``point``
     or, if that is None, ``--at`` (the odd-divisor count ignores x)."""
 
+    __slots__ = ()
     key: str
     point: int | None
     min_index: int
@@ -122,17 +121,18 @@ SEQUENCES: dict[str, SequenceSpec] = {
 }
 
 
-@dataclass
-class SequenceCheckReport:
+class SequenceCheckReport(namedtuple("SequenceCheckReport",
+                                     "sequence bfile_id compared mismatches")):
     """A comparison of computed values with a b-file overlap: ``compared``
     from the first read of the file, and ``mismatches``, the (index,
     b-file value, computed value) triples that differ, found by the sweep
     and the second read as they are iterated, once; none is held."""
 
+    __slots__ = ()
     sequence: str
     bfile_id: str
     compared: int
-    mismatches: Iterator[tuple[int, Decimal, Any]]
+    mismatches: Iterator[tuple[int, Decimal, object]]
 
     def to_json(self) -> dict:
         """The fields that precede the mismatches in the JSON report."""
@@ -163,7 +163,7 @@ def check_sequence(key: str, path: str | Path, at: int | None = None,
         raise ValueError(f"no b-file index {span}: nothing to compare")
     values = spec.sweep(at, top)
 
-    def mismatches() -> Iterator[tuple[int, Decimal, Any]]:
+    def mismatches() -> Iterator[tuple[int, Decimal, object]]:
         at_index = spec.min_index
         for idx, val in wanted(parse_bfile(path)):
             computed = next(islice(values, idx - at_index, None))

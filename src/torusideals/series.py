@@ -20,25 +20,26 @@ steps); the dense ``series_div`` serves the two rational families and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intpoly import (IntPoly, ONE, TWO, X, ZERO, add_product, slot_width,
                       unpack_balanced)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "order coeffs")):
     """Coefficients of t^0..t^order; ``coeffs[k]`` is a polynomial in X."""
 
+    __slots__ = ()
     order: int
     coeffs: tuple[IntPoly, ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __new__(cls, order: int, coeffs: tuple[IntPoly, ...]) -> TruncatedSeries:
+        if order < 0:
             raise ValueError("order must be non-negative")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError(
-                f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
+                f"need {order + 1} coefficients, got {len(coeffs)}")
+        return super().__new__(cls, order, coeffs)
 
     def truncate(self, new_order: int) -> TruncatedSeries:
         """Drop terms above t^new_order (new_order <= order)."""

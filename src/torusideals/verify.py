@@ -14,7 +14,6 @@ reports all breakage at once.  All sweeps are deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from . import chebfam, divisors, hilbert, series, zeta
@@ -22,15 +21,15 @@ from .intpoly import (IntPoly, LaurentPoly, NonDivisibleError, ONE, TWO, X,
                       ZERO, monomial)
 
 
-@dataclass
 class VerifySuiteReport:
     """Pass/fail tally of one suite; process exit code is 0 iff no failures."""
 
-    suite: str
-    max_n: int
-    passed: int = 0
-    # {"case", "expected", "actual"}, as the JSON report prints them
-    failures: list[dict[str, str]] = field(default_factory=list)
+    def __init__(self, suite: str, max_n: int) -> None:
+        self.suite = suite
+        self.max_n = max_n
+        self.passed = 0
+        # {"case", "expected", "actual"}, as the JSON report prints them
+        self.failures: list[dict[str, str]] = []
 
     @property
     def failed(self) -> int:

@@ -17,18 +17,18 @@ symmetric about n; the symmetry is the functional equation s -> 2n - s.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .divisors import odd_divisor_terms
 from .hilbert import cn_via_coeff_formula
 
 
-@dataclass(frozen=True)
-class ZetaFactorization:
+class ZetaFactorization(namedtuple("ZetaFactorization",
+                                   "n numerator denominator")):
     """Local zeta function as exponent multisets: e in ``numerator`` stands
     for a factor (1 - q^e t), likewise for ``denominator``."""
 
+    __slots__ = ()
     n: int
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from torusideals import cli
 from torusideals.divisors import IncreasingSequence, OddDivisorTerm
 from torusideals.intpoly import LAURENT_ZERO, ONE, ZERO, IntPoly, LaurentPoly
-from torusideals.oeis import SEQUENCES
+from torusideals.oeis import SEQUENCES, SequenceCheckReport
 from torusideals.series import TruncatedSeries
 from torusideals.verify import VerifySuiteReport
 from torusideals.zeta import local_zeta_factors
@@ -66,6 +70,12 @@ class TestRecords:
         assert hash(OddDivisorTerm(3, 1)) == hash(OddDivisorTerm(3, 1))
         assert len({local_zeta_factors(4), local_zeta_factors(4)}) == 1
 
+    def test_records_equal_the_tuples_of_their_fields(self):
+        # the one way the records differ from the classes they replaced
+        assert OddDivisorTerm(3, 1) == (3, 1)
+        assert hash(IncreasingSequence(4, 3)) == hash((4, 3))
+        assert local_zeta_factors(4) == (4, (1, 7), (0, 8))
+
     def test_suite_reports_keep_their_own_failures(self):
         a, b = VerifySuiteReport("a", 1), VerifySuiteReport("b", 2)
         a.equal("case", 1, 2)
@@ -83,6 +93,7 @@ FIELDS = [
     (local_zeta_factors(4), "numerator"),
     (TruncatedSeries(0, (ONE,)), "coeffs"),
     (SEQUENCES["pg3"], "point"),
+    (SequenceCheckReport("pg3", "b000001", 0, iter(())), "compared"),
 ]
 
 
@@ -105,3 +116,14 @@ def test_fields_cannot_be_assigned(obj, name):
 ], ids=lambda o: type(o).__name__)
 def test_pickle_round_trip(obj):
     assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """``-S`` skips ``site``, whose ``.pth`` imports could load them first."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import torusideals.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
