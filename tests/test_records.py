@@ -71,7 +71,7 @@ class TestRecords:
         assert len({local_zeta_factors(4), local_zeta_factors(4)}) == 1
 
     def test_records_equal_the_tuples_of_their_fields(self):
-        # the one way the records differ from the classes they replaced
+        # namedtuple records compare as tuples
         assert OddDivisorTerm(3, 1) == (3, 1)
         assert hash(IncreasingSequence(4, 3)) == hash((4, 3))
         assert local_zeta_factors(4) == (4, (1, 7), (0, 8))
