@@ -14,9 +14,10 @@ coefficient at a time from the last, in either order (``tcheb_coeffs``,
 ``fpoly_coeffs``, and ``fpoly_sum`` for signed sums of F_k), which the
 dense ``tcheb`` and ``fpoly`` collect; values come from Lucas-sequence doubling
 (``tcheb_value``, ``fpoly_value``) or, for a whole sweep, the value recurrence
-(``fpoly_stream``, ``fpoly_values``), for any number type: the CLI prints
-values computed in ``decimal_radix`` (linear-time ``str()``).  At x = -2,
--1, 0 and 1 the values repeat in k (``fpoly_period``).  Nothing is cached.
+(``fpoly_stream``, which ``hilbert.fpoly_blocks`` cuts into blocks at
+|x| > 2), for any number type: the CLI prints values computed in
+``decimal_radix`` (linear-time ``str()``).  At x = -2, -1, 0 and 1 the
+values repeat in k (``fpoly_period``).  Nothing is cached.
 """
 from __future__ import annotations
 
@@ -145,13 +146,6 @@ def fpoly_stream(x: int) -> Iterator[int]:
     while True:
         yield a
         a, b = b, x * b - a
-
-
-def fpoly_values(count: int, x: int) -> list[int]:
-    """[F_0(x), ..., F_{count-1}(x)] from ``fpoly_stream``."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return list(islice(fpoly_stream(x), count))
 
 
 def fpoly_period(x: int) -> list[int]:

@@ -329,11 +329,6 @@ def pg_blocks(top: int, x: int) -> Iterator[tuple[list, list]]:
         yield fs, gs
 
 
-def pg_values(top: int, x: int) -> list:
-    """[G_1(x), ..., G_top(x)] from ``pg_blocks``, as one list."""
-    return [g for _, gs in pg_blocks(top, x) for g in gs]
-
-
 def approx_defect(n: int) -> IntPoly:
     """The difference G_n - F_{n-1}, built from the interval counts as
     b_0 + sum b_i V_i(X) with b_i = a_{n,i} - 1.

@@ -27,12 +27,12 @@ terms.
 """
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from itertools import chain, islice
-from pathlib import Path
 
 from .chebfam import check_digits, check_terms, value_digits
 from .divisors import odd_divisor_counts
@@ -46,14 +46,13 @@ class BFileError(ValueError):
     """Malformed b-file; message carries the offending line number."""
 
 
-def parse_bfile(path: str | Path) -> Iterator[tuple[int, Decimal]]:
+def parse_bfile(path: str | os.PathLike) -> Iterator[tuple[int, Decimal]]:
     """The (index, value) entries of a b-file, read a line at a time;
     raises ``BFileError`` with a line number on a bad line, as it is
     reached.  Values are ``int()`` literals of any length, read as exact
     ``Decimal``."""
-    path = Path(path)
     prev: int | None = None
-    with path.open(encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -140,7 +139,7 @@ class SequenceCheckReport(namedtuple("SequenceCheckReport",
                 "compared": self.compared}
 
 
-def check_sequence(key: str, path: str | Path, at: int | None = None,
+def check_sequence(key: str, path: str | os.PathLike, at: int | None = None,
                    max_index: int | None = None) -> SequenceCheckReport:
     """Compare the named sequence against the b-file at ``path`` over the
     overlapping index range (up to ``max_index``); an empty overlap, and a
@@ -173,11 +172,12 @@ def check_sequence(key: str, path: str | Path, at: int | None = None,
             if idx == top:  # the rest was validated by the first read
                 break
 
-    return SequenceCheckReport(key, Path(path).stem, compared, mismatches())
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return SequenceCheckReport(key, stem, compared, mismatches())
 
 
-def emit_bfile(key: str, path: str | Path, at: int | None = None,
-               max_index: int = 100) -> int:
+def emit_bfile(key: str, path: str | os.PathLike, at: int | None = None, *,
+               max_index: int) -> int:
     """Write computed values in b-file format (candidate reference data for
     sequences without one), one line at a time as the sweep's blocks come;
     returns the number of lines written."""

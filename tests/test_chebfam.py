@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import decimal
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,15 +18,15 @@ from torusideals.chebfam import (
     fpoly_closed,
     fpoly_coeffs,
     fpoly_sum,
+    fpoly_stream,
     fpoly_value,
-    fpoly_values,
     tcheb,
     tcheb_closed,
     tcheb_coeffs,
     tcheb_trace,
     value_digits,
 )
-from torusideals.intpoly import TWO, X, ZERO, monomial
+from torusideals.intpoly import TWO, X, ZERO
 
 
 @pytest.mark.parametrize("k,coeffs", sorted(TCHEB_TABLE.items()))
@@ -36,23 +37,6 @@ def test_tcheb_reference_rows(k, coeffs):
 @pytest.mark.parametrize("k,coeffs", sorted(F_TABLE.items()))
 def test_fpoly_reference_rows(k, coeffs):
     assert fpoly(k).coeffs == coeffs
-
-
-def test_monic_of_degree_k():
-    for k in range(1, 40):
-        assert tcheb(k).is_monic() and tcheb(k).degree == k
-        assert fpoly(k).is_monic() and fpoly(k).degree == k
-    assert fpoly(0).is_monic() and fpoly(0).degree == 0
-
-
-def test_three_route_agreement():
-    # closed form, matrix trace, and F_k as the running sum of the V_k
-    f = fpoly(0)
-    for k in range(66):
-        assert tcheb_trace(k) == tcheb(k)
-        if k >= 1:
-            f = f + tcheb(k)
-            assert fpoly(k) == f
 
 
 class TestCoefficientStreams:
@@ -107,39 +91,6 @@ def test_closed_forms_reject_zero():
         tcheb(-1)
 
 
-def test_substitution_identity():
-    for k in range(40):
-        expected = monomial(k) + monomial(-k) if k else monomial(0, 2)
-        assert tcheb(k).eval_q_plus_qinv() == expected
-
-
-def test_f_recurrence():
-    for k in range(1, 66):
-        assert fpoly(k + 1) == X * fpoly(k) - fpoly(k - 1)
-
-
-def test_difference_identity():
-    for r in range(66):
-        assert tcheb(r + 1) - tcheb(r) == (X - TWO) * fpoly(r)
-
-
-def test_constant_term():
-    assert [fpoly(k).coeff(0) for k in (0, 2, 11)] == [1, -1, -1]
-    for k in range(50):
-        assert fpoly(k).coeff(0) == fpoly_value(k, 0) == (-1) ** (k // 2)
-
-
-def test_leading_coefficients():
-    for k in range(5, 50):
-        f = fpoly(k)
-        assert f.coeff(k) == 1
-        assert f.coeff(k - 1) == 1
-        assert f.coeff(k - 2) == -(k - 1)
-        assert f.coeff(k - 3) == -(k - 2)
-        assert f.coeff(k - 4) == (k - 2) * (k - 3) // 2
-        assert f.coeff(k - 5) == (k - 3) * (k - 4) // 2
-
-
 @given(st.integers(0, 120), st.integers(-8, 8))
 def test_value_recurrence_matches_polynomial(k, x):
     assert fpoly_value(k, x) == fpoly(k).eval_int(x)
@@ -147,15 +98,8 @@ def test_value_recurrence_matches_polynomial(k, x):
 
 @pytest.mark.parametrize("x", range(-8, 9))
 def test_value_list_matches_doubling(x):
-    assert fpoly_values(130, x) == [fpoly_value(k, x) for k in range(130)]
-    assert fpoly_values(0, x) == [] and fpoly_values(1, x) == [1]
-
-
-def test_fresh_cache_is_consistent():
-    # the module keeps no state, so these are fresh computations every time
-    assert tcheb(7).coeffs == TCHEB_TABLE[7]
-    assert fpoly(9).coeffs == F_TABLE[9]
-    assert fpoly_value(14, 3) == 1149851
+    assert list(islice(fpoly_stream(x), 130)) == \
+        [fpoly_value(k, x) for k in range(130)]
 
 
 class TestDecimalRadix:
@@ -163,9 +107,9 @@ class TestDecimalRadix:
 
     @pytest.mark.parametrize("x", range(-8, 9))
     def test_values_equal_int_values(self, x):
-        ints = fpoly_values(300, x)
+        ints = list(islice(fpoly_stream(x), 300))
         with decimal_radix(x) as point:
-            decs = fpoly_values(300, point)
+            decs = list(islice(fpoly_stream(point), 300))
             singles = [fpoly_value(k, point) for k in (0, 1, 2, 7, 299)]
         assert [str(v) for v in decs] == [str(v) for v in ints]
         assert singles == [ints[k] for k in (0, 1, 2, 7, 299)]

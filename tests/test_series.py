@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusideals import series
-from torusideals.chebfam import fpoly, tcheb
-from torusideals.hilbert import pg_via_interval
 from torusideals.intpoly import IntPoly, NonDivisibleError, ONE, TWO, X, ZERO
 from torusideals.series import (
     TruncatedSeries,
@@ -89,8 +87,6 @@ class TestProductExpansion:
         pgs = pg_from_series(12)
         assert pgs[0] == ONE
         assert pgs[6] == poly(0, 2, 5, -4, -5, 1, 1)
-        for n in range(1, 13):
-            assert pgs[n - 1] == pg_via_interval(n)
 
     def test_matches_dense_division(self):
         # reference: numerator and denominator multiplied out, then one
@@ -116,14 +112,6 @@ class TestProductExpansion:
                 with pytest.raises(NonDivisibleError):
                     pg_from_series(10, TruncatedSeries(10, tuple(cs)))
 
-    def test_truncation_stability(self):
-        deep = expand_pg_product(24)
-        assert deep.truncate(12) == expand_pg_product(12)
-
-    def test_extraction_sweep(self):
-        for n, p in enumerate(pg_from_series(50), start=1):
-            assert p == pg_via_interval(n)
-
     def test_extraction_from_a_deeper_expansion(self):
         assert pg_from_series(20, expand_pg_product(30)) == pg_from_series(20)
 
@@ -145,29 +133,8 @@ class TestFamilyGeneratingFunctions:
         s = expand_f_gf(8)
         assert s.coeffs[0] == ONE
         assert s.coeffs[3] == poly(-1, -2, 1, 1)
-        for k in range(9):
-            assert s.coeffs[k] == fpoly(k)
 
     def test_tcheb_rows(self):
         s = expand_tcheb_gf(8)
         assert s.coeffs[0] == TWO
         assert s.coeffs[5] == poly(0, 5, 0, -5, 0, 1)
-        for k in range(9):
-            assert s.coeffs[k] == tcheb(k)
-
-    def test_sweep_to_64(self):
-        sf = expand_f_gf(64)
-        st_ = expand_tcheb_gf(64)
-        for k in range(65):
-            assert sf.coeffs[k] == fpoly(k)
-            assert st_.coeffs[k] == tcheb(k)
-
-    def test_numerator_identity(self):
-        # (1 - t^2)/(1 - Xt + t^2) == (1 - t) * expansion of the f-family
-        order = 40
-        den = series_from_terms(order, {0: ONE, 1: -X, 2: ONE})
-        lhs = series_mul(series_from_terms(order, {0: ONE, 2: -ONE}),
-                         series_inverse(den))
-        rhs = series_mul(series_from_terms(order, {0: ONE, 1: -ONE}),
-                         expand_f_gf(order))
-        assert lhs == rhs

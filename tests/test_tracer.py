@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -43,3 +45,14 @@ def test_every_layer_target_resolves_to_its_own_object():
                  "chebfam.fpoly_closed", "zeta.check_functional_equation",
                  "zeta.zeta_consistency_with_cn"):
         assert name in seen.values()
+
+
+def test_cli_import_loads_every_layer_module():
+    """A lazy import in ``cli`` would fail ``Tracer.install`` (KeyError)."""
+    mods = {f"torusideals.{m}" for ts in load_layers().values() for m, _ in ts}
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import torusideals.cli; print(*set(sys.argv[2:]) - set(sys.modules))")
+    src = Path(importlib.import_module("torusideals").__file__).parents[1]
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src), *mods],
+                         capture_output=True, text=True, check=True).stdout
+    assert "torusideals.verify" in mods and out.split() == []

@@ -5,7 +5,6 @@ import json
 
 from torusideals.zeta import (
     ZetaFactorization,
-    check_functional_equation,
     format_local_zeta,
     hasse_weil_factors,
     local_zeta_factors,
@@ -33,12 +32,6 @@ def test_hasse_weil_shifts():
     hw = hasse_weil_factors(4)
     assert (hw.numerator, hw.denominator) == ((1, 7), (0, 8))
     assert hasse_weil_factors(2) == local_zeta_factors(2)
-
-
-def test_functional_equation():
-    assert check_functional_equation(4)
-    assert check_functional_equation(3)
-    assert check_functional_equation(12)
 
 
 def test_consistency_with_coefficients():
