@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
-from decimal import Decimal, localcontext
+from collections.abc import Iterable, Iterator
+from decimal import localcontext
 from itertools import chain, islice
 
 from . import chebfam, hilbert, zeta
@@ -50,33 +50,37 @@ def _json_pieces(obj: object) -> Iterator[str]:
     yield "\n"
 
 
-def _width(cell: object) -> int:
-    """``len(str(cell))``, for an integral ``Decimal`` of exponent 0 (a value
-    from ``decimal_radix``) read off its exponent instead of formatted."""
-    if isinstance(cell, Decimal):
-        return cell.adjusted() + 1 + cell.is_signed()
-    return len(str(cell))
-
-
-def _text_table(headers: list[str], rows: Iterable[dict],
-                sized: Iterable[dict]) -> Iterator[str]:
-    """The cells of ``rows`` under ``headers``, each column padded to its
-    widest cell in the header and the rows ``sized``: ``rows`` again where
-    a later cell can be narrower, or a polynomial table's last row, whose
-    cells no earlier row's outgrow.  The widths come from ``_width``
-    before the first line, and a cell's ``str`` is made only as its line
-    is written; the last column is padded too, so the dash line under it
-    is as wide as its widest cell, before the line's ``rstrip``."""
-    widths = list(map(len, headers))
-    for r in sized:
-        widths = [max(w, _width(r[h])) for w, h in zip(widths, headers)]
-    def fmt(cells: Iterable) -> str:  # lines go out one by one, never joined
-        return "  ".join(str(c).ljust(w)
-                         for c, w in zip(cells, widths)).rstrip() + "\n"
-    yield fmt(headers)
+def _padded(widths: list[int], lines: Iterable[list[str]]) -> Iterator[str]:
+    """The first of ``lines`` (the header), a line of dashes, then the
+    rest, each cell padded to its column's width and each line
+    ``rstrip``ped: the last column is padded too, so the dash line under
+    it is as wide as its widest cell.  Lines go out one by one."""
+    def fmt(cells: list[str]) -> str:
+        return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
+    lines = iter(lines)
+    yield fmt(next(lines))
     yield fmt(["-" * w for w in widths])
-    for r in rows:
-        yield fmt(r[h] for h in headers)
+    yield from map(fmt, lines)
+
+
+def _text_table(headers: list[str], rows: Iterable[dict]) -> Iterator[str]:
+    """The cells of ``rows`` under ``headers``, each column padded to its
+    widest cell, with ``rows`` read once: as the widths are taken, each
+    row's cells go, unpadded and tab-separated, to an anonymous spill
+    file, and the padded lines are written from it, so no cell may hold a
+    tab or a newline.  The spill is never larger than the table's own
+    text."""
+    import tempfile  # at module level it loads some 40 modules at start-up
+
+    widths = list(map(len, headers))
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spill:
+        for r in rows:
+            cells = [str(r[h]) for h in headers]
+            widths = list(map(max, widths, map(len, cells)))
+            spill.write("\t".join(cells) + "\n")
+        spill.seek(0)
+        yield from _padded(widths, chain(
+            [headers], (line[:-1].split("\t") for line in spill)))
 
 
 # -- compute --------------------------------------------------------------------
@@ -164,42 +168,26 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         pieces = (([str(v)], k) for v, k in runs)
     else:
         chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
-        poly = _Poly(kind, n)  # only the stream that is read is made
-        text, fields, pieces = poly.terms(), {}, _coeff_pieces(poly)
+        # only the stream that is read is made
+        text, fields, pieces = _terms(kind, n), {}, _coeff_pieces(kind, n)
     _emit(chain(text, ["\n"]) if fmt == "text" else
           _whole_polys(fmt, [({"kind": kind, "n": n, **fields}, pieces)]),
           args.out)
     return 0
 
 
-class _Poly:
-    """The dense polynomial ``kind`` at index n, read from a fresh
-    coefficient stream of ``_COEFFS`` each time: its coefficients, or its
-    terms for text.  No row's text is longer than the next row's, so a
-    text table's last row is its widest: for V_k and F_k each term maps to
-    a term of the next row that is no shorter, and G_n, F_{n-1} plus
-    F-terms of lower index, is checked at every n the digit guard admits
-    (``tests/test_cli.py``)."""
-
-    def __init__(self, kind: str, n: int) -> None:
-        self.kind, self.n = kind, n
-        self.degree = n - 1 if kind == "pg" else n
-
-    def coeffs(self, descending: bool = False) -> Iterator[int]:
-        return _COEFFS[self.kind](self.n, descending)
-
-    def terms(self) -> Iterator[str]:
-        yield from format_terms(self.degree, self.coeffs(descending=True),
-                                "X")
-
-    def __str__(self) -> str:
-        return "".join(self.terms())
+def _terms(kind: str, n: int) -> Iterator[str]:
+    """The text terms of the dense polynomial ``kind`` at index n, highest
+    power first, from a fresh descending stream of ``_COEFFS``."""
+    yield from format_terms(n - 1 if kind == "pg" else n,
+                            _COEFFS[kind](n, True), "X")
 
 
-def _coeff_pieces(poly: _Poly) -> Iterator[tuple[list[str], int]]:
-    """The coefficients of ``poly`` from X^0 up, as slices of at most
-    ``_PIECE`` decimal strings, each made once, as the coefficients come."""
-    cs = poly.coeffs()
+def _coeff_pieces(kind: str, n: int) -> Iterator[tuple[list[str], int]]:
+    """The coefficients of the dense polynomial ``kind`` at index n from
+    X^0 up, as slices of at most ``_PIECE`` decimal strings, each made
+    once, as the coefficients come."""
+    cs = _COEFFS[kind](n)
     while chunk := list(islice(cs, _PIECE)):
         yield decimal_strs(chunk), 1
 
@@ -301,24 +289,13 @@ def _text_run_pieces(runs: list[tuple[int, int]]) -> Iterator[str]:
 _REL_LABEL = {0: "equal", 1: "off_by_one"}
 
 
-class _Sweep:
-    """The rows that ``rows()`` sweeps, swept anew on each iteration, so
-    that a text table can find its widths first and hold no row."""
-
-    def __init__(self, rows: Callable[[], Iterator[dict]]) -> None:
-        self._rows = rows
-
-    def __iter__(self) -> Iterator[dict]:
-        return self._rows()
-
-
-def values_rows(max_n: int, points: list[int]) -> Iterable[dict]:
+def values_rows(max_n: int, points: list[int]) -> Iterator[dict]:
     """Paired exact values of the ideal-count and running-sum families at
     each point, with the equal / off-by-one / other relation: rows keyed
-    ``n``, every ``pg_x``, every ``f_x``, every ``rel_x``, computed one
-    block of ``hilbert.pg_blocks`` at a time on each iteration.  A repeated
-    point, and a sweep past the digit or term limit, are refused here,
-    before any row."""
+    ``n``, every ``pg_x``, every ``f_x``, every ``rel_x``, computed once,
+    one block of ``hilbert.pg_blocks`` at a time.  A repeated point, and a
+    sweep past the digit or term limit, are refused here, before any
+    row."""
     repeats = [x for x, k in Counter(points).items() if k > 1]
     if repeats:
         raise ValueError(f"--N repeats the point {repeats[0]}")
@@ -338,7 +315,7 @@ def values_rows(max_n: int, points: list[int]) -> Iterable[dict]:
                 range(start, stop), *(gs for _, gs in swept),
                 *(fs for fs, _ in swept), *rels))
             start = stop
-    return _Sweep(rows)
+    return rows()
 
 
 def tsum_string(n: int) -> str:
@@ -371,10 +348,10 @@ def fdecomp_string(n: int) -> str:
 
 def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
                 fmt: str) -> Iterable[str]:
-    """The rows, one row dict at a time: as the JSON ``_json_list`` of
-    ``which``, each row with ``n`` a number and every other cell its
-    string, or as the ``headers`` cells, in CSV or padded text, for which
-    ``rows`` is iterated twice."""
+    """The rows, one row dict at a time, each read once: as the JSON
+    ``_json_list`` of ``which``, each row with ``n`` a number and every
+    other cell its string, or as the ``headers`` cells, in CSV or padded
+    text."""
     if fmt == "json":  # json.dumps(row, indent=2), two levels deep
         return _json_list({"table": which}, "rows", (
             ["{\n      " + ",\n      ".join(
@@ -383,7 +360,7 @@ def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
     if fmt == "csv":
         return _csv_lines(chain([headers], (
             [str(r[h]) for h in headers] for r in rows)))
-    return _text_table(headers, rows, rows)
+    return _text_table(headers, rows)
 
 
 def _points(text: str) -> list[int]:
@@ -419,9 +396,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # at n = 4000
         chebfam.check_digits((9 if args.format == "text" else 3)
                              * max_n * max_n, "characters")
-        rows = _Sweep(lambda: (
-            {"n": n, "tsum": tsum_string(n), "fdecomp": fdecomp_string(n)}
-            for n in range(1, max_n + 1)))
+        rows = ({"n": n, "tsum": tsum_string(n), "fdecomp": fdecomp_string(n)}
+                for n in range(1, max_n + 1))
         _emit(_cell_table(which, ["n", "tsum", "fdecomp"], rows, args.format),
               args.out)
         return 0
@@ -429,12 +405,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # polynomial tables
     ns = range(_FIRST.get(which, 1), max_n + 1)
     chebfam.check_digits(_table_digits(which, max_n))
-    if args.format == "text":  # sized from the last row, the widest
-        def row(n: int) -> dict:
-            return {"n": n, which: _Poly(which, n)}
-        _emit(_text_table(["n", which], map(row, ns), [row(max_n)]), args.out)
+    if args.format == "text":
+        # No row's text is longer than the next row's, so the last row's
+        # is the column width and no row is spilled: for V_k and F_k each
+        # term maps to a term of the next row that is no shorter, and G_n,
+        # F_{n-1} plus F-terms of lower index, is checked at every n the
+        # digit guard admits (tests/test_cli.py)
+        widths = [len(str(max_n)),
+                  max(len(which), sum(map(len, _terms(which, max_n))))]
+        _emit(_padded(widths, chain([["n", which]], (
+            [str(n), "".join(_terms(which, n))] for n in ns))), args.out)
     else:
-        rows = (({"n": n}, _coeff_pieces(_Poly(which, n))) for n in ns)
+        rows = (({"n": n}, _coeff_pieces(which, n)) for n in ns)
         _emit(_whole_polys(args.format, rows, which), args.out)
     return 0
 

@@ -477,8 +477,9 @@ def unpack_balanced(v: int, w: int, count: int) -> list[int]:
 
 
 # -- decimal strings ------------------------------------------------------------
-# Shared by every module: coefficients as decimal strings so that arbitrary
-# precision survives any JSON implementation.
+# Coefficients as decimal strings, so that arbitrary precision survives any
+# JSON implementation: the CLI's coefficient slices (``cli._coeff_pieces``)
+# and a ``term_str`` coefficient past the int-to-str digit limit.
 
 def decimal_strs(cs: Sequence[int]) -> list[str]:
     """The decimal strings of the ints cs, at any size.  ``str()`` of an int

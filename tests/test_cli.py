@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from itertools import islice
 from concurrent.futures import ThreadPoolExecutor
@@ -722,15 +723,6 @@ class TestTable:
         assert got == rows
         assert "-0" not in {cell for row in got for cell in row}
 
-    def test_cell_width_is_the_printed_length(self):
-        # the text table widths a Decimal cell from its exponent, unformatted
-        with decimal_radix(10) as ten:
-            cells = [ten - ten, 12345 * ten ** 4400 + 1]  # past 4300 digits
-            for k in (1, 2, 9, 19, 28, 4300):
-                cells += [ten ** k - 1, ten ** k, 1 - ten ** k, -ten ** k]
-        cells += [0, 1, -1, 9, 10, -10, 2999, "equal", "off_by_one"]
-        assert [cli._width(c) for c in cells] == [len(str(c)) for c in cells]
-
     def test_text_table_pads_to_the_widest_row(self):
         # values and decomp size each column from every row, because their
         # cells do not grow with n: here each column's widest cell is in
@@ -747,6 +739,28 @@ class TestTable:
             == "".join("  ".join(c.ljust(w) for c, w in zip(line, widths))
                        .rstrip() + "\n" for line in cells)
 
+    def test_text_tables_compute_each_row_once(self, capsys):
+        # the text table takes its widths as it spills the rows, then
+        # writes the lines from the spill: no row is computed again
+        with patch.object(hilbert, "pg_blocks",
+                          wraps=hilbert.pg_blocks) as blocks:
+            code, _ = run(capsys, "table", "values", "--N=3,-5",
+                          "--max-n", "50")
+        assert code == 0 and blocks.call_count == 2  # once per point
+        with patch.object(cli, "tsum_string", wraps=tsum_string) as tsum:
+            code, _ = run(capsys, "table", "decomp", "--max-n", "50")
+        assert code == 0 and tsum.call_count == 50
+
+    def test_spill_file_refused(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        code = main(["table", "decomp"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 28] No space left on device\n"
+
     @staticmethod
     def guard_top(which: str) -> int:
         """The largest ``--max-n`` that the digit guard admits for the
@@ -758,7 +772,7 @@ class TestTable:
 
     @staticmethod
     def text_length(kind: str, n: int) -> int:
-        return sum(map(len, cli._Poly(kind, n).terms()))
+        return sum(map(len, cli._terms(kind, n)))
 
     def test_pg_rows_never_narrow(self, capsys):
         # a text polynomial table pads to its last row: G_n is F_{n-1}

@@ -119,12 +119,13 @@ def test_pickle_round_trip(obj):
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    """Nor ``pathlib``; ``-S`` skips ``site``, whose imports could load them."""
+    """Nor ``pathlib`` or ``tempfile``, which the text tables import only
+    when they run; ``-S`` skips ``site``, whose imports could load them."""
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import torusideals.cli; "
-            "print(*sorted({'dataclasses', 'inspect', 'typing', 'pathlib'}"
-            " & set(sys.modules)))")
+            "print(*sorted({'dataclasses', 'inspect', 'typing', 'pathlib',"
+            " 'tempfile'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
