@@ -11,9 +11,10 @@ closed form, matrix trace, and the three-term recurrence that the ``verify``
 sweep rolls itself) so they can cross-validate one another.  The closed
 forms are the production route, as coefficient streams that make one
 coefficient at a time from the last, in either order (``tcheb_coeffs``,
-``fpoly_coeffs``, and ``fpoly_sum`` for signed sums of F_k), which the
-dense ``tcheb`` and ``fpoly`` collect; values come from Lucas-sequence doubling
-(``tcheb_value``, ``fpoly_value``) or, for a whole sweep, the value recurrence
+``fpoly_coeffs`` from two runs of ``ucheb_run``, and ``fpoly_sum`` for
+signed sums of F_k), which the dense ``tcheb`` and ``fpoly`` collect;
+values come from Lucas-sequence doubling (``tcheb_value``,
+``fpoly_value``) or, for a whole sweep, the value recurrence
 (``fpoly_stream``, which ``hilbert.fpoly_blocks`` cuts into blocks at
 |x| > 2), for any number type: the CLI prints values computed in
 ``decimal_radix`` (linear-time ``str()``).  At x = -2, -1, 0 and 1 the
@@ -26,15 +27,10 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain, islice, repeat, zip_longest
 from operator import mul
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
-                     DivisionByZero, Inexact, InvalidOperation, Overflow,
-                     Rounded, localcontext)
+from decimal import Decimal, localcontext
 
-from .intpoly import ONE, TWO, X, IntPoly
+from .intpoly import EXACT, ONE, TWO, X, IntPoly
 
-#: Exact decimal arithmetic, entered only through ``localcontext``.
-EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[
-    Inexact, Rounded, InvalidOperation, Overflow, DivisionByZero])
 MAX_DIGITS = 10 ** 8  #: the most digits an answer (summed over a sweep) may have
 #: the most values one sweep may have: the indices of ``oeis-check``, the
 #: rows times the points of ``table values``.  10^7 still admits
@@ -216,6 +212,18 @@ def tcheb_coeffs(k: int, descending: bool = False) -> Iterator[int]:
                        descending)
 
 
+def ucheb_run(n: int, descending: bool = False) -> Iterator[int]:
+    """The run (-1)^m C(n-m, m), m = 0..n//2, of the monic second-kind
+    Chebyshev polynomial U_n: its coefficients of X^{n-2m}, from X^n down
+    or, ascending, from the lowest power up; nothing for n < 0.  F_k is
+    U_k + U_{k-1}, so the run of U_k serves F_k and F_{k+1}.
+
+    >>> list(ucheb_run(4)), list(ucheb_run(3, descending=True))
+    ([1, -3, 1], [1, -2])
+    """
+    return _binomial_run(n, 0, descending)
+
+
 def fpoly_coeffs(k: int, descending: bool = False) -> Iterator[int]:
     """The k + 1 coefficients of F_k = U_k + U_{k-1}, from X^0 up or,
     descending, from X^k down, each made as it is read: two interleaved
@@ -227,8 +235,8 @@ def fpoly_coeffs(k: int, descending: bool = False) -> Iterator[int]:
     """
     if k < 0:
         raise ValueError("fpoly index must be non-negative")
-    return _interleave(k, _binomial_run(k, 0, descending),
-                       _binomial_run(k - 1, 0, descending), descending)
+    return _interleave(k, ucheb_run(k, descending),
+                       ucheb_run(k - 1, descending), descending)
 
 
 def fpoly_sum(terms: Iterable[tuple[int, int]],

@@ -14,12 +14,13 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from decimal import localcontext
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from types import SimpleNamespace
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import decimal_strs, format_terms, term_str
+from .intpoly import (decimal_strs, format_terms, lead_term, spell_terms,
+                      term_str)
 from .oeis import SEQUENCES, check_sequence, emit_bfile
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -73,11 +74,12 @@ def _json_pieces(obj: object) -> Iterator[str]:
 
 def _padded(widths: list[int], lines: Iterable[list[str]]) -> Iterator[str]:
     """The first of ``lines`` (the header), a line of dashes, then the
-    rest, each cell padded to its column's width and each line
-    ``rstrip``ped: the last column is padded too, so the dash line under
-    it is as wide as its widest cell.  Lines go out one by one."""
+    rest, each cell but the last padded to its column's width and each
+    line ``rstrip``ped, so the dash line under the last column is as wide
+    as its widest cell.  Lines go out one by one."""
     def fmt(cells: list[str]) -> str:
-        return "  ".join(map(str.ljust, cells, widths)).rstrip() + "\n"
+        *head, last = cells
+        return "  ".join([*map(str.ljust, head, widths), last]).rstrip() + "\n"
     lines = iter(lines)
     yield fmt(next(lines))
     yield fmt(["-" * w for w in widths])
@@ -202,6 +204,32 @@ def _terms(kind: str, n: int) -> Iterator[str]:
     power first, from a fresh descending stream of ``_COEFFS``."""
     yield from format_terms(n - 1 if kind == "pg" else n,
                             _COEFFS[kind](n, True), "X")
+
+
+def _fpoly_texts(max_n: int) -> tuple[int, Iterator[str]]:
+    """The length of F_max_n's text, and the texts of F_0, ..., F_max_n
+    one by one.  F_k = U_k + U_{k-1}, and the run of U_k
+    (``chebfam.ucheb_run``) sits at the same powers in F_k and F_{k+1};
+    so each run's terms are rendered once, for two rows, and only the
+    previous run is kept.  The last row sizes the column: the runs of
+    U_{max_n-1} and U_max_n are rendered first and kept for it."""
+    def run(n: int) -> list[str]:
+        return spell_terms(list(chebfam.ucheb_run(n, True)), n, 2, "X")
+
+    def text(hi: list[str], lo: list[str]) -> str:
+        # U_k leads with X^k, then the powers alternate between the runs
+        return "".join([lead_term(hi[0]), *chain.from_iterable(
+            zip_longest(lo, hi[1:], fillvalue=""))])
+
+    held = {n: run(n) for n in (max_n - 1, max_n)}
+
+    def texts() -> Iterator[str]:
+        lo: list[str] = []  # U_{-1} = 0
+        for k in range(max_n + 1):
+            hi = held.pop(k, None) or run(k)
+            yield text(hi, lo)
+            lo = hi
+    return len(text(held[max_n], held[max_n - 1])), texts()
 
 
 def _coeff_pieces(kind: str, n: int) -> Iterator[tuple[list[str], int]]:
@@ -342,16 +370,10 @@ def values_rows(max_n: int, points: list[int]) -> Iterator[dict]:
 def tsum_string(n: int) -> str:
     """The interval-count combination, constants folded: an even constant
     2m renders as m*T0 (T0 = 2), an odd one keeps a bare 1."""
-    parts = []
-    a0, *rest = a_coeffs(n)
-    if a0 % 2:
-        parts.append("1")
-    if a0 // 2:
-        parts.append("T0" if a0 // 2 == 1 else f"{a0 // 2}*T0")
-    for i, ai in enumerate(rest, 1):
-        if ai:
-            parts.append(f"T{i}" if ai == 1 else f"{ai}*T{i}")
-    return " + ".join(parts)
+    cs = a_coeffs(n)
+    odd, cs[0] = cs[0] % 2, cs[0] // 2
+    return " + ".join(["1"] * odd + [f"T{i}" if a == 1 else f"{a}*T{i}"
+                                     for i, a in enumerate(cs) if a])
 
 
 def fdecomp_string(n: int) -> str:
@@ -432,10 +454,14 @@ def _cmd_table(args: SimpleNamespace) -> int:
         # term maps to a term of the next row that is no shorter, and G_n,
         # F_{n-1} plus F-terms of lower index, is checked at every n the
         # digit guard admits (tests/test_cli.py)
-        widths = [len(str(max_n)),
-                  max(len(which), sum(map(len, _terms(which, max_n))))]
+        if which == "fpoly":
+            last, texts = _fpoly_texts(max_n)
+        else:
+            last = sum(map(len, _terms(which, max_n)))
+            texts = ("".join(_terms(which, n)) for n in ns)
+        widths = [len(str(max_n)), max(len(which), last)]
         _emit(_padded(widths, chain([["n", which]], (
-            [str(n), "".join(_terms(which, n))] for n in ns))), args.out)
+            [str(n), text] for n, text in zip(ns, texts)))), args.out)
     else:
         rows = (({"n": n}, _coeff_pieces(which, n)) for n in ns)
         _emit(_whole_polys(args.format, rows, which), args.out)

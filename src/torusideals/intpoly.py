@@ -41,8 +41,14 @@ one-term remainder.  Any other divisor raises ``ValueError``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from decimal import Decimal
-from itertools import accumulate, count
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                     DivisionByZero, Inexact, InvalidOperation, Overflow,
+                     Rounded, localcontext)
+from itertools import accumulate, islice
+
+#: Exact decimal arithmetic, entered only through ``localcontext``.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[
+    Inexact, Rounded, InvalidOperation, Overflow, DivisionByZero])
 
 
 class NonDivisibleError(ArithmeticError):
@@ -478,8 +484,7 @@ def unpack_balanced(v: int, w: int, count: int) -> list[int]:
 
 # -- decimal strings ------------------------------------------------------------
 # Coefficients as decimal strings, so that arbitrary precision survives any
-# JSON implementation: the CLI's coefficient slices (``cli._coeff_pieces``)
-# and a ``term_str`` coefficient past the int-to-str digit limit.
+# JSON implementation: the CLI's coefficient slices (``cli._coeff_pieces``).
 
 def decimal_strs(cs: Sequence[int]) -> list[str]:
     """The decimal strings of the ints cs, at any size.  ``str()`` of an int
@@ -499,38 +504,75 @@ def decimal_strs(cs: Sequence[int]) -> list[str]:
 
 # -- rendering ------------------------------------------------------------------
 
+#: The most coefficients that ``format_terms`` renders in one
+#: ``spell_terms`` call: one list comprehension, not a step per term.  A
+#: larger slice saves little more, and holds more text at once
+_SLICE = 32
+
+
+def spell_terms(cs: Sequence[int], top: int, step: int,
+                var: str) -> list[str]:
+    """The terms c * var^e of the coefficients ``cs``, the i-th at
+    e = top - i * step, one string each: ' + 3*q^5', ' - q^-2', ' + 3*q'
+    at q^1, ' - 1' at q^0, and '' for a zero.  The one place the term
+    syntax is spelled; ``lead_term`` writes a polynomial's first term.
+
+    One list comprehension renders the slice.  A coefficient past the
+    int-to-str digit limit (4300 digits by default) makes it raise, and the
+    slice is rendered again from exact ``Decimal``s, which print at any
+    size.
+
+    >>> spell_terms([3, 0, -1, 1], 5, 2, "q")
+    [' + 3*q^5', '', ' - q', ' + q^-1']
+    """
+    exps = range(top, top - step * len(cs), -step)
+    try:
+        terms = [f" + {c}*{var}^{e}" if c > 1 else f" - {-c}*{var}^{e}"
+                 if c < -1 else f" + {var}^{e}" if c == 1
+                 else f" - {var}^{e}" if c else ""
+                 for e, c in zip(exps, cs)]
+    except ValueError:  # past the int-to-str digit limit
+        with localcontext(EXACT):
+            return spell_terms([Decimal(c) for c in cs], top, step, var)
+    for e in (1, 0):  # var^1 prints as var, c * var^0 as |c|
+        if e in exps and terms[i := exps.index(e)]:
+            terms[i] = terms[i][:-2] if e else f"{terms[i][:3]}{abs(cs[i])}"
+    return terms
+
+
+def lead_term(term: str) -> str:
+    """A term of ``spell_terms`` as the first of its polynomial, with no
+    separator: '3*q^5' for ' + 3*q^5', '-q^5' for ' - q^5'."""
+    return term[3:] if term[1] == "+" else f"-{term[3:]}"
+
+
 def term_str(c: int, e: int, var: str, first: bool) -> str:
-    """The term c * var^e as the formatters write it: ' + 3*q^5', or
-    '-q^5' when it comes first; the one place the term syntax is spelled.
+    """The term c * var^e, c nonzero, as ``spell_terms`` writes it, or
+    ``lead_term`` when it comes ``first``.
 
     >>> term_str(3, 5, "q", False), term_str(-1, 5, "q", True)
     (' + 3*q^5', '-q^5')
     """
-    sign = "-" if c < 0 else "+"
-    mag = abs(c)
-    power = "" if e == 0 else var if e == 1 else f"{var}^{e}"
-    if mag == 1 and e:
-        body = power
-    else:
-        try:
-            digits = str(mag)
-        except ValueError:  # past the int-to-str digit limit
-            digits, = decimal_strs((mag,))
-        body = f"{digits}*{power}" if e else digits
-    if first:
-        return body if c > 0 else f"-{body}"
-    return f" {sign} {body}"
+    term, = spell_terms((c,), e, 1, var)
+    return lead_term(term) if first else term
 
 
 def format_terms(top: int, cs: Iterable[int], var: str) -> Iterator[str]:
-    """The strings of the nonzero terms c * var^e of the coefficients
-    ``cs``, which run from e = ``top`` down, one at a time, or '0'; the one
-    rendering loop, behind both carriers and the CLI's streams."""
+    """The text of the nonzero terms c * var^e of the coefficients ``cs``,
+    which run from e = ``top`` down, ``_SLICE`` coefficients at a time,
+    or '0'; the one rendering loop, behind both carriers and the CLI's
+    streams."""
+    cs = iter(cs)
     first = True
-    for e, c in zip(count(top, -1), cs):
-        if c:
-            yield term_str(c, e, var, first)
-            first = False
+    while chunk := list(islice(cs, _SLICE)):
+        terms = spell_terms(chunk, top, 1, var)
+        top -= len(chunk)
+        if first:
+            i = next((i for i, t in enumerate(terms) if t), None)
+            if i is None:
+                continue
+            terms[i], first = lead_term(terms[i]), False
+        yield "".join(terms)
     if first:
         yield "0"
 

@@ -281,11 +281,13 @@ class TestCompute:
         digits = "7" + "0" * 4998 + "3"
         big = 7 * 10 ** 4999 + 3
 
-        def coeffs(n, descending=False):  # the top n + 1 of -big, big, 1
-            cs = (-big, big, 1)[2 - n:]
-            return iter(cs[::-1] if descending else cs)
+        def u_run(n, descending=False):  # U_{-1}..U_2, from the top down
+            cs = ([], [1], [big], [1, -big])[n + 1]
+            return iter(cs if descending else cs[::-1])
 
-        monkeypatch.setitem(cli._COEFFS, "fpoly", coeffs)
+        # one name feeds every route to F_k = U_k + U_{k-1}: here F_0 = 1,
+        # F_1 = big X + 1 and F_2 = X^2 + big X - big
+        monkeypatch.setattr(chebfam, "ucheb_run", u_run)
         want = {"text": f"X^2 + {digits}*X - {digits}\n",
                 "json": ["-" + digits, digits, "1"],
                 "csv": f"-{digits} {digits} 1"}
@@ -304,14 +306,14 @@ class TestCompute:
             assert code == 0
             if fmt == "json":
                 assert [r["coeffs"] for r in json.loads(out)["rows"]] \
-                    == [["1"], [digits, "1"], want["json"]]
+                    == [["1"], ["1", digits], want["json"]]
             elif fmt == "csv":
                 assert out.splitlines()[1:] == [
-                    "0,1", f"1,{digits} 1", f"2,{want['csv']}"]
+                    "0,1", f"1,1 {digits}", f"2,{want['csv']}"]
             else:
                 lines = out.splitlines()
                 assert [line.split(None, 1)[1] for line in lines[2:]] == [
-                    "1", f"X + {digits}", want["text"].strip()]
+                    "1", f"{digits}*X + 1", want["text"].strip()]
                 # the dash line is as wide as the widest cell, unformatted
                 assert lines[1] == "-  " + "-" * (len(want["text"]) - 1)
 
@@ -449,16 +451,22 @@ class TestWholeCounts:
 
     def test_dense_answers_in_bounded_memory(self, tmp_path):
         # 128 MB of address space; written whole, the first of these
-        # needed 275 MB, the tables 138 and 172
-        out = tmp_path / "out"
+        # needed 275 MB, the tables 138 and 172.  Two children run at a
+        # time.
         values = list(islice(fpoly_stream(3), 12001))
-        for argv in (("compute", "fpoly", "--n", "12000", "--format", "csv"),
-                     ("table", "fpoly", "--max-n", "1100", "--format", "csv"),
-                     ("table", "fpoly", "--max-n", "1100", "--format",
-                      "json")):
-            with out.open("w", encoding="utf-8") as fh:
-                proc = run_limited(128, argv, stdout=fh)
+        big = [("compute", "fpoly", "--n", "12000", "--format", "csv"),
+               ("table", "fpoly", "--max-n", "1100", "--format", "csv"),
+               ("table", "fpoly", "--max-n", "1100", "--format", "json")]
+
+        def answer_big(i: int) -> subprocess.CompletedProcess:
+            with (tmp_path / f"big{i}").open("w", encoding="utf-8") as fh:
+                return run_limited(128, big[i], stdout=fh)
+
+        with ThreadPoolExecutor(2) as pool:
+            procs = list(pool.map(answer_big, range(len(big))))
+        for i, (argv, proc) in enumerate(zip(big, procs)):
             assert proc.returncode == 0, (argv, proc.stderr)
+            out = tmp_path / f"big{i}"
             with out.open(encoding="utf-8") as fh:
                 if argv[-1] == "json":
                     rows = [(r["n"], r["coeffs"])
@@ -520,7 +528,7 @@ class TestWholeCounts:
         # Decimals, text widths come from their exponents and JSON rows go
         # out one at a time (53 MB); holding every cell string or row
         # object ran out of memory here
-        top = 8000
+        top, out = 8000, tmp_path / "out"
         for fmt in ("text", "json"):
             with out.open("w", encoding="utf-8") as fh:
                 proc = run_limited(128, ("table", "values", "--max-n",
@@ -574,27 +582,32 @@ class TestSweeps:
             f"{n} {value(n)}" for n in range(top - 2, top + 1)]
 
     def test_check_in_bounded_memory(self, tmp_path):
-        # 128 MB of address space: holding the b-file of 500,000 lines and
-        # the sweep ran out of memory
-        bfile = tmp_path / "b000203.txt"
-        emit_bfile("sigma", bfile, max_index=500000)
-        with bfile.open("a", encoding="utf-8") as fh:
-            fh.write("500001 0\n")  # past --max-n
-        proc = run_limited(128, ("oeis-check", "sigma", str(bfile),
-                                 "--max-n", "500000"))
+        # the two children run at the same time
+        with ThreadPoolExecutor(2) as pool:
+            # 128 MB of address space: holding the b-file of 500,000 lines
+            # and the sweep ran out of memory
+            bfile = tmp_path / "b000203.txt"
+            emit_bfile("sigma", bfile, max_index=500000)
+            with bfile.open("a", encoding="utf-8") as fh:
+                fh.write("500001 0\n")  # past --max-n
+            whole = pool.submit(run_limited, 128, (
+                "oeis-check", "sigma", str(bfile), "--max-n", "500000"))
+
+            # 48 MB: every mismatch of an all-wrong b-file was held, and
+            # the JSON report of 100,000 ran out of memory; each is now
+            # written as it is found (the text keeps the first 20 and
+            # counts the rest)
+            top = 100000
+            wrong = tmp_path / "b_wrong.txt"
+            wrong.write_text("".join(f"{n} 0\n" for n in range(1, top + 1)),
+                             encoding="utf-8")
+            report = pool.submit(run_limited, 48, (
+                "oeis-check", "sigma", str(wrong), "--format", "json"))
+        proc = whole.result()
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == \
             "sigma vs b000203: 500000 terms compared, 0 mismatches: PASS\n"
-
-        # 48 MB: every mismatch of an all-wrong b-file was held, and the
-        # JSON report of 100,000 ran out of memory; each is now written as
-        # it is found (the text keeps the first 20 and counts the rest)
-        top = 100000
-        wrong = tmp_path / "b_wrong.txt"
-        wrong.write_text("".join(f"{n} 0\n" for n in range(1, top + 1)),
-                         encoding="utf-8")
-        proc = run_limited(48, ("oeis-check", "sigma", str(wrong),
-                                "--format", "json"))
+        proc = report.result()
         assert proc.returncode == 1, proc.stderr
         report = json.loads(proc.stdout)
         assert list(report) == ["sequence", "bfile", "compared", "mismatches"]
@@ -751,6 +764,21 @@ class TestTable:
         with patch.object(cli, "tsum_string", wraps=tsum_string) as tsum:
             code, _ = run(capsys, "table", "decomp", "--max-n", "50")
         assert code == 0 and tsum.call_count == 50
+
+    def test_fpoly_rows_share_their_runs(self, capsys):
+        # F_k = U_k + U_{k-1}: the text table renders the run of each U_k
+        # once, for rows k and k + 1, where a row of its own would make
+        # two runs; and each row is the dense rendering of F_k
+        with patch.object(chebfam, "_binomial_run",
+                          wraps=chebfam._binomial_run) as runs:
+            code, out = run(capsys, "table", "fpoly", "--max-n", "300")
+        assert code == 0
+        assert sorted(c.args[0] for c in runs.call_args_list) == \
+            list(range(301))
+        lines = out.splitlines()
+        assert lines[:2] == ["n    fpoly", "---  " + "-" * len(lines[-1][5:])]
+        assert lines[2:] == [f"{k:<3}  {format_poly(chebfam.fpoly(k))}"
+                             for k in range(301)]
 
     def test_spill_file_refused(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torusideals.intpoly import (
     IntPoly,
@@ -16,12 +17,15 @@ from torusideals.intpoly import (
     ZERO,
     add_product,
     chebyshev_sum,
+    _SLICE,
     exact_div,
     format_laurent,
     format_poly,
+    format_terms,
     laurent_to_x_basis,
     monomial,
     slot_width,
+    term_str,
     unpack_balanced,
 )
 from torusideals.chebfam import tcheb, tcheb_value
@@ -153,6 +157,51 @@ class TestLaurentPoly:
     def test_one_formatter_renders_both_carriers(self, a):
         assert format_laurent(LaurentPoly(0, tuple(a))) == \
             format_poly(IntPoly(tuple(a))).replace("X", "q")
+
+
+def term_oracle(c: int, e: int, var: str, first: bool) -> str:
+    """The term c * var^e spelled on its own, one branch per case."""
+    sign = "-" if c < 0 else "+"
+    mag = abs(c)
+    power = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+    digits = str(Decimal(mag))  # at any size
+    body = power if mag == 1 and e else f"{digits}*{power}" if e else digits
+    if first:
+        return body if c > 0 else f"-{body}"
+    return f" {sign} {body}"
+
+
+# runs of one value, so that zeros and +-1 cover slice edges; a run of
+# one coefficient may be past the 4300-digit limit of str()
+coeff_runs = st.lists(
+    st.tuples(st.sampled_from((0, 1, -1)) | st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 40))
+    | st.tuples(st.sampled_from((10 ** 4400 + 7, -(10 ** 4300))), st.just(1)),
+    max_size=8)
+
+
+class TestRendering:
+    @given(coeff_runs, st.integers(-80, 0), st.sampled_from("Xq"))
+    @example([(0, 3 * _SLICE)], 0, "X")
+    @example([(7, _SLICE - 1), (0, 2), (1, _SLICE - 1), (-1, 2), (2, 1)],
+             0, "X")
+    @example([(-1, 1), (10 ** 5000, 2), (1, 2 * _SLICE)], -_SLICE, "q")
+    @settings(max_examples=100, deadline=None)
+    def test_slices_render_term_by_term(self, runs, low, var):
+        # the coefficients run from X^top down to X^low: X^1 and X^0 fall
+        # in the last slice at low = 0, and low < 0 is a Laurent polynomial
+        cs = [c for c, k in runs for _ in range(k)]
+        top = low + len(cs) - 1
+        terms = [(c, e) for c, e in zip(cs, range(top, low - 1, -1)) if c]
+        want = "".join(term_oracle(c, e, var, not i)
+                       for i, (c, e) in enumerate(terms)) or "0"
+        assert "".join(format_terms(top, cs, var)) == want
+        assert ("".join(term_str(c, e, var, not i)
+                        for i, (c, e) in enumerate(terms)) or "0") == want
+        if not low:
+            assert format_poly(IntPoly(cs[::-1])) == want.replace(var, "X")
+        assert format_laurent(LaurentPoly(low, cs[::-1])) == \
+            want.replace(var, "q")
 
 
 class TestBasisChange:
