@@ -311,9 +311,9 @@ def _run_chars(runs: list[tuple[int, int]], fmt: str) -> int:
 
 
 def _text_run_pieces(runs: list[tuple[int, int]]) -> Iterator[str]:
-    """``format_laurent`` of the runs, highest exponent first: the terms of
-    a run past q^1 are one join over their exponents, with the repeated
-    prefix (sign, c*, q^) taken from ``term_str``."""
+    """``str()`` of the runs as a ``LaurentPoly``, highest exponent first:
+    the terms of a run past q^1 are one join over their exponents, with the
+    repeated prefix (sign, c*, q^) taken from ``term_str``."""
     top = sum(k for _, k in runs)  # one past the highest exponent
     first = True
     for v, k in reversed(runs):

@@ -269,15 +269,13 @@ def _closed_terms(x: int) -> Callable[[int, int, int], tuple] | None:
     return terms
 
 
-def _listed_terms(x: int, top: int) -> Callable[[int, int, int], tuple]:
-    """At |x| > 2, the signed F-terms of the runs for n <= top, as exact
-    ``Decimal``s from the list F_0(x), ..., F_{top//2}(x): (r, step, count)
-    -> (op, terms), with op subtracting F_{-r-1}(x) where r < 0.  Every
-    index asked for is below n/2: r < n/3 where r >= 0, and -r-1 <= (d-3)/2
-    where r < 0, for an odd divisor d >= 3 of n."""
-    with localcontext(EXACT):
-        fs = list(islice(fpoly_stream(Decimal(x)), top // 2 + 1))
-
+def _listed_terms(fs: list) -> Callable[[int, int, int], tuple]:
+    """At |x| > 2, the signed F-terms of the runs, as exact ``Decimal``s
+    from the list ``fs`` of F_0(x), F_1(x), ..., which ``pg_blocks`` fills
+    from its own sweep: (r, step, count) -> (op, terms), with op
+    subtracting F_{-r-1}(x) where r < 0.  Every index asked for is below
+    n/2: r < n/3 where r >= 0, and -r-1 <= (d-3)/2 where r < 0, for an odd
+    divisor d >= 3 of n; so it is in the list once the block of n is."""
     def terms(r: int, step: int, count: int) -> tuple:
         op = add
         if r < 0:
@@ -312,15 +310,20 @@ def pg_blocks(top: int, x: int) -> Iterator[tuple[list, list]]:
     G_n(x) is the sum of F_r(x) over the odd divisors d of n, r = n/d -
     (d+1)/2 and F_{-k-1} = -F_k: F_{n-1}(x) for d = 1, and the runs of
     ``odd_divisor_runs`` for the rest.  So a sweep holds one block, and
-    at |x| > 2 also F_0(x), ..., F_{top//2}(x), about a quarter of the
-    sweep's digits.  ``pg_eval_int`` is its oracle.
+    at |x| > 2 also the first top//2 + 1 of the values F_{n-1}(x) it has
+    made, F_0(x), ..., F_{top//2}(x), for ``_listed_terms``: about a
+    quarter of the sweep's digits, and one F recurrence rolled per sweep.
+    ``pg_eval_int`` is its oracle.
 
     >>> [gs for _, gs in pg_blocks(6, 2)]  # sigma(n)
     [[1, 3, 4, 7, 6, 12]]
     """
     x = int(x)
-    terms = _closed_terms(x) or _listed_terms(x, top)
+    held: list = []
+    terms = _closed_terms(x) or _listed_terms(held)
     for block, fs in zip(blocks(top), fpoly_blocks(top, x)):
+        if abs(x) > 2:
+            held += fs[:top // 2 + 1 - len(held)]
         with localcontext(EXACT):
             gs = list(fs)  # the d = 1 term
             for sl, count, r, step in odd_divisor_runs(block.start, block[-1]):

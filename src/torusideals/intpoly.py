@@ -3,7 +3,10 @@
 Two carriers live here: ``IntPoly`` for ordinary polynomials in X with
 arbitrary-precision integer coefficients, and ``LaurentPoly`` for finitely
 supported integer combinations of powers q^i with i possibly negative.
-Everything is immutable and canonical; all arithmetic is exact.
+Everything is immutable and canonical; all arithmetic is exact.  The two
+share one core, ``_Poly``: the record, the sum, the difference and the
+text; each keeps its constructor, its product and its evaluation.  An
+operation refuses the other carrier with ``TypeError``.
 
 The one non-obvious operation is the basis change ``laurent_to_x_basis``:
 a palindromic Laurent polynomial that is symmetric about q^0 is a unique
@@ -45,6 +48,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      DivisionByZero, Inexact, InvalidOperation, Overflow,
                      Rounded, localcontext)
 from itertools import accumulate, islice
+from operator import add, neg
 
 #: Exact decimal arithmetic, entered only through ``localcontext``.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[
@@ -62,13 +66,86 @@ def _strip(cs: tuple[int, ...]) -> tuple[int, ...]:
     return cs[:end]
 
 
-def _immutable(self: object, name: str, *value: object) -> None:
-    """``__setattr__`` and ``__delattr__`` of the polynomial classes."""
-    raise AttributeError(
-        f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class _Poly:
+    """The record and ring code that both carriers share.
+
+    ``coeffs[i]`` is the coefficient of var^(min_exp + i), ``_VAR`` the
+    variable, and ``_fields()`` the constructor's arguments, which the
+    equality, the hash and the pickle read.  ``IntPoly`` is the carrier
+    whose ``min_exp`` is 0 and whose variable is X.  An operation takes
+    only an operand of its own class and returns ``NotImplemented`` for
+    anything else, so mixing the carriers raises ``TypeError``.
+    """
+
+    __slots__ = ()
+    min_exp: int
+    coeffs: tuple[int, ...]
+    _VAR: str
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.min_exp, self.coeffs
+
+    def _make(self, min_exp: int, coeffs: Iterable[int]) -> _Poly:
+        return self.__class__(min_exp, coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, e: int) -> int:
+        """Coefficient of var^e (zero outside the stored range)."""
+        i = e - self.min_exp
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def __add__(self, other: _Poly) -> _Poly:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        lo = min(self.min_exp, other.min_exp)
+        out = [0] * (max(self.min_exp + len(self.coeffs),
+                         other.min_exp + len(other.coeffs)) - lo)
+        for p in (self, other):
+            at = slice(p.min_exp - lo, p.min_exp - lo + len(p.coeffs))
+            out[at] = map(add, out[at], p.coeffs)
+        return self._make(lo, out)
+
+    def __neg__(self) -> _Poly:
+        return self._make(self.min_exp, map(neg, self.coeffs))
+
+    def __sub__(self, other: _Poly) -> _Poly:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self + -other
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __str__(self) -> str:
+        """Highest power first, negative ones as var^-k: 'X^3 - 2*X - 1'."""
+        return "".join(format_terms(self.min_exp + len(self.coeffs) - 1,
+                                    reversed(self.coeffs), self._VAR))
 
 
-class IntPoly:
+class IntPoly(_Poly):
     """Dense polynomial in X; ``coeffs[i]`` is the coefficient of X^i.
 
     Canonical form: no trailing zeros, the zero polynomial is the empty
@@ -81,58 +158,31 @@ class IntPoly:
     """
 
     __slots__ = ("coeffs",)
-    coeffs: tuple[int, ...]
+    min_exp = 0
+    _VAR = "X"
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         object.__setattr__(self, "coeffs", _strip(tuple(coeffs)))
 
-    __setattr__ = __delattr__ = _immutable
+    def _fields(self) -> tuple:
+        return self.coeffs,
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, (self.coeffs,)
-
-    # -- structure ----------------------------------------------------------
+    def _make(self, min_exp: int, coeffs: Iterable[int]) -> IntPoly:
+        return IntPoly(coeffs)  # min_exp is 0
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, i: int) -> int:
-        """Coefficient of X^i (zero outside the stored range)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: IntPoly) -> IntPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly(tuple(_add_at(list(a), 0, b)))
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        return self + (-other)
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
             return IntPoly(tuple(c * other for c in self.coeffs))
+        if other.__class__ is not IntPoly:
+            return NotImplemented
         return IntPoly(tuple(add_product([], self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
@@ -151,6 +201,8 @@ class IntPoly:
         >>> divmod(IntPoly((1, 0, 1)), X - ONE)
         (IntPoly('X + 1'), IntPoly('2'))
         """
+        if other.__class__ is not IntPoly:
+            return NotImplemented
         dcs = other.coeffs
         if len(dcs) != 2 or dcs[1] != 1:
             raise ValueError("divisor is not a monic linear X - a")
@@ -169,8 +221,6 @@ class IntPoly:
         if not r.is_zero():  # no operand in the message: it may be huge
             raise NonDivisibleError("nonzero remainder in exact division")
         return q
-
-    # -- evaluation and substitution -----------------------------------------
 
     def eval_int(self, x: int) -> int:
         """Exact value at an integer, by ``_horner``."""
@@ -199,14 +249,6 @@ class IntPoly:
             acc = (acc << 2 * w) + acc + (cs[j] << (d - j) * w)
         return LaurentPoly(-d, tuple(unpack_balanced(acc, w, 2 * d + 1)))
 
-    # -- rendering ------------------------------------------------------------
-
-    def __repr__(self) -> str:
-        return f"IntPoly({format_poly(self)!r})"
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
 
 ZERO = IntPoly(())
 ONE = IntPoly((1,))
@@ -214,7 +256,7 @@ TWO = IntPoly((2,))
 X = IntPoly((0, 1))
 
 
-class LaurentPoly:
+class LaurentPoly(_Poly):
     """Laurent polynomial in q; ``coeffs[i]`` is the coefficient of q^{min_exp+i}.
 
     Canonical form: first and last stored coefficients are nonzero; the zero
@@ -222,8 +264,7 @@ class LaurentPoly:
     """
 
     __slots__ = ("min_exp", "coeffs")
-    min_exp: int
-    coeffs: tuple[int, ...]
+    _VAR = "q"
 
     def __init__(self, min_exp: int = 0, coeffs: Iterable[int] = ()) -> None:
         cs = tuple(coeffs)
@@ -234,34 +275,11 @@ class LaurentPoly:
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "min_exp", min_exp + lead if cs else 0)
 
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.min_exp, self.coeffs) == (other.min_exp, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.min_exp, self.coeffs))
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, (self.min_exp, self.coeffs)
-
-    # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def max_exp(self) -> int:
         if not self.coeffs:
             raise ValueError("zero Laurent polynomial has no support")
         return self.min_exp + len(self.coeffs) - 1
-
-    def coeff(self, e: int) -> int:
-        """Coefficient of q^e."""
-        i = e - self.min_exp
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def support(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) over the nonzero support, ascending."""
@@ -269,27 +287,9 @@ class LaurentPoly:
             if c:
                 yield self.min_exp + i, c
 
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
-        out = [0] * (hi - lo)
-        _add_at(out, self.min_exp - lo, self.coeffs)
-        _add_at(out, other.min_exp - lo, other.coeffs)
-        return LaurentPoly(lo, tuple(out))
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
+        if other.__class__ is not LaurentPoly:
+            return NotImplemented
         return LaurentPoly(self.min_exp + other.min_exp,
                            tuple(add_product([], self.coeffs, other.coeffs)))
 
@@ -305,8 +305,6 @@ class LaurentPoly:
             raise ValueError("cannot evaluate negative powers at an integer")
         return _horner(self.coeffs, q) * q ** self.min_exp
 
-    # -- predicates ----------------------------------------------------------
-
     def is_palindromic(self) -> bool:
         """True iff the coefficient sequence reads the same reversed."""
         return self.coeffs == self.coeffs[::-1]
@@ -314,14 +312,6 @@ class LaurentPoly:
     def is_centered(self) -> bool:
         """True iff the support is symmetric about q^0 (min_exp = -max_exp)."""
         return self.is_zero() or self.min_exp == -self.max_exp
-
-    # -- rendering ------------------------------------------------------------
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({format_laurent(self)!r})"
-
-    def __str__(self) -> str:
-        return format_laurent(self)
 
 
 LAURENT_ZERO = LaurentPoly(0, ())
@@ -350,14 +340,6 @@ def add_product(acc: list[int], a: Sequence[int],
             for j, d in enumerate(b):
                 acc[i + j] += c * d
     return acc
-
-
-def _add_at(out: list[int], at: int, cs: Sequence[int]) -> list[int]:
-    """Add ``cs`` into ``out`` from index ``at`` on, and return ``out``: the
-    one coefficient-add loop, behind both ``__add__`` methods."""
-    for i, c in enumerate(cs, at):
-        out[i] += c
-    return out
 
 
 def _horner(cs: Sequence[int], x: int) -> int:
@@ -576,13 +558,3 @@ def format_terms(top: int, cs: Iterable[int], var: str) -> Iterator[str]:
     if first:
         yield "0"
 
-
-def format_poly(p: IntPoly) -> str:
-    """Human-readable form, highest degree first: 'X^3 + X^2 - 2*X - 1'."""
-    return "".join(format_terms(len(p.coeffs) - 1, reversed(p.coeffs), "X"))
-
-
-def format_laurent(lp: LaurentPoly) -> str:
-    """Human-readable form, highest exponent first; negative powers as q^-k."""
-    return "".join(format_terms(lp.min_exp + len(lp.coeffs) - 1,
-                                reversed(lp.coeffs), "q"))

@@ -29,8 +29,7 @@ from torusideals.chebfam import (decimal_radix, fpoly_stream, fpoly_value,
                                  tcheb_value)
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.divisors import divisors, odd_divisors
-from torusideals.intpoly import (IntPoly, LaurentPoly, X, exact_div,
-                                 format_laurent, format_poly, term_str)
+from torusideals.intpoly import IntPoly, LaurentPoly, X, exact_div, term_str
 from torusideals.oeis import emit_bfile
 from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
@@ -335,7 +334,7 @@ def dense_renderings(kind: str, n: int,
         if kind == "pn":
             poly = exact_div(exact_div(poly, hilbert.Q_MINUS_ONE),
                              hilbert.Q_MINUS_ONE)
-        head, text = {"min_exp": poly.min_exp}, format_laurent(poly)
+        head, text = {"min_exp": poly.min_exp}, str(poly)
     else:
         make = {"pg": hilbert.pg_via_interval,
                 "tcheb": lambda k: IntPoly(tuple(tcheb_oracle(k))),
@@ -489,9 +488,9 @@ class TestWholeCounts:
         # text table, whose width pass makes no string.  Two children run
         # at a time.
         cases = [(("table", "fpoly", "--max-n", "1100"),
-                  format_poly(IntPoly(tuple(fpoly_oracle(1100))))),
+                  str(IntPoly(tuple(fpoly_oracle(1100))))),
                  (("table", "pg", "--max-n", "900"),
-                  format_poly(hilbert.pg_via_interval(900))),
+                  str(hilbert.pg_via_interval(900))),
                  (("table", "decomp", "--max-n", "3333"),
                   fdecomp_string(3333)),
                  (("compute", "tcheb", "--n", "15000", "--format", "json"),
@@ -777,7 +776,7 @@ class TestTable:
             list(range(301))
         lines = out.splitlines()
         assert lines[:2] == ["n    fpoly", "---  " + "-" * len(lines[-1][5:])]
-        assert lines[2:] == [f"{k:<3}  {format_poly(chebfam.fpoly(k))}"
+        assert lines[2:] == [f"{k:<3}  {chebfam.fpoly(k)}"
                              for k in range(301)]
 
     def test_spill_file_refused(self, monkeypatch, capsys):

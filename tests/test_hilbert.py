@@ -203,6 +203,15 @@ class TestValues:
             [pg_eval_int(n, x) for n in range(1, 2001)]
         assert list(pg_blocks(0, x)) == []
 
+    def test_a_sweep_rolls_one_f_recurrence(self):
+        # at |x| > 2 the runs read the F_k(x) that the sweep made for its
+        # d = 1 terms, so one value recurrence serves the whole sweep
+        with patch.object(hilbert, "fpoly_stream",
+                          wraps=hilbert.fpoly_stream) as stream:
+            swept = [g for _, gs in pg_blocks(3000, 3) for g in gs]
+        assert stream.call_count == 1
+        assert swept[-2:] == [pg_eval_int(n, 3) for n in (2999, 3000)]
+
     @given(st.integers(0, 300), st.integers(-6, 6),
            st.sampled_from((1, 2, 3, 7, BLOCK)), st.booleans())
     @settings(max_examples=150, deadline=None)

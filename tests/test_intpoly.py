@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal
 
 import pytest
@@ -19,8 +20,6 @@ from torusideals.intpoly import (
     chebyshev_sum,
     _SLICE,
     exact_div,
-    format_laurent,
-    format_poly,
     format_terms,
     laurent_to_x_basis,
     monomial,
@@ -31,6 +30,9 @@ from torusideals.intpoly import (
 from torusideals.chebfam import tcheb, tcheb_value
 
 coeff_lists = st.lists(st.integers(-99, 99), max_size=8)
+# (min_exp, coeffs) of a LaurentPoly; small coefficients, so that sums cancel
+laurent_args = st.tuples(st.integers(-20, 20),
+                         st.lists(st.integers(-2, 2), max_size=12))
 
 
 def poly(*cs: int) -> IntPoly:
@@ -74,10 +76,10 @@ class TestIntPoly:
             poly(1, 0, 1) // (X - ONE)
 
     def test_format(self):
-        assert format_poly(poly(-1, -2, 1, 1)) == "X^3 + X^2 - 2*X - 1"
-        assert format_poly(ZERO) == "0"
-        assert format_poly(poly(2)) == "2"
-        assert format_poly(-X) == "-X"
+        assert str(poly(-1, -2, 1, 1)) == "X^3 + X^2 - 2*X - 1"
+        assert str(ZERO) == "0"
+        assert str(poly(2)) == "2"
+        assert str(-X) == "-X"
 
     @given(coeff_lists, coeff_lists, st.integers(-20, 20))
     def test_eval_is_ring_homomorphism(self, a, b, x):
@@ -130,7 +132,7 @@ class TestLaurentPoly:
         assert LaurentPoly(0, ()).is_palindromic()
 
     def test_format(self):
-        assert format_laurent(LaurentPoly(-1, (1, -2, 1))) == "q - 2 + q^-1"
+        assert str(LaurentPoly(-1, (1, -2, 1))) == "q - 2 + q^-1"
 
     def test_exact_div(self):
         q_minus_1 = LaurentPoly(0, (-1, 1))
@@ -155,8 +157,56 @@ class TestLaurentPoly:
 
     @given(coeff_lists)
     def test_one_formatter_renders_both_carriers(self, a):
-        assert format_laurent(LaurentPoly(0, tuple(a))) == \
-            format_poly(IntPoly(tuple(a))).replace("X", "q")
+        assert str(LaurentPoly(0, tuple(a))) == \
+            str(IntPoly(tuple(a))).replace("X", "q")
+
+
+class TestCarriers:
+    """What the two carriers share, ``intpoly._Poly``: each operation takes
+    only its own class, and the Laurent sum is the sum of the terms."""
+
+    def test_mixed_carriers_raise(self):
+        p, lp = IntPoly((1, 2)), LaurentPoly(-1, (-1, 1))
+        for op in (operator.add, operator.sub, operator.mul):
+            for a, b in ((p, lp), (lp, p)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+        for bad in (lambda: divmod(p, lp), lambda: p // lp, lambda: lp * 3):
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_ints_scale_an_int_poly(self):
+        p = IntPoly((1, -2))
+        assert 3 * p == p * 3 == IntPoly((3, -6))
+        assert 0 * p == ZERO
+
+    @given(laurent_args, laurent_args)
+    @example((-3, [1, 2]), (-3, [-1, -2]))  # cancels to zero
+    @example((0, [1, 0, 5]), (1, [0, 0, -5]))  # cancels the top term
+    @example((-20, [0, 0, 1]), (20, [2, 0]))  # far apart
+    def test_laurent_sums_match_a_term_oracle(self, a, b):
+        def terms(low, cs):
+            return {low + i: c for i, c in enumerate(cs) if c}
+
+        def check(lp, want):  # want: {exponent: coefficient}, no zeros
+            assert lp.is_zero() == (not want)
+            for e in range(-45, 46):
+                assert lp.coeff(e) == want.get(e, 0)
+            # canonical: first and last stored coefficients nonzero, and
+            # the zero polynomial at min_exp 0
+            low = min(want, default=0)
+            assert (lp.min_exp, lp.coeffs) == \
+                (low, tuple(want.get(low + i, 0) for i in range(
+                    max(want, default=low - 1) - low + 1)))
+
+        p, q = LaurentPoly(*a), LaurentPoly(*b)
+        ta, tb = terms(*a), terms(*b)
+        check(p, ta)
+        check(-p, {e: -c for e, c in ta.items()})
+        for got, sign in ((p + q, 1), (p - q, -1)):
+            want = {e: ta.get(e, 0) + sign * tb.get(e, 0)
+                    for e in ta.keys() | tb.keys()}
+            check(got, {e: c for e, c in want.items() if c})
 
 
 def term_oracle(c: int, e: int, var: str, first: bool) -> str:
@@ -199,8 +249,8 @@ class TestRendering:
         assert ("".join(term_str(c, e, var, not i)
                         for i, (c, e) in enumerate(terms)) or "0") == want
         if not low:
-            assert format_poly(IntPoly(cs[::-1])) == want.replace(var, "X")
-        assert format_laurent(LaurentPoly(low, cs[::-1])) == \
+            assert str(IntPoly(cs[::-1])) == want.replace(var, "X")
+        assert str(LaurentPoly(low, cs[::-1])) == \
             want.replace(var, "q")
 
 
