@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain, islice, repeat, zip_longest
-from operator import mul
+from operator import add, mul
 from decimal import Decimal, localcontext
 
 from .intpoly import EXACT, ONE, TWO, X, IntPoly
@@ -243,38 +243,28 @@ def fpoly_sum(terms: Iterable[tuple[int, int]],
               descending: bool = False) -> Iterator[int]:
     """The coefficients of sum c F_r over the (c, r) ``terms``, up to the
     largest r, from X^0 up or, descending, from the top down: the streams
-    of ``fpoly_coeffs`` merged as they come, one coefficient of each at a
-    time; no dense polynomial is built.  Nothing for no terms.
+    of ``fpoly_coeffs``, sorted by r, joined two neighbours at a time in a
+    balanced tree, ceil(log2(terms)) joins deep, so each coefficient is
+    made as it is read; no dense polynomial is built.  Nothing for no
+    terms.
 
     >>> list(fpoly_sum([(1, 2), (-3, 0)]))  # X^2 + X - 1 - 3
     [-4, 1, 1]
+    >>> list(fpoly_sum([(1, 2), (-3, 0)], descending=True))
+    [1, 1, -4]
     """
-    terms = sorted(terms, key=lambda t: t[1], reverse=descending)
-    streams = [(r, fpoly_coeffs(r, descending) if c == 1
-                else map(mul, fpoly_coeffs(r, descending), repeat(c)))
-               for c, r in terms]
-
-    def merged(active: list[Iterator[int]]) -> Iterator[int]:
-        # zip stops at its first argument's end without reading the rest
-        return active[0] if len(active) == 1 else map(sum, zip(*active))
-
-    # one segment per span of powers that the same streams cover, chained
-    # in C: nothing is read before its segment is
-    segments = []
-    if descending:  # a term joins at its top power; all end at X^0
-        active: list[Iterator[int]] = []
-        for r, stream in streams:
-            if active and e > r:
-                segments.append(islice(merged(active), e - r))
-            active.append(stream)
-            e = r
-        if active:
-            segments.append(merged(active))
-    else:
-        while streams:  # the shortest first, dropped at its end
-            segments.append(merged([stream for _, stream in streams]))
-            streams = [(r, st) for r, st in streams if r > streams[0][0]]
-    return chain.from_iterable(segments)
+    sums = [(r, fpoly_coeffs(r, descending) if c == 1
+             else map(mul, fpoly_coeffs(r, descending), repeat(c)))
+            for c, r in sorted(terms, key=lambda t: t[1])]
+    # join neighbours a and b, ra <= rb, into their sum up to rb, and halve
+    # the list until one sum is left: a balanced tree
+    while len(sums) > 1:
+        joined = [(rb, chain(islice(b, rb - ra), map(add, b, a)) if descending
+                   # map stops at a's end without reading b
+                   else chain(map(add, a, b), b))
+                  for (ra, a), (rb, b) in zip(sums[::2], sums[1::2])]
+        sums = joined + sums[2 * len(joined):]  # an odd one out waits
+    return sums[0][1] if sums else iter(())
 
 
 def tcheb_closed(k: int) -> IntPoly:

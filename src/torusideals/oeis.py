@@ -50,7 +50,7 @@ def parse_bfile(path: str | os.PathLike) -> Iterator[tuple[int, Decimal]]:
     """The (index, value) entries of a b-file, read a line at a time;
     raises ``BFileError`` with a line number on a bad line, as it is
     reached.  Values are ``int()`` literals of any length, read as exact
-    ``Decimal``."""
+    ``Decimal``; an index is refused past ``int()``'s 4300 digits."""
     prev: int | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -62,7 +62,12 @@ def parse_bfile(path: str | os.PathLike) -> Iterator[tuple[int, Decimal]]:
                 shown = line if len(line) <= 80 else line[:77] + "..."
                 raise BFileError(f"{path}:{lineno}: expected two integers "
                                  f"'index value', got {shown!r}")
-            idx, val = int(Decimal(parts[0])), Decimal(parts[1]) or _ZERO
+            try:  # int() refuses past 4300 digits, where no sweep reaches
+                idx = int(parts[0])
+            except ValueError:
+                raise BFileError(f"{path}:{lineno}: index of {len(parts[0]):,}"
+                                 " digits is too long") from None
+            val = Decimal(parts[1]) or _ZERO
             if prev is not None and idx <= prev:
                 raise BFileError(
                     f"{path}:{lineno}: index {idx} not increasing (after {prev})")

@@ -2,13 +2,19 @@
 from __future__ import annotations
 
 import decimal
-from itertools import islice
+import os
+import resource
+import subprocess
+import sys
+from itertools import islice, zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import fpoly_oracle, tcheb_oracle
 from refdata import F_TABLE, TCHEB_TABLE
+from torusideals import chebfam
 from torusideals.chebfam import (
     EXACT,
     MAX_DIGITS,
@@ -64,7 +70,7 @@ class TestCoefficientStreams:
                 stream(-1)
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 60)),
-                    max_size=6))
+                    max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_sum_merges_the_streams(self, terms):
         # repeated indices and zero weights included; the top may cancel
@@ -74,6 +80,31 @@ class TestCoefficientStreams:
         assert len(asc) == size and desc == asc[::-1]
         assert tuple(asc[:len(want)]) == want
         assert not any(asc[len(want):])
+
+    def test_sum_of_many_terms_on_a_small_stack(self):
+        # 5000 terms in a child with a 256 KB stack: a chain of joins, one
+        # per term, nests 5000 iterators in C and crashes (SIGSEGV); the
+        # balanced tree nests 13
+        terms = [(1 if i % 3 else -1, i % 8) for i in range(5000)]
+        weights = [sum(c for c, r in terms if r == k) for k in range(8)]
+        want = [sum(col) for col in zip_longest(*(
+            [w * a for a in fpoly_oracle(k)] for k, w in enumerate(weights)),
+            fillvalue=0)]
+        script = ("from torusideals.chebfam import fpoly_sum\n"
+                  f"terms = {terms!r}\n"
+                  "print(list(fpoly_sum(terms)), "
+                  "list(fpoly_sum(terms, descending=True)))")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_STACK, (256 << 10, 256 << 10))
+
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(chebfam.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              preexec_fn=limit, timeout=120)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout == f"{want} {want[::-1]}\n"
 
 
 def test_trace_base_cases():

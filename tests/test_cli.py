@@ -484,9 +484,9 @@ class TestWholeCounts:
 
         # 48 MB of address space: built dense or held as cells, these
         # peaked at 87, 55, 52 and 46 MB and ran out of memory under this
-        # limit; each row now comes from a coefficient stream, twice for a
-        # text table, whose width pass makes no string.  Two children run
-        # at a time.
+        # limit; each row now comes from a coefficient stream, and a text
+        # table builds each row once and pads it to the last row's width.
+        # Two children run at a time.
         cases = [(("table", "fpoly", "--max-n", "1100"),
                   str(IntPoly(tuple(fpoly_oracle(1100))))),
                  (("table", "pg", "--max-n", "900"),
@@ -523,10 +523,11 @@ class TestWholeCounts:
                     assert f"  {tsum_string(3333)}  " in last
             path.unlink()
 
-        # the values table, 141 MB as text: its cells stay the sweep's
-        # Decimals, text widths come from their exponents and JSON rows go
-        # out one at a time (53 MB); holding every cell string or row
-        # object ran out of memory here
+        # the values table, 141 MB as text: its rows are read once, the
+        # text widths come from the spill pass of cli._text_table, which
+        # writes each row's cells to a file as it takes them, and JSON
+        # rows go out one at a time (53 MB); holding every cell string or
+        # row object ran out of memory here
         top, out = 8000, tmp_path / "out"
         for fmt in ("text", "json"):
             with out.open("w", encoding="utf-8") as fh:

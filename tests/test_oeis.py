@@ -229,6 +229,16 @@ class TestLongValues:
             with pytest.raises(BFileError, match=r":2:"):
                 tuple(parse_bfile(path))
 
+    def test_index_past_the_int_digit_limit(self, tmp_path, capsys):
+        # refused at its line, before any sweep is sized from it
+        path = write(tmp_path, "b.txt", "1 1\n1" + "0" * 4300 + " 5\n")
+        with pytest.raises(BFileError, match=r":2:"):
+            tuple(parse_bfile(path))
+        assert main(["oeis-check", "sigma", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert ":2: index of 4,301 digits" in err[0]
+
     def test_long_line_cut_in_message(self, tmp_path):
         path = write(tmp_path, "b.txt", "1 " + "9" * 10000 + "x\n")
         with pytest.raises(BFileError) as exc:
