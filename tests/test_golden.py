@@ -131,6 +131,8 @@ def corpus() -> list[list[str]]:
     ``table`` of every kind at its default range and at ``--max-n 30``;
     ``verify all``; answers written in more than one piece: whole
     polynomials of over 1500 coefficients and a table of 121 of them;
+    C_n and P_n, their values and the zeta factors at n with 24 and 48 odd
+    divisors;
     ``oeis-check`` against the ``BFILES``; the refusals of sizes below
     each first index, of ``--eval`` for zeta, of a repeated point and of
     ``--max-n 0`` for verify; sweeps past a block of the odd-divisor walk:
@@ -155,6 +157,12 @@ def corpus() -> list[list[str]]:
     commands += [["compute", kind, "--n=1500"]
                  for kind in ("tcheb", "fpoly", "pg")]
     commands += [["compute", kind, "--n=140000"] for kind in ("cn", "pn")]
+    # many odd divisors: tau_odd is 24 at n = 3465 and 48 at 45045 and 720720
+    commands += [["compute", kind, "--n=3465", f"--eval={x}"]
+                 for kind in ("cn", "pn") for x in (-3, 2, 7)]
+    commands += [["compute", kind, "--n=45045"]
+                 for kind in ("cn", "pn", "zeta")]
+    commands.append(["compute", "zeta", "--n=720720"])
     commands.append(["table", "fpoly", "--max-n=120"])
     commands += _oeis_commands()
     commands.append(["compute", "zeta", "--n=5", "--eval=2"])
