@@ -207,7 +207,7 @@ def tcheb_coeffs(k: int, descending: bool = False) -> Iterator[int]:
     if k < 0:
         raise ValueError("tcheb index must be non-negative")
     if not k:
-        return iter((2,))
+        return iter(TWO.coeffs)  # V_0, as ``tcheb`` returns it
     return _interleave(k, _binomial_run(k, 1, descending), repeat(0),
                        descending)
 

@@ -379,14 +379,9 @@ def tsum_string(n: int) -> str:
 def fdecomp_string(n: int) -> str:
     """The odd-divisor decomposition as a signed F-sum, highest index first,
     e.g. 'F14 - F6 + F3 + F0'."""
-    terms = sorted(odd_divisor_terms(n), key=lambda t: -t.f_index)
-    parts = []
-    for t in terms:
-        if not parts:
-            parts.append(("-" if t.sign < 0 else "") + f"F{t.f_index}")
-        else:
-            parts.append(("- " if t.sign < 0 else "+ ") + f"F{t.f_index}")
-    return " ".join(parts)
+    first, *rest = (f" {'-' if t.sign < 0 else '+'} F{t.f_index}" for t in
+                    sorted(odd_divisor_terms(n), key=lambda t: -t.f_index))
+    return lead_term(first) + "".join(rest)
 
 
 def _cell_table(which: str, headers: list[str], rows: Iterable[dict],

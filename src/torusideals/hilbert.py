@@ -4,13 +4,15 @@ The families, all exact, and the coefficient runs of two of them:
 
 * ``cn_*``: the full count C_n(q), a palindromic monic polynomial of degree
   2n divisible by (q-1)^2 -- built either from the odd divisors of n or from
-  the triangular-number coefficient formula;
+  the triangular-number coefficient formula.  ``cn_exponents`` is the one
+  place the odd-divisor terms are written: ``cn_runs``, ``cn_eval_int``
+  and ``zeta`` read it, and "cn two-route" checks it for all of them;
 * ``pn_from_cn``: the quotient P_n(q) = C_n(q)/(q-1)^2, palindromic with
   non-negative coefficients;
 * ``cn_runs`` and ``pn_runs``: the coefficients of C_n and P_n as
   run-length lists, O(tau(n)) long, with no dense tuple: the routes the
   CLI writes whole polynomials from.  ``cn_runs`` places the at most
-  4 tau_odd(n) terms of the odd divisors; ``pn_runs`` adds the signed
+  4 tau_odd(n) terms of ``cn_exponents``; ``pn_runs`` adds the signed
   intervals of exponents that the consecutive-integer runs of
   ``sequence_for_divisor`` differ by.  ``cn_via_odd_divisors`` and
   ``pg_via_sequences`` are their dense expansions, so ``verify routes``
@@ -99,24 +101,34 @@ def pg_via_odd_divisors(n: int) -> IntPoly:
     return IntPoly(tuple(pg_coeffs(n)))
 
 
-def cn_runs(n: int) -> list[tuple[int, int]]:
-    """The (value, length) runs of C_n's 2n + 1 coefficients, from q^0 up.
+def cn_exponents(n: int) -> tuple[list[int], list[int]]:
+    """The exponents e of C_n's terms +q^e and of its terms -q^e: each odd
+    divisor d, with offset r = n/d - (d+1)/2, adds
+    q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r}).  Terms of different divisors
+    may cancel or add up; the readers sum them.
 
-    Each odd divisor d, with offset r = n/d - (d+1)/2, adds
-    q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r}): at most 4 tau_odd(n) nonzero
-    terms, with runs of zeros between them.
+    >>> cn_exponents(4)
+    ([8, 0], [7, 1])
+    """
+    plus: list[int] = []
+    minus: list[int] = []
+    for t in odd_divisor_terms(n):  # which refuses n < 1
+        plus += (n + t.r + 1, n - t.r - 1)
+        minus += (n + t.r, n - t.r)
+    return plus, minus
+
+
+def cn_runs(n: int) -> list[tuple[int, int]]:
+    """The (value, length) runs of C_n's 2n + 1 coefficients, from q^0 up:
+    the at most 4 tau_odd(n) terms of ``cn_exponents``, with runs of zeros
+    between them.
 
     >>> cn_runs(4)
     [(1, 1), (-1, 1), (0, 5), (-1, 1), (1, 1)]
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    steps: Counter[int] = Counter()
-    for t in odd_divisor_terms(n):
-        for e, c in ((n + t.r + 1, 1), (n - t.r - 1, 1),
-                     (n + t.r, -1), (n - t.r, -1)):
-            steps[e] += c
-            steps[e + 1] -= c
+    plus, minus = cn_exponents(n)  # a term c*q^e steps by c at e, -c at e+1
+    steps = Counter(plus + [e + 1 for e in minus])
+    steps.subtract(minus + [e + 1 for e in plus])
     return _step_runs(steps, 2 * n + 1)
 
 
@@ -168,10 +180,9 @@ def expand_runs(runs: list[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def cn_via_odd_divisors(n: int) -> LaurentPoly:
-    """C_n(q) summed over odd divisors d with offset r = n/d - (d+1)/2:
-    each d contributes q^n (q^{r+1} + q^{-r-1} - q^r - q^{-r}).  The dense
-    expansion of ``cn_runs``, which ``verify`` holds against
-    ``cn_via_coeff_formula``."""
+    """C_n(q) summed over the odd divisors, as ``cn_exponents`` gives their
+    terms: the dense expansion of ``cn_runs``, which ``verify`` holds
+    against ``cn_via_coeff_formula``."""
     return LaurentPoly(0, expand_runs(cn_runs(n)))
 
 
@@ -234,12 +245,12 @@ def pg_eval_int(n: int, x: int) -> int:
 
 
 def cn_eval_int(n: int, x: int) -> int:
-    """Integer value of C_n at x, summed over the odd divisors: each d adds
-    x^{n+r+1} + x^{n-r-1} - x^{n+r} - x^{n-r}; no polynomial is built."""
+    """Integer value of C_n at x: x^e summed over the terms of
+    ``cn_exponents``, signed; no polynomial is built."""
     def power(e: int) -> int:  # a decimal 0 ** 0 raises
         return x ** e if e else 1
-    return sum(power(n + t.r + 1) + power(n - t.r - 1)
-               - power(n + t.r) - power(n - t.r) for t in odd_divisor_terms(n))
+    plus, minus = cn_exponents(n)
+    return sum(map(power, plus)) - sum(map(power, minus))
 
 
 def pn_eval_int(n: int, x: int) -> int:

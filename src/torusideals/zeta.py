@@ -6,21 +6,20 @@ product of shifted Riemann zeta values zeta(s - e), with the same integers
 e, so ``hasse_weil_factors`` returns the local factorization.  Both are
 represented purely as exponent multisets (sorted tuples) -- nothing is
 evaluated numerically, because the verifiable content is exactly the
-factor structure:
+factor structure.
 
-  per odd divisor d of n, with r = n/d - (d+1)/2,
-    numerator exponents   {n + r, n - r}
-    denominator exponents {n + r + 1, n - r - 1}
-
-Each multiset has 2 * (number of odd divisors) elements, all in [0, 2n],
-symmetric about n; the symmetry is the functional equation s -> 2n - s.
+As log Z = sum C_n(q^m) t^m / m, the numerator and denominator are the
+exponents of C_n's negative and positive terms, two of each per odd
+divisor of n as ``hilbert.cn_exponents`` lists them: all in [0, 2n] and
+symmetric about n, the symmetry being the functional equation s -> 2n - s.
+``zeta_consistency_with_cn`` reads the terms off the coefficient formula.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterable
 
-from .divisors import odd_divisor_terms
-from .hilbert import cn_via_coeff_formula
+from .hilbert import cn_exponents, cn_via_coeff_formula
 
 
 class ZetaFactorization(namedtuple("ZetaFactorization",
@@ -33,15 +32,18 @@ class ZetaFactorization(namedtuple("ZetaFactorization",
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
+    @classmethod
+    def of_terms(cls, n: int, plus: Iterable[int],
+                 minus: Iterable[int]) -> ZetaFactorization:
+        """The factorization of a count with terms +q^e at the exponents
+        ``plus`` (the denominator) and -q^e at ``minus`` (the numerator)."""
+        return cls(n, tuple(sorted(minus)), tuple(sorted(plus)))
+
     def cancelled(self) -> ZetaFactorization:
         """Remove factors common to numerator and denominator."""
         num, den = Counter(self.numerator), Counter(self.denominator)
-        common = num & den
-        return ZetaFactorization(
-            self.n,
-            tuple(sorted((num - common).elements())),
-            tuple(sorted((den - common).elements())),
-        )
+        return self.of_terms(self.n, (den - num).elements(),
+                             (num - den).elements())
 
     def to_json(self) -> dict:
         return {"n": self.n, "num": list(self.numerator),
@@ -55,14 +57,7 @@ def local_zeta_factors(n: int) -> ZetaFactorization:
     >>> z.numerator, z.denominator
     ((1, 7), (0, 8))
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    num: list[int] = []
-    den: list[int] = []
-    for t in odd_divisor_terms(n):
-        num += [n + t.r, n - t.r]
-        den += [n + t.r + 1, n - t.r - 1]
-    return ZetaFactorization(n, tuple(sorted(num)), tuple(sorted(den)))
+    return ZetaFactorization.of_terms(n, *cn_exponents(n))
 
 
 def hasse_weil_factors(n: int) -> ZetaFactorization:
@@ -73,26 +68,22 @@ def check_functional_equation(n: int) -> bool:
     """Whether the map e -> 2n - e sends each exponent multiset to itself,
     the symbolic form of the functional equation s -> 2n - s."""
     hw = hasse_weil_factors(n)
-    return (sorted(2 * n - e for e in hw.numerator) == list(hw.numerator)
-            and sorted(2 * n - e for e in hw.denominator)
-            == list(hw.denominator))
+    return all(sorted(2 * n - e for e in es) == list(es)
+               for es in (hw.numerator, hw.denominator))
 
 
 def zeta_consistency_with_cn(n: int) -> ZetaFactorization:
     """The cancelled factorization rebuilt from the coefficient formula for
     the full count, a second route to ``local_zeta_factors(n).cancelled()``.
 
-    A coefficient c at q^e of the count contributes the exponent e with
-    multiplicity |c|, to the denominator when c > 0 and to the numerator
-    when c < 0.
+    A coefficient c at q^e of the count is |c| terms q^e of its sign, read
+    in the one pass over the support that its generator allows.
     """
-    num: list[int] = []
-    den: list[int] = []
+    plus: list[int] = []
+    minus: list[int] = []
     for e, c in cn_via_coeff_formula(n).support():
-        target, mult = (den, c) if c > 0 else (num, -c)
-        target += [e] * mult
-    return ZetaFactorization(n, tuple(sorted(num)),
-                             tuple(sorted(den))).cancelled()
+        (plus if c > 0 else minus).extend([e] * abs(c))
+    return ZetaFactorization.of_terms(n, plus, minus).cancelled()
 
 
 # -- rendering ------------------------------------------------------------------
@@ -105,6 +96,6 @@ def _factor_str(e: int, mult: int) -> str:
 def format_local_zeta(z: ZetaFactorization) -> str:
     """Product string in the usual display style, e.g. for n = 4:
     (1-q*t)(1-q^7*t) / (1-t)(1-q^8*t)."""
-    num = "".join(_factor_str(e, m) for e, m in sorted(Counter(z.numerator).items()))
-    den = "".join(_factor_str(e, m) for e, m in sorted(Counter(z.denominator).items()))
-    return f"{num} / {den}"
+    return " / ".join("".join(_factor_str(e, m)
+                              for e, m in sorted(Counter(es).items()))
+                      for es in (z.numerator, z.denominator))

@@ -43,6 +43,10 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
     (divisors, "a_coeff", wrong(1, 7), "a_coeff tail of ones n=7"),
     (hilbert, "cn_via_coeff_formula", wrong(monomial(7), 7),
      "cn two-route n=7"),
+    # the exponent lists behind C_n's runs, its --eval values and zeta
+    (hilbert, "cn_exponents", wrong(lambda pm: ([pm[0][0] + 1, *pm[0][1:]],
+                                                pm[1]), 7),
+     "cn two-route n=7"),
     (hilbert, "pn_from_cn", wrong(monomial(0), 7), "pn structure n=7"),
     (zeta, "local_zeta_factors", wrong(lambda z: z._replace(
         numerator=(2, *z.numerator[1:])), 7), "functional equation n=7"),
