@@ -132,7 +132,7 @@ def corpus() -> list[list[str]]:
     ``verify all``; answers written in more than one piece: whole
     polynomials of over 1500 coefficients and a table of 121 of them;
     C_n and P_n, their values and the zeta factors at n with 24 and 48 odd
-    divisors;
+    divisors, the values also at x in -2..1;
     ``oeis-check`` against the ``BFILES``; the refusals of sizes below
     each first index, of ``--eval`` for zeta, of a repeated point and of
     ``--max-n 0`` for verify; sweeps past a block of the odd-divisor walk:
@@ -160,6 +160,11 @@ def corpus() -> list[list[str]]:
     # many odd divisors: tau_odd is 24 at n = 3465 and 48 at 45045 and 720720
     commands += [["compute", kind, "--n=3465", f"--eval={x}"]
                  for kind in ("cn", "pn") for x in (-3, 2, 7)]
+    # the points where a value might branch: P_n(1) = sigma(n), x = 0, and
+    # the zeros and powers 0 ** 0 of an exact Decimal
+    commands += [["compute", kind, f"--n={n}", f"--eval={x}"]
+                 for n, xs in ((45045, (-2, -1, 0, 1)), (720720, (-1, 0, 1)))
+                 for kind in ("cn", "pn") for x in xs]
     commands += [["compute", kind, "--n=45045"]
                  for kind in ("cn", "pn", "zeta")]
     commands.append(["compute", "zeta", "--n=720720"])
