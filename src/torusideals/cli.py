@@ -134,12 +134,11 @@ def _table_digits(which: str, max_n: int) -> int:
     return _DIGIT_RATE[which] * max_n * (max_n + 1) * (2 * max_n + 1) // 240
 
 
+# each dense kind's value at a point; C_n and P_n's come from their runs
 _VALUES = {
     "tcheb": chebfam.tcheb_value,
     "fpoly": chebfam.fpoly_value,
     "pg": hilbert.pg_eval_int,
-    "cn": hilbert.cn_eval_int,
-    "pn": hilbert.pn_eval_int,
 }
 
 # The first index of each kind, where it is not 1
@@ -177,9 +176,10 @@ def _cmd_compute(args: SimpleNamespace) -> int:
     if args.eval is not None:
         x = args.eval
         chebfam.check_digits(chebfam.value_digits(  # C_n(x) ~ x^2n ~ F_n(x^2)
-            n - 1 if kind == "pg" else n, x * x if kind in ("cn", "pn") else x))
+            n - 1 if kind == "pg" else n, x * x if kind in _RUNS else x))
         with chebfam.decimal_radix(x) as point:
-            value = _VALUES[kind](n, point)
+            value = (hilbert.eval_runs(_RUNS[kind](n), point) if kind in _RUNS
+                     else _VALUES[kind](n, point))
         _emit(_record(kind, {"n": n, "eval_at": x, "value": str(value)},
                       str(value), fmt), args.out)
         return 0
@@ -519,18 +519,13 @@ def _cmd_oeis_check(args: SimpleNamespace) -> int:
             args.out)
         return 1 if shown else 0
     mismatched = len(shown) + sum(1 for _ in report.mismatches)
-    if args.format == "csv":
-        row = {**report.to_json(), "mismatches": mismatched}
-        _emit(_cell_table("oeis", ["sequence", "bfile", "compared",
-                                   "mismatches"], [row], "csv"), args.out)
-    else:
-        status = "FAIL" if mismatched else "PASS"
-        lines = [f"{report.sequence} vs {report.bfile_id}: "
-                 f"{report.compared} terms compared, "
-                 f"{mismatched} mismatches: {status}"]
-        for idx, expected, computed in shown:
-            lines.append(f"  index {idx}: b-file {expected}, computed {computed}")
-        _emit((line + "\n" for line in lines), args.out)
+    lines = [f"{report.sequence} vs {report.bfile_id}: {report.compared} "
+             f"terms compared, {mismatched} mismatches: "
+             f"{'FAIL' if mismatched else 'PASS'}",
+             *(f"  index {idx}: b-file {expected}, computed {computed}"
+               for idx, expected, computed in shown)]
+    _emit(_record("oeis", {**report.to_json(), "mismatches": mismatched},
+                  "\n".join(lines), args.format), args.out)
     return 1 if shown else 0
 
 
@@ -546,7 +541,7 @@ _COMMON = (("--format", {"choices": ("text", "json", "csv"), "default": "text",
 _GRAMMAR = {
     "compute": ("compute one polynomial or factorization", _cmd_compute, (
         *_COMMON,
-        ("object", {"choices": (*_VALUES, "zeta")}),
+        ("object", {"choices": (*_VALUES, *_RUNS, "zeta")}),
         ("--n", {"type": int, "required": True, "help": "index n (or k)"}),
         ("--eval", {"type": int, "metavar": "X",
                     "help": "evaluate at the integer X instead of printing "

@@ -5,15 +5,15 @@ The families, all exact, and the coefficient runs of two of them:
 * ``cn_*``: the full count C_n(q), a palindromic monic polynomial of degree
   2n divisible by (q-1)^2 -- built either from the odd divisors of n or from
   the triangular-number coefficient formula.  ``cn_exponents`` is the one
-  place the odd-divisor terms are written: ``cn_runs``, ``cn_eval_int``
-  and ``zeta`` read it, and "cn two-route" checks it for all of them;
+  place the odd-divisor terms are written: ``cn_runs`` and ``zeta`` read
+  it, and "cn two-route" checks it for both;
 * ``pn_from_cn``: the quotient P_n(q) = C_n(q)/(q-1)^2, palindromic with
   non-negative coefficients;
 * ``cn_runs`` and ``pn_runs``: the coefficients of C_n and P_n as
   run-length lists, O(tau(n)) long, with no dense tuple: the routes the
-  CLI writes whole polynomials from.  ``cn_runs`` places the at most
-  4 tau_odd(n) terms of ``cn_exponents``; ``pn_runs`` adds the signed
-  intervals of exponents that the consecutive-integer runs of
+  CLI writes, and evaluates with ``eval_runs``.  ``cn_runs`` places the at
+  most 4 tau_odd(n) terms of ``cn_exponents``; ``pn_runs`` adds the
+  signed intervals of exponents that the consecutive-integer runs of
   ``sequence_for_divisor`` differ by.  ``cn_via_odd_divisors`` and
   ``pg_via_sequences`` are their dense expansions, so ``verify routes``
   checks them against the coefficient formula ("cn two-route") and against
@@ -179,6 +179,24 @@ def expand_runs(runs: list[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(chain.from_iterable(repeat(v, k) for v, k in runs))
 
 
+def eval_runs(runs: list[tuple[int, int]], x: int) -> int:
+    """The value at x of the polynomial whose coefficients from q^0 up the
+    (value, length) runs give, by Horner's scheme from the top run down: a
+    run of k values v adds v (x^k - 1)/(x - 1), or v k at x = 1.  ``x`` may
+    be an int or an integral ``Decimal``; a zero value is never -0.
+
+    >>> eval_runs(cn_runs(4), 2), eval_runs(pn_runs(4), 1)  # sigma(4) = 7
+    (127, 7)
+    """
+    value = 0
+    for v, k in reversed(runs):
+        power = x ** k
+        value *= power
+        if v:
+            value += v * ((power - 1) // (x - 1) if x != 1 else k)
+    return value + 0  # a Decimal -0 turns 0
+
+
 def cn_via_odd_divisors(n: int) -> LaurentPoly:
     """C_n(q) summed over the odd divisors, as ``cn_exponents`` gives their
     terms: the dense expansion of ``cn_runs``, which ``verify`` holds
@@ -242,21 +260,6 @@ def pg_eval_int(n: int, x: int) -> int:
         raise ValueError("n must be positive")
     return sum(t.sign * fpoly_value(t.f_index, x)
                for t in odd_divisor_terms(n))
-
-
-def cn_eval_int(n: int, x: int) -> int:
-    """Integer value of C_n at x: x^e summed over the terms of
-    ``cn_exponents``, signed; no polynomial is built."""
-    def power(e: int) -> int:  # a decimal 0 ** 0 raises
-        return x ** e if e else 1
-    plus, minus = cn_exponents(n)
-    return sum(map(power, plus)) - sum(map(power, minus))
-
-
-def pn_eval_int(n: int, x: int) -> int:
-    """Integer value of P_n at x: C_n(x)/(x-1)^2, and P_n(1) = G_n(2), since
-    G_n(q + 1/q) = P_n(q)/q^{n-1}."""
-    return cn_eval_int(n, x) // (x - 1) ** 2 if x != 1 else pg_eval_int(n, 2)
 
 
 def _closed_terms(x: int) -> Callable[[int, int, int], tuple] | None:

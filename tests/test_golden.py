@@ -161,7 +161,7 @@ def corpus() -> list[list[str]]:
     commands += [["compute", kind, "--n=3465", f"--eval={x}"]
                  for kind in ("cn", "pn") for x in (-3, 2, 7)]
     # the points where a value might branch: P_n(1) = sigma(n), x = 0, and
-    # the zeros and powers 0 ** 0 of an exact Decimal
+    # an exact Decimal's -0 and 0 ** 0
     commands += [["compute", kind, f"--n={n}", f"--eval={x}"]
                  for n, xs in ((45045, (-2, -1, 0, 1)), (720720, (-1, 0, 1)))
                  for kind in ("cn", "pn") for x in xs]

@@ -20,11 +20,11 @@ from torusideals.divisors import (
 )
 from torusideals.hilbert import (
     approx_defect,
-    cn_eval_int,
     cn_runs,
     cn_via_coeff_formula,
     cn_via_odd_divisors,
     defect_kind,
+    eval_runs,
     expand_runs,
     fpoly_blocks,
     pg_blocks,
@@ -34,7 +34,6 @@ from torusideals.hilbert import (
     pg_via_interval,
     pg_via_odd_divisors,
     pg_via_sequences,
-    pn_eval_int,
     pn_from_cn,
     pn_runs,
 )
@@ -252,10 +251,24 @@ class TestValues:
         assert [tcheb_value(0, x) for x in (-1, 0, 5)] == [2, 2, 2]
         for n in range(1, 301):
             cn, pn, v = cn_via_odd_divisors(n), pn_from_cn(n), tcheb(n)
+            cn_r, pn_r = cn_runs(n), pn_runs(n)
             for x in range(-8, 9):
-                assert cn_eval_int(n, x) == cn.eval_int(x), (n, x)
-                assert pn_eval_int(n, x) == pn.eval_int(x), (n, x)
+                assert eval_runs(cn_r, x) == cn.eval_int(x), (n, x)
+                assert eval_runs(pn_r, x) == pn.eval_int(x), (n, x)
                 assert tcheb_value(n, x) == v.eval_int(x), (n, x)
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 40)),
+                    max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_runs_evaluate_as_their_dense_expansion(self, runs):
+        # zero runs, runs of equal values side by side, and the empty list
+        # included; the Decimal radix neither rounds nor prints -0
+        dense = LaurentPoly(0, expand_runs(runs))
+        for x in range(-7, 8):
+            want = dense.eval_int(x)
+            assert eval_runs(runs, x) == want, x
+            with decimal_radix(x) as point:
+                assert str(eval_runs(runs, point)) == str(want), x
 
 
 class TestMultiplicativity:

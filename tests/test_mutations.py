@@ -48,6 +48,10 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
                                                 pm[1]), 7),
      "cn two-route n=7"),
     (hilbert, "pn_from_cn", wrong(monomial(0), 7), "pn structure n=7"),
+    # the run list behind P_n's coefficients and its --eval values
+    (hilbert, "pn_runs", wrong(lambda runs: [*runs[:-1], (runs[-1][0] + 1,
+                                                         runs[-1][1])], 7),
+     "pg sequence route n=7"),
     (zeta, "local_zeta_factors", wrong(lambda z: z._replace(
         numerator=(2, *z.numerator[1:])), 7), "functional equation n=7"),
 ]
