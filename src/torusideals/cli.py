@@ -11,7 +11,6 @@ import json
 import os
 import stat
 import sys
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from decimal import localcontext
 from itertools import chain, islice, zip_longest
@@ -345,7 +344,10 @@ def values_rows(max_n: int, points: list[int]) -> Iterator[dict]:
     one block of ``hilbert.pg_blocks`` at a time.  A repeated point, and a
     sweep past the digit or term limit, are refused here, before any
     row."""
-    repeats = [x for x, k in Counter(points).items() if k > 1]
+    counts: dict[int, int] = {}
+    for x in points:
+        counts[x] = counts.get(x, 0) + 1
+    repeats = [x for x, k in counts.items() if k > 1]
     if repeats:
         raise ValueError(f"--N repeats the point {repeats[0]}")
     chebfam.check_digits(sum(2 * chebfam.value_digits(0, x, max_n)

@@ -7,7 +7,10 @@ polynomial modules lean on:
   d of n with (i + sqrt(2n+i^2))/2 < d <= i + sqrt(2n+i^2), decided purely
   in integer arithmetic (floating-point square roots would misclassify
   divisors that sit exactly on the boundary), and all of them for one n at
-  once, ``a_coeffs(n)``;
+  once, ``a_coeffs(n)``.  Both read the range of indices i on which each
+  divisor counts, ``a_intervals(n)``: at most tau(n) ranges, whose ends
+  are the only places the counts change, so ``hilbert.approx_defect``
+  reads its breakpoints there;
 
 * runs of consecutive integers summing to n (``IncreasingSequence``) and the
   involution pairing the odd-length run for each odd divisor with an
@@ -163,23 +166,36 @@ def a_coeff(n: int, i: int) -> int:
     return count
 
 
-def a_coeffs(n: int) -> list[int]:
-    """[a_coeff(n, 0), ..., a_coeff(n, n-1)] from one divisor list.
+def a_intervals(n: int) -> list[tuple[int, int]]:
+    """The index ranges (lo, hi) on which the divisors of n count toward
+    ``a_coeff(n, i)``, one per divisor whose range is not empty, ascending
+    in d.
 
     Solved for i, the conditions of ``a_coeff`` say that d counts exactly
     for ceil((d^2 - 2n)/(2d)) <= i < (2d^2 - n)/(2d) (the bound 2d - i > 0
-    follows from the upper one); each divisor adds 1 on that range of a
-    difference array.
+    follows from the upper one), cut to 0 <= i <= n - 1.
+
+    >>> a_intervals(9)  # d = 1 counts nowhere
+    [(0, 1), (4, 8)]
     """
     if n < 1:
         raise ValueError("n must be positive")
-    diff = [0] * (n + 1)
+    out = []
     for d in divisors(n):
         lo = max(0, -((2 * n - d * d) // (2 * d)))
         hi = min(n - 1, (2 * d * d - n - 1) // (2 * d))
         if lo <= hi:
-            diff[lo] += 1
-            diff[hi + 1] -= 1
+            out.append((lo, hi))
+    return out
+
+
+def a_coeffs(n: int) -> list[int]:
+    """[a_coeff(n, 0), ..., a_coeff(n, n-1)] from one divisor list: each
+    range of ``a_intervals`` adds 1 on its indices of a difference array."""
+    diff = [0] * (n + 1)
+    for lo, hi in a_intervals(n):  # which refuses n < 1
+        diff[lo] += 1
+        diff[hi + 1] -= 1
     return list(accumulate(diff[:n]))
 
 

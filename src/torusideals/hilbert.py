@@ -38,7 +38,6 @@ an n too large to factor, and a count that (q-1)^2 does not divide raise.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterator
 from decimal import Decimal, localcontext
 from itertools import chain, cycle, islice, repeat
@@ -48,6 +47,7 @@ from .chebfam import EXACT, fpoly_period, fpoly_stream, fpoly_sum, fpoly_value
 from .divisors import (
     OddDivisorTerm,
     a_coeffs,
+    a_intervals,
     blocks,
     divisors,
     odd_divisor_runs,
@@ -127,8 +127,10 @@ def cn_runs(n: int) -> list[tuple[int, int]]:
     [(1, 1), (-1, 1), (0, 5), (-1, 1), (1, 1)]
     """
     plus, minus = cn_exponents(n)  # a term c*q^e steps by c at e, -c at e+1
-    steps = Counter(plus + [e + 1 for e in minus])
-    steps.subtract(minus + [e + 1 for e in plus])
+    steps: dict[int, int] = {}
+    for es, c in ((plus, 1), (minus, -1)):
+        for e in es:
+            _add_step(steps, e, e + 1, c)
     return _step_runs(steps, 2 * n + 1)
 
 
@@ -147,26 +149,34 @@ def pn_runs(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    steps: Counter[int] = Counter()
+    steps: dict[int, int] = {}
     for d in odd_divisors(n):
         odd_run, even_run = sequence_for_divisor(n, d)
         sign = 1 if odd_run.is_positive() else -1
         lo, hi = sorted((odd_run.a, even_run.a))
-        steps[lo + n] += sign  # centered exponent lo + 1 is q^(lo + n)
-        steps[hi + n] -= sign
+        # centered exponent lo + 1 is q^(lo + n)
+        _add_step(steps, lo + n, hi + n, sign)
     return _step_runs(steps, 2 * n - 1)
 
 
-def _step_runs(steps: Counter[int], size: int) -> list[tuple[int, int]]:
+def _add_step(steps: dict[int, int], start: int, stop: int, c: int) -> None:
+    """Add c to the values at indices start..stop-1 of the step map
+    ``steps``: c at start and -c at stop."""
+    steps[start] = steps.get(start, 0) + c
+    steps[stop] = steps.get(stop, 0) - c
+
+
+def _step_runs(steps: dict[int, int], size: int) -> list[tuple[int, int]]:
     """The (value, length) runs of c_0..c_{size-1}, where c starts at 0 and
-    changes by steps[e] at index e; adjacent runs have distinct values."""
+    changes by steps[e] at index e, 0 where e is no key; adjacent runs have
+    distinct values."""
     runs = []
     value = start = 0
     for e in sorted(e for e, c in steps.items() if c) + [size]:
         if e > start:
             runs.append((value, e - start))
             start = e
-        value += steps[e]
+        value += steps.get(e, 0)
     return runs
 
 
@@ -350,11 +360,16 @@ def approx_defect(n: int) -> IntPoly:
     """The difference G_n - F_{n-1}, built from the interval counts as
     b_0 + sum b_i V_i(X) with b_i = a_{n,i} - 1.
 
-    b is piecewise constant: it changes only at the ends of the divisor
-    ranges of ``a_coeffs``, at most 2*tau(n) places.  Since F_j = 1 + V_1 +
-    ... + V_j, Abel summation turns the sum into sum (b_j - b_{j+1}) F_j
-    (with b_n = 0), which has a term only where b changes: O(tau(n) * n)
-    coefficient operations instead of O(n^2).
+    b is piecewise constant: it changes only at the ends of the ranges of
+    ``divisors.a_intervals``, at most 2*tau(n) places, which are read into
+    a sparse map of steps; no list of the n counts is made.  Since F_j =
+    1 + V_1 + ... + V_j, Abel summation turns the sum into
+    sum (b_j - b_{j+1}) F_j (with b_n = 0), which has a term only where b
+    changes: -step[j+1] F_j below the top, and the top term
+    (a_{n,n-1} - 1) F_{n-1}.  The tail-of-ones law makes the top term 0,
+    but it is kept, so a wrong tail shows in the degree.  So the terms
+    take O(tau(n)) steps, and their sum O(tau(n) * n) coefficient
+    operations instead of O(n^2).
 
     The paper's laws on the result, degree < n/2 - 1 and zero exactly when
     n is a power of two, are checked by ``verify special``.
@@ -364,9 +379,14 @@ def approx_defect(n: int) -> IntPoly:
     """
     if n < 2:
         raise ValueError("defect is defined for n >= 2")
-    b = [a - 1 for a in a_coeffs(n)] + [0]
-    return IntPoly(tuple(fpoly_sum((b[j] - b[j + 1], j)
-                                   for j in range(n) if b[j] != b[j + 1])))
+    steps: dict[int, int] = {}  # b_e - b_{e-1} at each end e of a range
+    for lo, hi in a_intervals(n):
+        _add_step(steps, lo, hi + 1, 1)
+    terms = [(-c, e - 1) for e, c in steps.items() if 0 < e < n and c]
+    top = sum(c for e, c in steps.items() if e < n) - 1  # a_{n,n-1} - 1
+    if top:
+        terms.append((top, n - 1))
+    return IntPoly(tuple(fpoly_sum(terms)))
 
 
 def defect_kind(terms: list[OddDivisorTerm]) -> str:

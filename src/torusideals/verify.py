@@ -276,27 +276,33 @@ def verify_mult(max_n: int = DEFAULT_RANGES["mult"]) -> VerifySuiteReport:
     """|G_m(x)| * |G_k(x)| = |G_{mk}(x)| for coprime m, k at x in {-2, -1,
     0, 2}; at x = 1 the left side is 1, 2 or 4 times the right according to
     {m, k} mod 3 ({0, 2} -> 2, {2} -> 4, else 1).  Then the closed factor
-    identities and multiplicativity of the odd-divisor count itself."""
+    identities and multiplicativity of the odd-divisor count itself.
+
+    Each G_j(x), j <= max_n, is made once per point, and each count of odd
+    divisors of j <= 100 once; G_{mk}(x) and the count at mk are made
+    afresh for every pair, so the route under test meets every product."""
     rep = VerifySuiteReport("mult", max_n)
+    points = (-2, -1, 0, 1, 2)
+    pg = {x: [None] + [hilbert.pg_eval_int(j, x) for j in range(1, max_n + 1)]
+          for x in points}
     for m in range(1, max_n + 1):
         for k in range(m + 1, max_n + 1):
             if gcd(m, k) != 1:
                 continue
             residues = {m % 3, k % 3}
             three_case = 4 if residues == {2} else 2 if residues == {0, 2} else 1
-            for x in (-2, -1, 0, 1, 2):
+            for x in points:
                 factor = three_case if x == 1 else 1
                 rep.equal(f"mult x={x} m={m} k={k}",
                           factor * abs(hilbert.pg_eval_int(m * k, x)),
-                          abs(hilbert.pg_eval_int(m, x))
-                          * abs(hilbert.pg_eval_int(k, x)))
+                          abs(pg[x][m]) * abs(pg[x][k]))
     check_factor_identities(rep)
+    odd_counts = [0] + [len(divisors.odd_divisors(j)) for j in range(1, 101)]
     for m in range(1, 101):
         for k in range(m + 1, 101):
             if gcd(m, k) == 1:
                 rep.equal(f"odd-divisor count multiplicative m={m} k={k}",
-                          len(divisors.odd_divisors(m))
-                          * len(divisors.odd_divisors(k)),
+                          odd_counts[m] * odd_counts[k],
                           len(divisors.odd_divisors(m * k)))
     return rep
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable
+from itertools import groupby
 
 from .hilbert import cn_exponents, cn_via_coeff_formula
 
@@ -96,6 +97,6 @@ def _factor_str(e: int, mult: int) -> str:
 def format_local_zeta(z: ZetaFactorization) -> str:
     """Product string in the usual display style, e.g. for n = 4:
     (1-q*t)(1-q^7*t) / (1-t)(1-q^8*t)."""
-    return " / ".join("".join(_factor_str(e, m)
-                              for e, m in sorted(Counter(es).items()))
+    return " / ".join("".join(_factor_str(e, sum(1 for _ in g))
+                              for e, g in groupby(es))
                       for es in (z.numerator, z.denominator))

@@ -710,6 +710,8 @@ class TestTable:
         # the first point, in order of first appearance, that repeats
         with pytest.raises(ValueError, match="^--N repeats the point 0$"):
             values_rows(3, [2, 0, -1, -1, 0])
+        with pytest.raises(ValueError, match="^--N repeats the point 1$"):
+            values_rows(3, [1, 2, 2, 1])
 
     @pytest.mark.parametrize("points", [[0, 1, -1, 2, -2], [3, -3, 7]])
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

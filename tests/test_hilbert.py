@@ -181,6 +181,23 @@ class TestApproxDefect:
             assert approx_defect(n) == \
                 chebyshev_sum([a - 1 for a in a_coeffs(n)])
 
+    @pytest.mark.parametrize("n", [512, 945, 1000, 2000, 2520])
+    def test_matches_v_basis_sum_at_many_divisors(self, n):
+        # the steps read off the intervals, where tau(n) is large or n is a
+        # power of two
+        assert approx_defect(n) == chebyshev_sum([a - 1 for a in a_coeffs(n)])
+
+    def test_wrong_tail_reaches_the_degree(self, monkeypatch):
+        # a_{n,n-1} = 2 at n = 9: the top term (a_{n,n-1} - 1) F_{n-1} is
+        # kept, so the defect has degree n - 1, which the degree bound of
+        # ``verify special`` refuses
+        genuine = hilbert.a_intervals
+        monkeypatch.setattr(hilbert, "a_intervals", lambda n: (
+            [*genuine(n), (n - 1, n - 1)] if n == 9 else genuine(n)))
+        assert sum(lo <= 8 <= hi for lo, hi in hilbert.a_intervals(9)) == 2
+        assert approx_defect(9).degree == 8
+        assert approx_defect(11) == -fpoly(4)
+
 
 class TestValues:
     @pytest.mark.parametrize("n", sorted(VALUES_TABLE))

@@ -41,6 +41,14 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
      "defect degree bound n=9"),
     (divisors, "representations", wrong(lambda r: r[:-1], 7), "bijection n=7"),
     (divisors, "a_coeff", wrong(1, 7), "a_coeff tail of ones n=7"),
+    # the index ranges behind the interval counts, with a second count at
+    # i = n - 1: each caller reads its own binding of the name
+    (divisors, "a_intervals", wrong(lambda ranges: [*ranges, (6, 6)], 7),
+     "pg interval=odd_divisors n=7"),
+    (hilbert, "a_intervals", wrong(lambda ranges: [*ranges, (6, 6)], 7),
+     "defect degree bound n=7"),
+    # G_7(x) as ``verify mult`` lists it once per point
+    (hilbert, "pg_eval_int", wrong(1, 7), "mult x=-2 m=2 k=7"),
     (hilbert, "cn_via_coeff_formula", wrong(monomial(7), 7),
      "cn two-route n=7"),
     # the exponent lists behind C_n's runs, its --eval values and zeta
