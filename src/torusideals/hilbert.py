@@ -29,8 +29,9 @@ The families, all exact, and the coefficient runs of two of them:
   from the odd-divisor walk of ``divisors.odd_divisor_runs``; the kernel of
   every sweep that the CLI prints, with ``pg_eval_int`` as its oracle.
 
-The defect G_n - F_{n-1} has two routes of its own: ``approx_defect``
-builds it from the interval counts, ``defect_kind`` reads its shape off the
+The defect G_n - F_{n-1} has two routes of its own: ``defect_terms``
+builds it from the interval counts as a sparse signed sum of F_j, which
+``approx_defect`` expands; ``defect_kind`` reads its shape off the
 odd-divisor terms.  Every function here computes a route, returns a plain
 polynomial (or its coefficients) and asserts no law about it: ``verify`` compares the routes and
 checks the laws, reporting the values on both sides.  Only malformed input,
@@ -356,9 +357,12 @@ def pg_blocks(top: int, x: int) -> Iterator[tuple[list, list]]:
         yield fs, gs
 
 
-def approx_defect(n: int) -> IntPoly:
-    """The difference G_n - F_{n-1}, built from the interval counts as
-    b_0 + sum b_i V_i(X) with b_i = a_{n,i} - 1.
+def defect_terms(n: int) -> list[tuple[int, int]]:
+    """The defect G_n - F_{n-1} as signed F-terms: the (c, j) pairs of
+    sum c F_j, built from the interval counts as b_0 + sum b_i V_i(X) with
+    b_i = a_{n,i} - 1.  Its indices are distinct and its coefficients
+    nonzero, so, every F_j being monic of degree j, the largest index is
+    the degree and no term means a zero defect.
 
     b is piecewise constant: it changes only at the ends of the ranges of
     ``divisors.a_intervals``, at most 2*tau(n) places, which are read into
@@ -368,14 +372,10 @@ def approx_defect(n: int) -> IntPoly:
     changes: -step[j+1] F_j below the top, and the top term
     (a_{n,n-1} - 1) F_{n-1}.  The tail-of-ones law makes the top term 0,
     but it is kept, so a wrong tail shows in the degree.  So the terms
-    take O(tau(n)) steps, and their sum O(tau(n) * n) coefficient
-    operations instead of O(n^2).
+    take O(tau(n)) steps.
 
-    The paper's laws on the result, degree < n/2 - 1 and zero exactly when
-    n is a power of two, are checked by ``verify special``.
-
-    >>> print(approx_defect(9))
-    -X^3 - X^2 + 3*X + 2
+    >>> defect_terms(9)
+    [(1, 1), (-1, 3)]
     """
     if n < 2:
         raise ValueError("defect is defined for n >= 2")
@@ -386,7 +386,22 @@ def approx_defect(n: int) -> IntPoly:
     top = sum(c for e, c in steps.items() if e < n) - 1  # a_{n,n-1} - 1
     if top:
         terms.append((top, n - 1))
-    return IntPoly(tuple(fpoly_sum(terms)))
+    return terms
+
+
+def approx_defect(n: int) -> IntPoly:
+    """The difference G_n - F_{n-1} as a dense polynomial: ``defect_terms``
+    summed by ``fpoly_sum``, O(tau(n) * n) coefficient operations instead
+    of O(n^2).
+
+    The paper's laws on the defect, degree < n/2 - 1 and zero exactly when
+    n is a power of two, are checked by ``verify special`` on its terms;
+    the tests hold this sum against ``chebyshev_sum`` of the counts.
+
+    >>> print(approx_defect(9))
+    -X^3 - X^2 + 3*X + 2
+    """
+    return IntPoly(tuple(fpoly_sum(defect_terms(n))))
 
 
 def defect_kind(terms: list[OddDivisorTerm]) -> str:

@@ -49,6 +49,17 @@ class VerifySuiteReport:
             self.failures.append({"case": case, "expected": str(expected),
                                   "actual": str(actual)})
 
+    def check_all(self, case: str,
+                  *parts: tuple[bool, object, object]) -> None:
+        """One check of several (ok, expected, actual) parts: passed when
+        every part holds, else recorded with the values of the first part
+        that fails."""
+        for ok, expected, actual in parts:
+            if not ok:
+                self.check(case, False, expected, actual)
+                return
+        self.passed += 1
+
     def equal(self, case: str, expected: object, actual: object) -> None:
         """Check actual == expected; each side is evaluated once, by the
         caller, and both are reported on failure."""
@@ -108,16 +119,26 @@ def check_pg_routes(rep: VerifySuiteReport, n: int, series_pg: IntPoly) -> None:
               "+F_{n-1} from d=1", first)
 
 
+def _covers(runs: list[tuple[int, int]], size: int) -> tuple:
+    """The part of a check that the (value, length) runs cover exactly
+    ``size`` coefficients: a carrier strips a zero run at either end, but
+    JSON and CSV print every coefficient of the list."""
+    return (sum(k for _, k in runs) == size,
+            f"runs of {size} coefficients", runs)
+
+
 def check_counts(rep: VerifySuiteReport, n: int) -> None:
-    """Two routes to C_n, the structure of C_n and P_n, and the monomial
-    route to the centered quotient P_n / q^{n-1}."""
+    """Two routes to C_n, the structure of C_n and P_n, the monomial route
+    to the centered quotient P_n / q^{n-1}, and the lengths of the run lists
+    of C_n and P_n."""
     cn_a = hilbert.cn_via_odd_divisors(n)
     cn_b = hilbert.cn_via_coeff_formula(n)
     rep.equal(f"cn two-route n={n}", cn_a, cn_b)
-    rep.check(f"cn palindromic monic deg 2n n={n}",
-              cn_a.is_palindromic() and cn_a.min_exp == 0
-              and cn_a.max_exp == 2 * n and cn_a.coeff(2 * n) == 1,
-              "palindromic monic of degree 2n", cn_a)
+    rep.check_all(f"cn palindromic monic deg 2n n={n}",
+                  (cn_a.is_palindromic() and cn_a.min_exp == 0
+                   and cn_a.max_exp == 2 * n and cn_a.coeff(2 * n) == 1,
+                   "palindromic monic of degree 2n", cn_a),
+                  _covers(hilbert.cn_runs(n), 2 * n + 1))
     pn = _quotient(hilbert.pn_from_cn, n)
     if isinstance(pn, _ROUTE_ERRORS):
         rep.check(f"pn structure n={n}", False, "(q-1)^2 divides C_n", pn)
@@ -132,8 +153,10 @@ def check_counts(rep: VerifySuiteReport, n: int) -> None:
     rep.equal(f"cn coefficient-sum law n={n}",
               4 * len(divisors.odd_divisors(n)),
               sum(abs(c) for c in cn_a.coeffs))
-    rep.equal(f"pg sequence route n={n}", pn.shift(-(n - 1)),
-              hilbert.pg_via_sequences(n))
+    centered, sequences = pn.shift(-(n - 1)), hilbert.pg_via_sequences(n)
+    rep.check_all(f"pg sequence route n={n}",
+                  (sequences == centered, centered, sequences),
+                  _covers(hilbert.pn_runs(n), 2 * n - 1))
 
 
 def check_runs(rep: VerifySuiteReport, n: int) -> None:
@@ -194,9 +217,15 @@ def verify_cheb(max_n: int = DEFAULT_RANGES["cheb"]) -> VerifySuiteReport:
     f_prev, f, t = ZERO, chebfam.fpoly(0), chebfam.tcheb(0)
     for k in range(max_n + 1):
         f_rec = f_rec + (v if k else ONE)
-        if k >= 1:
-            rep.equal(f"tcheb closed k={k}", v, t)
-            rep.equal(f"fpoly closed k={k}", f_rec, f)
+        if k >= 1:  # each closed form from X^0 up and from X^k down
+            for case, rolled, closed, coeffs in (
+                    ("tcheb", v, t, chebfam.tcheb_coeffs),
+                    ("fpoly", f_rec, f, chebfam.fpoly_coeffs)):
+                down = list(rolled.coeffs[::-1])
+                descending = list(coeffs(k, True))
+                rep.check_all(f"{case} closed k={k}",
+                              (closed == rolled, rolled, closed),
+                              (descending == down, down, descending))
         rep.equal(f"tcheb trace k={k}", v, chebfam.tcheb_trace(k))
         # the constant term (-1)^(k//2), read off F_k and evaluated at 0
         constant = -1 if (k // 2) & 1 else 1
@@ -357,7 +386,13 @@ def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
     n, with the signs of any F_0 and F_1 term against n being triangular
     (n = r(r+1)/2) or near-triangular (n = r(r+3)/2), sign (-1)^{r+1}; the
     power-of-two law on the kind; and on the defect built from the interval
-    counts, both the power-of-two law and the strict degree bound."""
+    counts, both the power-of-two law and the strict degree bound.
+
+    The defect's laws are read off its F-terms, ``hilbert.defect_terms``,
+    with no coefficient made: the terms are summed by index, and since
+    every F_j is monic of degree j, the defect is zero when no sum is
+    nonzero and otherwise has the largest such index as its degree.  The
+    terms are expanded only for a failed check, to show the defect."""
     rep = VerifySuiteReport("special", max_n)
     for n in range(1, max_n + 1):
         terms = divisors.odd_divisor_terms(n)
@@ -375,13 +410,18 @@ def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
                       (kind == "zero") == is_pow2,
                       "zero" if is_pow2 else "nonzero", kind)
     for n in range(2, min(max_n, 1000) + 1):
-        defect = hilbert.approx_defect(n)
+        defect = hilbert.defect_terms(n)
+        sums: dict[int, int] = {}  # the route need not keep indices apart
+        for c, j in defect:
+            sums[j] = sums.get(j, 0) + c
+        degree = max((j for j, c in sums.items() if c), default=None)
         if n & (n - 1) == 0:
-            rep.equal(f"defect degree bound n={n}", ZERO, defect)
+            ok, expected = degree is None, ZERO
         else:
-            rep.check(f"defect degree bound n={n}",
-                      defect.degree is not None and 2 * defect.degree < n - 2,
-                      f"nonzero of degree < {n - 2}/2", defect)
+            ok = degree is not None and 2 * degree < n - 2
+            expected = f"nonzero of degree < {n - 2}/2"
+        rep.check(f"defect degree bound n={n}", ok, expected,
+                  None if ok else IntPoly(tuple(chebfam.fpoly_sum(defect))))
     return rep
 
 

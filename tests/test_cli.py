@@ -29,7 +29,7 @@ from torusideals.chebfam import (decimal_radix, fpoly_stream, fpoly_value,
                                  tcheb_value)
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.divisors import divisors, odd_divisors
-from torusideals.intpoly import IntPoly, LaurentPoly, X, exact_div, term_str
+from torusideals.intpoly import IntPoly, LaurentPoly, exact_div, term_str
 from torusideals.oeis import emit_bfile
 from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
@@ -963,9 +963,9 @@ class TestVerify:
                 "got ('other', 1, 0)\n" in out
             assert "  power-of-two law n=2: expected zero, got other\n" in out
         with monkeypatch.context() as m:
-            approx_defect = hilbert.approx_defect
-            m.setattr(hilbert, "approx_defect",
-                      lambda n: approx_defect(n) + X)
+            defect_terms = hilbert.defect_terms
+            m.setattr(hilbert, "defect_terms",  # + X as + F_1 - F_0
+                      lambda n: [*defect_terms(n), (1, 1), (-1, 0)])
             out = failures("special", 3)
             assert "  defect degree bound n=2: expected 0, got X\n" in out
             assert "  defect degree bound n=3: expected nonzero of degree " \

@@ -24,6 +24,7 @@ from torusideals.hilbert import (
     cn_via_coeff_formula,
     cn_via_odd_divisors,
     defect_kind,
+    defect_terms,
     eval_runs,
     expand_runs,
     fpoly_blocks,
@@ -197,6 +198,30 @@ class TestApproxDefect:
         assert sum(lo <= 8 <= hi for lo, hi in hilbert.a_intervals(9)) == 2
         assert approx_defect(9).degree == 8
         assert approx_defect(11) == -fpoly(4)
+
+
+class TestDefectTerms:
+    def test_distinct_indices_and_the_degree(self):
+        # what ``verify special`` reads the degree off, with no expansion
+        for n in range(2, 2001):
+            terms = defect_terms(n)
+            indices = [j for _, j in terms]
+            assert len(set(indices)) == len(indices), n
+            assert all(c for c, _ in terms), n
+            if n & (n - 1) == 0:
+                assert terms == [], n
+            else:
+                assert max(indices) == approx_defect(n).degree, n
+
+    def test_cancelling_terms_fail_the_degree_bound(self, monkeypatch,
+                                                    capsys):
+        # F_0 - F_0 is zero: a largest index of 0 would pass the bound
+        genuine = hilbert.defect_terms
+        monkeypatch.setattr(hilbert, "defect_terms", lambda n: (
+            [(1, 0), (-1, 0)] if n == 9 else genuine(n)))
+        assert main(["verify", "special", "--max-n", "12"]) == 1
+        assert "  defect degree bound n=9: expected nonzero of degree < " \
+            "7/2, got 0\n" in capsys.readouterr().out
 
 
 class TestValues:

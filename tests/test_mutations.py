@@ -3,6 +3,7 @@ made wrong at one value makes ``verify all`` exit 1 and print the case."""
 from __future__ import annotations
 
 import re
+from operator import add
 
 import pytest
 
@@ -28,6 +29,10 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
     (chebfam, "tcheb", wrong(ONE, 7), "tcheb closed k=7"),
     (chebfam, "fpoly", wrong(ONE, 7), "fpoly closed k=7"),
     (chebfam, "tcheb_trace", wrong(ONE, 7), "tcheb trace k=7"),
+    # the descending runs of V_9 and U_9, which every text answer prints
+    (chebfam, "_binomial_run", lambda genuine: lambda n, shift, down: (
+        map(add, genuine(n, shift, down), (0, 0, 1, 0, 0)) if down and n == 9
+        else genuine(n, shift, down)), "tcheb closed k=9"),
     (IntPoly, "eval_q_plus_qinv", wrong(monomial(0), chebfam.tcheb(7)),
      "tcheb substitution k=7"),
     (series, "expand_f_gf", bump_term(7, ONE), "f gf k=7"),
@@ -36,8 +41,10 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
      "truncation stability"),
     (series, "pg_from_series", wrong(lambda g: [*g[:6], g[6] + ONE, *g[7:]]),
      "pg series n=7"),
-    (hilbert, "approx_defect", wrong(ONE, 16), "defect degree bound n=16"),
-    (hilbert, "approx_defect", wrong(X * X * X * X, 9),
+    # the defect's F-terms: +F_0 at n = 16, +F_4 at n = 9
+    (hilbert, "defect_terms", wrong(lambda t: [*t, (1, 0)], 16),
+     "defect degree bound n=16"),
+    (hilbert, "defect_terms", wrong(lambda t: [*t, (1, 4)], 9),
      "defect degree bound n=9"),
     (divisors, "representations", wrong(lambda r: r[:-1], 7), "bijection n=7"),
     (divisors, "a_coeff", wrong(1, 7), "a_coeff tail of ones n=7"),
@@ -55,11 +62,16 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
     (hilbert, "cn_exponents", wrong(lambda pm: ([pm[0][0] + 1, *pm[0][1:]],
                                                 pm[1]), 7),
      "cn two-route n=7"),
+    # a zero run at the top, which the carriers strip and JSON and CSV print
+    (hilbert, "cn_runs", wrong(lambda runs: [*runs, (0, 1)], 7),
+     "cn palindromic monic deg 2n n=7"),
     (hilbert, "pn_from_cn", wrong(monomial(0), 7), "pn structure n=7"),
     # the run list behind P_n's coefficients and its --eval values
     (hilbert, "pn_runs", wrong(lambda runs: [*runs[:-1], (runs[-1][0] + 1,
                                                          runs[-1][1])], 7),
      "pg sequence route n=7"),
+    (hilbert, "pn_runs", wrong(lambda runs: [*runs, (0, 1)], 8),
+     "pg sequence route n=8"),
     (zeta, "local_zeta_factors", wrong(lambda z: z._replace(
         numerator=(2, *z.numerator[1:])), 7), "functional equation n=7"),
 ]
@@ -73,6 +85,12 @@ SHOWN = {
         f"t^5: {series.expand_pg_product(10).coeffs[5] + X}"),
     "bijection n=7": lambda: str(sorted(
         (s.a, s.h) for s in divisors.representations(7)[:-1])),
+    "tcheb closed k=9": lambda: str([c + (i == 4) for i, c in  # X^5
+                                     enumerate(chebfam.tcheb_coeffs(9, True))]),
+    "defect degree bound n=16": lambda: "1",
+    "cn palindromic monic deg 2n n=7": lambda: str([*hilbert.cn_runs(7),
+                                                    (0, 1)]),
+    "pg sequence route n=8": lambda: str([*hilbert.pn_runs(8), (0, 1)]),
 }
 
 
