@@ -9,7 +9,7 @@ polynomial modules lean on:
   divisors that sit exactly on the boundary), and all of them for one n at
   once, ``a_coeffs(n)``.  Both read the range of indices i on which each
   divisor counts, ``a_intervals(n)``: at most tau(n) ranges, whose ends
-  are the only places the counts change, so ``hilbert.approx_defect``
+  are the only places the counts change, so ``hilbert.defect_terms``
   reads its breakpoints there;
 
 * runs of consecutive integers summing to n (``IncreasingSequence``) and the
@@ -178,10 +178,8 @@ def a_intervals(n: int) -> list[tuple[int, int]]:
     >>> a_intervals(9)  # d = 1 counts nowhere
     [(0, 1), (4, 8)]
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     out = []
-    for d in divisors(n):
+    for d in divisors(n):  # which refuses n < 1
         lo = max(0, -((2 * n - d * d) // (2 * d)))
         hi = min(n - 1, (2 * d * d - n - 1) // (2 * d))
         if lo <= hi:
@@ -276,10 +274,8 @@ def representations(n: int) -> list[IncreasingSequence]:
     Enumerated independently of the divisor pairing: h ranges over the
     divisors of 2n whose codivisor has the opposite parity.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     out = []
-    for h in divisors(2 * n):
+    for h in divisors(2 * n):  # which refuses n < 1
         other = 2 * n // h
         if (other - h) % 2 == 1:  # h + 2a + 1 = other needs opposite parity
             out.append(IncreasingSequence((other - h - 1) // 2, h))

@@ -32,10 +32,10 @@ The families, all exact, and the coefficient runs of two of them:
 The defect G_n - F_{n-1} has two routes of its own: ``defect_terms``
 builds it from the interval counts as a sparse signed sum of F_j, which
 ``approx_defect`` expands; ``defect_kind`` reads its shape off the
-odd-divisor terms.  Every function here computes a route, returns a plain
-polynomial (or its coefficients) and asserts no law about it: ``verify`` compares the routes and
-checks the laws, reporting the values on both sides.  Only malformed input,
-an n too large to factor, and a count that (q-1)^2 does not divide raise.
+odd-divisor terms.  Every function here computes a route, returns a
+polynomial or its coefficients and asserts no law about it: ``verify``
+compares the routes and checks the laws, showing both values.  Only bad
+input, an n too big to factor and a count not divisible by (q-1)^2 raise.
 """
 from __future__ import annotations
 
@@ -75,9 +75,7 @@ def pg_via_interval(n: int) -> IntPoly:
     >>> print(pg_via_interval(3))
     X^2 + X - 2
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return chebyshev_sum(a_coeffs(n))
+    return chebyshev_sum(a_coeffs(n))  # which refuses n < 1
 
 
 def pg_coeffs(n: int, descending: bool = False) -> Iterator[int]:
@@ -90,10 +88,8 @@ def pg_coeffs(n: int, descending: bool = False) -> Iterator[int]:
     >>> list(pg_coeffs(3))
     [-2, 1, 1]
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return fpoly_sum(((t.sign, t.f_index) for t in odd_divisor_terms(n)),
-                     descending)
+    terms = odd_divisor_terms(n)  # which refuses n < 1
+    return fpoly_sum(((t.sign, t.f_index) for t in terms), descending)
 
 
 def pg_via_odd_divisors(n: int) -> IntPoly:
@@ -148,10 +144,8 @@ def pn_runs(n: int) -> list[tuple[int, int]]:
     >>> pn_runs(5)
     [(1, 3), (0, 3), (1, 3)]
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     steps: dict[int, int] = {}
-    for d in odd_divisors(n):
+    for d in odd_divisors(n):  # which refuses n < 1
         odd_run, even_run = sequence_for_divisor(n, d)
         sign = 1 if odd_run.is_positive() else -1
         lo, hi = sorted((odd_run.a, even_run.a))
@@ -226,10 +220,8 @@ def cn_via_coeff_formula(n: int) -> LaurentPoly:
     same i is left to ``verify``: a hit of both would show as a wrong
     coefficient there.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     buf = [0] * (2 * n + 1)  # index e holds the coefficient of q^e
-    r = triangular_index(n)
+    r = triangular_index(n)  # which refuses n < 1
     if r is not None:
         buf[n] = -2 if r & 1 else 2
     two_n = 2 * n
@@ -267,10 +259,8 @@ def pg_eval_int(n: int, x: int) -> int:
     """Integer value of G_n at x: the odd-divisor decomposition summed over
     ``fpoly_value``, O(log n) multiplications per term; no polynomial is
     built."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return sum(t.sign * fpoly_value(t.f_index, x)
-               for t in odd_divisor_terms(n))
+               for t in odd_divisor_terms(n))  # which refuses n < 1
 
 
 def _closed_terms(x: int) -> Callable[[int, int, int], tuple] | None:

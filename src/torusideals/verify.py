@@ -381,21 +381,34 @@ def _sign_of(index: int | None) -> int:
     return 0 if index is None else 1 if index & 1 else -1
 
 
+def _merged(terms) -> list[tuple[int, int]]:
+    """The (c, j) terms of sum c F_j summed by index, ascending, 0s dropped."""
+    sums: dict[int, int] = {}
+    for c, j in terms:
+        sums[j] = sums.get(j, 0) + c
+    return [(c, j) for j, c in sorted(sums.items()) if c]
+
+
 def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
     """The defect kind read off the odd-divisor terms against the shape of
     n, with the signs of any F_0 and F_1 term against n being triangular
     (n = r(r+1)/2) or near-triangular (n = r(r+3)/2), sign (-1)^{r+1}; the
     power-of-two law on the kind; and on the defect built from the interval
-    counts, both the power-of-two law and the strict degree bound.
+    counts, the power-of-two law, the strict degree bound and its terms
+    against the odd-divisor terms with d > 1.
 
     The defect's laws are read off its F-terms, ``hilbert.defect_terms``,
     with no coefficient made: the terms are summed by index, and since
     every F_j is monic of degree j, the defect is zero when no sum is
-    nonzero and otherwise has the largest such index as its degree.  The
-    terms are expanded only for a failed check, to show the defect."""
+    nonzero and otherwise has the largest such index as its degree.  Only
+    a failed law expands them, by ``hilbert.approx_defect``."""
     rep = VerifySuiteReport("special", max_n)
+    top = min(max_n, 1000)
+    listed = [None]  # the odd-divisor terms of n <= top, by n
     for n in range(1, max_n + 1):
         terms = divisors.odd_divisor_terms(n)
+        if n <= top:
+            listed.append(terms)
         kind = hilbert.defect_kind(terms)
         f0 = next((t.sign for t in terms if t.f_index == 0), 0)
         f1 = next((t.sign for t in terms if t.f_index == 1), 0)
@@ -409,19 +422,17 @@ def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
             rep.check(f"power-of-two law n={n}",
                       (kind == "zero") == is_pow2,
                       "zero" if is_pow2 else "nonzero", kind)
-    for n in range(2, min(max_n, 1000) + 1):
-        defect = hilbert.defect_terms(n)
-        sums: dict[int, int] = {}  # the route need not keep indices apart
-        for c, j in defect:
-            sums[j] = sums.get(j, 0) + c
-        degree = max((j for j, c in sums.items() if c), default=None)
+    for n in range(2, top + 1):
+        defect = _merged(hilbert.defect_terms(n))
         if n & (n - 1) == 0:
-            ok, expected = degree is None, ZERO
-        else:
-            ok = degree is not None and 2 * degree < n - 2
+            ok, expected = not defect, ZERO
+        else:  # the last index is the degree
+            ok = bool(defect) and 2 * defect[-1][1] < n - 2
             expected = f"nonzero of degree < {n - 2}/2"
-        rep.check(f"defect degree bound n={n}", ok, expected,
-                  None if ok else IntPoly(tuple(chebfam.fpoly_sum(defect))))
+        odd = _merged((t.sign, t.f_index) for t in listed[n] if t.d > 1)
+        rep.check_all(f"defect degree bound n={n}",
+                      (ok, expected, None if ok else hilbert.approx_defect(n)),
+                      (defect == odd, odd, defect))
     return rep
 
 

@@ -78,13 +78,13 @@ def zeta_consistency_with_cn(n: int) -> ZetaFactorization:
     the full count, a second route to ``local_zeta_factors(n).cancelled()``.
 
     A coefficient c at q^e of the count is |c| terms q^e of its sign, read
-    in the one pass over the support that its generator allows.
+    in one pass over the support, which holds each e once: none cancels.
     """
     plus: list[int] = []
     minus: list[int] = []
     for e, c in cn_via_coeff_formula(n).support():
         (plus if c > 0 else minus).extend([e] * abs(c))
-    return ZetaFactorization.of_terms(n, plus, minus).cancelled()
+    return ZetaFactorization.of_terms(n, plus, minus)
 
 
 # -- rendering ------------------------------------------------------------------

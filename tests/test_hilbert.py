@@ -49,6 +49,19 @@ def test_pg_reference_rows(n, coeffs):
     assert pg_via_interval(n).coeffs == coeffs
 
 
+@pytest.mark.parametrize("route", [
+    pg_via_interval, pg_coeffs, pn_runs, cn_via_coeff_formula,
+    lambda n: pg_eval_int(n, 3), divisors_module.a_intervals,
+    divisors_module.representations],
+    ids=["pg_via_interval", "pg_coeffs", "pn_runs", "cn_via_coeff_formula",
+         "pg_eval_int", "a_intervals", "representations"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_routes_refuse_n_below_one(route, n):
+    # through the divisor list or index test each route reads first
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        route(n)
+
+
 class TestPgRoutes:
     def test_decomposition_terms(self):
         terms = odd_divisor_terms(15)
@@ -66,8 +79,6 @@ class TestPgRoutes:
             want = pg_via_interval(n).coeffs
             assert tuple(pg_coeffs(n)) == want, n
             assert tuple(pg_coeffs(n, descending=True)) == want[::-1], n
-        with pytest.raises(ValueError, match="n must be positive"):
-            pg_coeffs(0)
 
     def test_roundtrip_rows(self):
         assert pg_roundtrip(4).coeffs == PG_TABLE[4]
@@ -222,6 +233,17 @@ class TestDefectTerms:
         assert main(["verify", "special", "--max-n", "12"]) == 1
         assert "  defect degree bound n=9: expected nonzero of degree < " \
             "7/2, got 0\n" in capsys.readouterr().out
+
+    def test_terms_within_the_bound_are_held_to_the_odd_divisors(
+            self, monkeypatch, capsys):
+        # 2F_1 - F_3 at n = 9 keeps both laws; the odd divisors 3 and 9
+        # give F_1 - F_3
+        genuine = hilbert.defect_terms
+        monkeypatch.setattr(hilbert, "defect_terms", lambda n: (
+            [*genuine(n), (1, 1)] if n == 9 else genuine(n)))
+        assert main(["verify", "special", "--max-n", "12"]) == 1
+        assert "  defect degree bound n=9: expected [(1, 1), (-1, 3)], " \
+            "got [(2, 1), (-1, 3)]\n" in capsys.readouterr().out
 
 
 class TestValues:

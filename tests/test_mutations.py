@@ -46,6 +46,9 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
      "defect degree bound n=16"),
     (hilbert, "defect_terms", wrong(lambda t: [*t, (1, 4)], 9),
      "defect degree bound n=9"),
+    # 2F_1 - F_3 at n = 9, within both laws: only the odd divisors tell
+    (hilbert, "defect_terms", wrong(lambda t: [*t, (1, 1)], 9),
+     "defect degree bound n=9"),
     (divisors, "representations", wrong(lambda r: r[:-1], 7), "bijection n=7"),
     (divisors, "a_coeff", wrong(1, 7), "a_coeff tail of ones n=7"),
     # the index ranges behind the interval counts, with a second count at
@@ -94,8 +97,14 @@ SHOWN = {
 }
 
 
-@pytest.mark.parametrize("owner, name, make, case", MUTANTS,
-                         ids=[f"{m[1]}: {m[-1]}" for m in MUTANTS])
+# one id per row, "name: case"; a repeat gets " #2", " #3", ... so that
+# no earlier row's id changes
+IDS = [f"{m[1]}: {m[-1]}" for m in MUTANTS]
+IDS = [f"{i} #{IDS[:k].count(i) + 1}" if i in IDS[:k] else i
+       for k, i in enumerate(IDS)]
+
+
+@pytest.mark.parametrize("owner, name, make, case", MUTANTS, ids=IDS)
 def test_verify_catches_the_wrong_route(monkeypatch, capsys, owner, name,
                                         make, case):
     shown = SHOWN[case]() if case in SHOWN else None
