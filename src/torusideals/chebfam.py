@@ -29,7 +29,7 @@ from itertools import chain, islice, repeat, zip_longest
 from operator import add, mul
 from decimal import Decimal, localcontext
 
-from .intpoly import EXACT, ONE, TWO, X, IntPoly
+from .intpoly import EXACT, ONE, TWO, IntPoly, slot_width, unpack_balanced
 
 MAX_DIGITS = 10 ** 8  #: the most digits an answer (summed over a sweep) may have
 #: the most values one sweep may have: the indices of ``oeis-check``, the
@@ -286,12 +286,27 @@ def fpoly_closed(k: int) -> IntPoly:
 
 
 def tcheb_trace(k: int) -> IntPoly:
-    """tcheb(k) as the trace of the k-th power of [[X, -1], [1, 0]], computed
-    by binary matrix exponentiation over the polynomial ring."""
+    """tcheb(k) as the trace of the k-th power of [[X, -1], [1, 0]], by
+    binary matrix exponentiation over the integers at X = 2^w (see
+    ``intpoly``), read back once.  No closed form, stream or recurrence of
+    the family enters it, so it stays an independent route.
+
+    The width is w = ``slot_width(L_k)``: the |coefficients| of V_k sum to
+    the Lucas number L_k, so none exceeds it, and the read-back raises
+    ``OverflowError`` rather than wraps when the trace does not fit.
+
+    >>> print(tcheb_trace(4))
+    X^4 - 4*X^2 + 2
+    """
     if k < 0:
         raise ValueError("tcheb index must be non-negative")
-    a, b, c, d = ONE, IntPoly(()), IntPoly(()), ONE  # identity
-    pa, pb, pc, pd = X, IntPoly((-1,)), ONE, IntPoly(())
+    lucas, ahead = 2, 1  # L_0, L_1
+    for _ in range(k):
+        lucas, ahead = ahead, lucas + ahead
+    w = slot_width(lucas)
+    count = k + 1
+    a, b, c, d = 1, 0, 0, 1  # identity
+    pa, pb, pc, pd = 1 << w, -1, 1, 0
     while k:
         if k & 1:
             a, b, c, d = (a * pa + b * pc, a * pb + b * pd,
@@ -300,5 +315,4 @@ def tcheb_trace(k: int) -> IntPoly:
         if k:
             pa, pb, pc, pd = (pa * pa + pb * pc, pa * pb + pb * pd,
                               pc * pa + pd * pc, pc * pb + pd * pd)
-    return a + d
-
+    return IntPoly(tuple(unpack_balanced(a + d, w, count)))

@@ -303,7 +303,13 @@ class OddDivisorTerm(namedtuple("OddDivisorTerm", "d r")):
         return self.r if self.r >= 0 else -self.r - 1
 
 
+#: the record's constructor without its Python ``__new__``, as namedtuple
+#: binds it for ``_make``
+_tuple_new = tuple.__new__
+
+
 def odd_divisor_terms(n: int) -> list[OddDivisorTerm]:
     """One term per odd divisor of n, ascending in d; every formula that
     needs the offsets r reads them here."""
-    return [OddDivisorTerm(d, n // d - (d + 1) // 2) for d in odd_divisors(n)]
+    return [_tuple_new(OddDivisorTerm, (d, n // d - (d + 1) // 2))
+            for d in odd_divisors(n)]

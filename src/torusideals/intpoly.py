@@ -29,6 +29,7 @@ wraps when a value does not fit its slots.  The bounds, each a sum of
 
 * basis change, b_0 + sum b_i V_i: |b_0| + sum |b_i| L_i, L_i the Lucas
   numbers;
+* matrix trace, V_k: L_k (``chebfam.tcheb_trace``);
 * substitution, sum g_j X^j at X = q + 1/q: sum |g_j| 2^j;
 * product expansion: [t^m] prod (1 + t^i)^2 / (1 - t^i - t^{2i}), a
   majorant built from the Fibonacci numbers (see
@@ -47,7 +48,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      DivisionByZero, Inexact, InvalidOperation, Overflow,
                      Rounded, localcontext)
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from operator import add, neg
 
 #: Exact decimal arithmetic, entered only through ``localcontext``.
@@ -282,10 +283,12 @@ class LaurentPoly(_Poly):
         return self.min_exp + len(self.coeffs) - 1
 
     def support(self) -> Iterator[tuple[int, int]]:
-        """Yield (exponent, coefficient) over the nonzero support, ascending."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.min_exp + i, c
+        """The (exponent, coefficient) pairs of the nonzero support,
+        ascending; the zeros are skipped by ``compress``, in C."""
+        cs = self.coeffs
+        start = self.min_exp
+        return zip(compress(range(start, start + len(cs)), cs),
+                   compress(cs, cs))
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if other.__class__ is not LaurentPoly:
@@ -325,7 +328,9 @@ def add_product(acc: list[int], a: Sequence[int],
     The one multiply-accumulate loop of the library, behind both ``__mul__``
     methods and the series arithmetic.  Schoolbook; fine at desk scale.
     Swap in a subquadratic kernel here if degrees ever grow past a few
-    thousand.
+    thousand.  Packing every product at X = 2^w instead took ``verify
+    cheb`` from 34 to 69 ms: most of its products have a two-term factor,
+    such as X or X - 2, which the loop multiplies in linear time.
 
     >>> add_product([1, 1], [1, 1], [1, -1])
     [2, 1, -1]
@@ -401,7 +406,9 @@ def chebyshev_sum(b: Sequence[int]) -> IntPoly:
     >>> print(chebyshev_sum([1, 0, 1]))
     X^2 - 1
     """
-    m = max((i for i, c in enumerate(b) if c), default=-1)
+    m = len(b) - 1  # the last nonzero index
+    while m >= 0 and not b[m]:
+        m -= 1
     if m < 0:
         return ZERO
     terms = b[1:m + 1]

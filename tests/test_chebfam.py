@@ -32,7 +32,7 @@ from torusideals.chebfam import (
     tcheb_trace,
     value_digits,
 )
-from torusideals.intpoly import TWO, X, ZERO
+from torusideals.intpoly import TWO, X, ZERO, slot_width
 
 
 @pytest.mark.parametrize("k,coeffs", sorted(TCHEB_TABLE.items()))
@@ -111,6 +111,19 @@ def test_trace_base_cases():
     assert tcheb_trace(0) == TWO
     assert tcheb_trace(1) == X
     assert tcheb_trace(10).coeffs == TCHEB_TABLE[10]
+
+
+def test_trace_where_its_slots_widen():
+    # the packed trace reads V_k back in slots of slot_width(L_k) bits: at
+    # each k <= 400 where that width steps up, and the k just before it
+    lucas = [2, 1]
+    while len(lucas) <= 400:
+        lucas.append(lucas[-1] + lucas[-2])
+    widths = [slot_width(v) for v in lucas]
+    steps = [k for k in range(1, 401) if widths[k] > widths[k - 1]]
+    assert steps[:3] == [11, 22, 34] and len(steps) == 34
+    for k in sorted({0, 1, *steps, *(k - 1 for k in steps)}):
+        assert tcheb_trace(k) == tcheb(k), k
 
 
 def test_closed_forms_reject_zero():

@@ -7,9 +7,9 @@ from operator import add
 
 import pytest
 
-from torusideals import chebfam, divisors, hilbert, series, zeta
+from torusideals import chebfam, divisors, hilbert, intpoly, series, zeta
 from torusideals.cli import main
-from torusideals.intpoly import ONE, X, IntPoly, monomial
+from torusideals.intpoly import ONE, X, IntPoly, monomial, unpack_balanced
 
 
 def wrong(bump, at=None):
@@ -25,10 +25,19 @@ def bump_term(k, by, at=None):
         coeffs=(*s.coeffs[:k], s.coeffs[k] + by, *s.coeffs[k + 1:])), at)
 
 
+def overflow():
+    """Raise what ``unpack_balanced`` raises on a value too wide for its
+    slots."""
+    return unpack_balanced(1 << 16, 8, 2)
+
+
 MUTANTS = [  # owner, name that verify calls, wrong version, case caught
     (chebfam, "tcheb", wrong(ONE, 7), "tcheb closed k=7"),
     (chebfam, "fpoly", wrong(ONE, 7), "fpoly closed k=7"),
     (chebfam, "tcheb_trace", wrong(ONE, 7), "tcheb trace k=7"),
+    # a packed read-back that overflows: a failed check, not a traceback
+    (chebfam, "tcheb_trace", wrong(lambda _: overflow(), 7),
+     "tcheb trace k=7"),
     # the descending runs of V_9 and U_9, which every text answer prints
     (chebfam, "_binomial_run", lambda genuine: lambda n, shift, down: (
         map(add, genuine(n, shift, down), (0, 0, 1, 0, 0)) if down and n == 9
@@ -114,3 +123,21 @@ def test_verify_catches_the_wrong_route(monkeypatch, capsys, owner, name,
     m = re.search(rf"\n  {re.escape(case)}: expected (.+), got (.+)\n", out)
     assert code == 1 and m and m[1] != m[2], out
     assert shown in (None, m[2]), out
+
+
+@pytest.mark.parametrize("owner, name, at, suite, case", [
+    (chebfam, "tcheb_trace", lambda k: k == 7, "cheb", "tcheb trace k=7"),
+    # the basis change that pg_roundtrip ends in: V_0..V_6 at n = 7
+    (intpoly, "chebyshev_sum", lambda b: len(b) == 7, "routes",
+     "pg interval=roundtrip n=7"),
+], ids=["tcheb_trace", "chebyshev_sum"])
+def test_overflowing_read_back_is_a_failed_check(monkeypatch, capsys, owner,
+                                                 name, at, suite, case):
+    genuine = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda arg: overflow() if at(arg) else genuine(arg))
+    code = main(["verify", suite, "--max-n", "8"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert re.search(rf"\n  {re.escape(case)}: expected .+, got value does "
+                     r"not fit in 2 slots of 8 bits\n", out), out

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from torusideals import cli
-from torusideals.divisors import IncreasingSequence, OddDivisorTerm
+from torusideals.divisors import (IncreasingSequence, OddDivisorTerm,
+                                  odd_divisor_terms)
 from torusideals.intpoly import LAURENT_ZERO, ONE, ZERO, IntPoly, LaurentPoly
 from torusideals.oeis import SEQUENCES, SequenceCheckReport
 from torusideals.series import TruncatedSeries
@@ -69,6 +70,16 @@ class TestRecords:
         assert IncreasingSequence(1, 2) != IncreasingSequence(1, 3)
         assert hash(OddDivisorTerm(3, 1)) == hash(OddDivisorTerm(3, 1))
         assert len({local_zeta_factors(4), local_zeta_factors(4)}) == 1
+
+    def test_odd_divisor_terms_are_ordinary_records(self):
+        # odd_divisor_terms builds its records without the Python __new__
+        for n in (1, 15, 945):
+            for t in odd_divisor_terms(n):
+                made = OddDivisorTerm(t.d, t.r)
+                assert type(t) is OddDivisorTerm
+                assert (t, hash(t), repr(t)) == (made, hash(made), repr(made))
+                back = pickle.loads(pickle.dumps(t))
+                assert type(back) is OddDivisorTerm and back == made
 
     def test_records_equal_the_tuples_of_their_fields(self):
         # namedtuple records compare as tuples
