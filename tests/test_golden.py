@@ -129,7 +129,8 @@ ARGPARSE = [
 def corpus() -> list[list[str]]:
     """``compute`` of every kind at small n, with and without ``--eval``;
     ``table`` of every kind at its default range and at ``--max-n 30``;
-    ``verify all``; answers written in more than one piece: whole
+    ``verify all``; ``verify zeta`` at its default range and at
+    ``--max-n 20``; answers written in more than one piece: whole
     polynomials of over 1500 coefficients and a table of 121 of them;
     C_n and P_n, their values and the zeta factors at n with 24 and 48 odd
     divisors, the values also at x in -2..1;
@@ -154,6 +155,7 @@ def corpus() -> list[list[str]]:
         commands.append(["table", which])
         commands.append(["table", which, "--max-n=30", "--N=3,-5,0,1"])
     commands.append(["verify", "all", "--max-n=12"])
+    commands += [["verify", "zeta", *extra] for extra in ([], ["--max-n=20"])]
     commands += [["compute", kind, "--n=1500"]
                  for kind in ("tcheb", "fpoly", "pg")]
     commands += [["compute", kind, "--n=140000"] for kind in ("cn", "pn")]
