@@ -64,9 +64,10 @@ def check_digits(size: int, unit: str = "digits") -> None:
                          f"(limit {MAX_DIGITS:,})")
 
 
-def check_terms(count: int) -> None:
-    """Refuse a sweep of more than ``MAX_TERMS`` values; called after
-    ``check_digits``, which refuses every count past 10^8."""
+def check_sweep(digits: int, count: int) -> None:
+    """Refuse a sweep estimated at more than ``MAX_DIGITS`` digits, and then
+    one of more than ``MAX_TERMS`` values."""
+    check_digits(digits)
     if count > MAX_TERMS:
         raise ValueError(f"sweep would have {count:,} terms "
                          f"(limit {MAX_TERMS:,})")

@@ -350,9 +350,8 @@ def values_rows(max_n: int, points: list[int]) -> Iterator[dict]:
     repeats = [x for x, k in counts.items() if k > 1]
     if repeats:
         raise ValueError(f"--N repeats the point {repeats[0]}")
-    chebfam.check_digits(sum(2 * chebfam.value_digits(0, x, max_n)
-                             for x in points))
-    chebfam.check_terms(max_n * len(points))
+    chebfam.check_sweep(sum(2 * chebfam.value_digits(0, x, max_n)
+                            for x in points), max_n * len(points))
     keys = ["n", *(f"{c}_{x}" for c in ("pg", "f", "rel") for x in points)]
 
     def rows() -> Iterator[dict]:  # each key string made once, for every row

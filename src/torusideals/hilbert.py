@@ -4,9 +4,10 @@ The families, all exact, and the coefficient runs of two of them:
 
 * ``cn_*``: the full count C_n(q), a palindromic monic polynomial of degree
   2n divisible by (q-1)^2 -- built either from the odd divisors of n or from
-  the triangular-number coefficient formula.  ``cn_exponents`` is the one
-  place the odd-divisor terms are written: ``cn_runs`` and ``zeta`` read
-  it, and "cn two-route" checks it for both;
+  the triangular-number coefficient formula.  ``cn_exponents`` and
+  ``cn_formula_exponents`` are the one place each formula's terms are
+  written: ``cn_runs``, ``cn_via_coeff_formula`` and ``zeta`` read them,
+  and "cn two-route" checks them against each other;
 * ``pn_from_cn``: the quotient P_n(q) = C_n(q)/(q-1)^2, palindromic with
   non-negative coefficients;
 * ``cn_runs`` and ``pn_runs``: the coefficients of C_n and P_n as
@@ -209,21 +210,25 @@ def cn_via_odd_divisors(n: int) -> LaurentPoly:
     return LaurentPoly(0, expand_runs(cn_runs(n)))
 
 
-def cn_via_coeff_formula(n: int) -> LaurentPoly:
-    """C_n(q) from the coefficient formula.
+def cn_formula_exponents(n: int) -> tuple[list[int], list[int]]:
+    """``cn_exponents`` of C_n, read off the coefficient formula instead.
 
     The constant coefficient of C_n(q)/q^n is 2*(-1)^r when n = r(r+1)/2 and
-    0 otherwise.  For i >= 1 the coefficient of q^i + q^{-i} is (-1)^k when
-    2n = k(k+2i+1) and (-1)^{k-1} when 2n = k(k+2i-1) (k >= 1).  Solutions
-    are enumerated over the divisors k of 2n rather than by scanning i, and
-    each adds its sign, so the claim that the two cases never fire at the
-    same i is left to ``verify``: a hit of both would show as a wrong
-    coefficient there.
+    0 otherwise: two terms at q^n.  For i >= 1 the coefficient of q^i +
+    q^{-i} is (-1)^k when 2n = k(k+2i+1) and (-1)^{k-1} when
+    2n = k(k+2i-1) (k >= 1).  Solutions are enumerated over the divisors k
+    of 2n rather than by scanning i, and each adds its terms, so the claim
+    that the two cases never fire at the same i is left to ``verify``: a
+    hit of both would show as a wrong coefficient there.
+
+    >>> cn_formula_exponents(4) == ([8, 0], [7, 1])
+    True
     """
-    buf = [0] * (2 * n + 1)  # index e holds the coefficient of q^e
+    plus: list[int] = []
+    minus: list[int] = []
     r = triangular_index(n)  # which refuses n < 1
     if r is not None:
-        buf[n] = -2 if r & 1 else 2
+        (minus if r & 1 else plus).extend((n, n))
     two_n = 2 * n
     for k in divisors(two_n):
         other = two_n // k
@@ -232,8 +237,18 @@ def cn_via_coeff_formula(n: int) -> LaurentPoly:
         # 2n = k(k + 2i - 1) gives i = (other - k + 1)/2 with sign (-1)^{k-1}
         for num, c in ((other - k - 1, sign), (other - k + 1, -sign)):
             if num >= 2 and num % 2 == 0:
-                buf[n + num // 2] += c
-                buf[n - num // 2] += c
+                (plus if c > 0 else minus).extend((n + num // 2, n - num // 2))
+    return plus, minus
+
+
+def cn_via_coeff_formula(n: int) -> LaurentPoly:
+    """C_n(q) from the coefficient formula: the terms of
+    ``cn_formula_exponents`` placed in a dense buffer of its own, so that
+    "cn two-route" shares no placement code with ``cn_runs``."""
+    buf = [0] * (2 * n + 1)  # index e holds the coefficient of q^e
+    for es, c in zip(cn_formula_exponents(n), (1, -1)):
+        for e in es:
+            buf[e] += c
     return LaurentPoly(0, tuple(buf))
 
 

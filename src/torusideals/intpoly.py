@@ -48,7 +48,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
                      DivisionByZero, Inexact, InvalidOperation, Overflow,
                      Rounded, localcontext)
-from itertools import accumulate, compress, islice
+from itertools import accumulate, islice
 from operator import add, neg
 
 #: Exact decimal arithmetic, entered only through ``localcontext``.
@@ -281,14 +281,6 @@ class LaurentPoly(_Poly):
         if not self.coeffs:
             raise ValueError("zero Laurent polynomial has no support")
         return self.min_exp + len(self.coeffs) - 1
-
-    def support(self) -> Iterator[tuple[int, int]]:
-        """The (exponent, coefficient) pairs of the nonzero support,
-        ascending; the zeros are skipped by ``compress``, in C."""
-        cs = self.coeffs
-        start = self.min_exp
-        return zip(compress(range(start, start + len(cs)), cs),
-                   compress(cs, cs))
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if other.__class__ is not LaurentPoly:

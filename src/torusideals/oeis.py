@@ -34,7 +34,7 @@ from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from itertools import chain, islice
 
-from .chebfam import check_digits, check_terms, value_digits
+from .chebfam import check_sweep, value_digits
 from .divisors import odd_divisor_counts
 from .hilbert import fpoly_blocks, pg_blocks
 
@@ -100,8 +100,7 @@ class SequenceSpec(namedtuple("SequenceSpec", "key point min_index values")):
         computed one block at a time as they are read."""
         x = self.point_at(at)
         count = top - self.min_index + 1
-        check_digits(value_digits(0, x, count))
-        check_terms(count)
+        check_sweep(value_digits(0, x, count), count)
         return iter(self.values(x, top))
 
 

@@ -351,7 +351,7 @@ def verify_zeta(max_n: int = DEFAULT_RANGES["zeta"]) -> VerifySuiteReport:
                   all(0 <= e <= 2 * n for e in z.numerator + z.denominator),
                   "within [0, 2n]", z)
         rep.check(f"functional equation n={n}",
-                  zeta.check_functional_equation(n),
+                  zeta.check_functional_equation(z),
                   "exponents invariant under e -> 2n - e", z)
         rep.equal(f"coefficient consistency n={n}", z.cancelled(),
                   zeta.zeta_consistency_with_cn(n))

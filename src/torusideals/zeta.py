@@ -12,7 +12,8 @@ As log Z = sum C_n(q^m) t^m / m, the numerator and denominator are the
 exponents of C_n's negative and positive terms, two of each per odd
 divisor of n as ``hilbert.cn_exponents`` lists them: all in [0, 2n] and
 symmetric about n, the symmetry being the functional equation s -> 2n - s.
-``zeta_consistency_with_cn`` reads the terms off the coefficient formula.
+``zeta_consistency_with_cn`` reads the coefficient formula's terms from
+``hilbert.cn_formula_exponents``: no polynomial is built here.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from itertools import groupby
 
-from .hilbert import cn_exponents, cn_via_coeff_formula
+from .hilbert import cn_exponents, cn_formula_exponents
 
 
 class ZetaFactorization(namedtuple("ZetaFactorization",
@@ -65,26 +66,18 @@ def hasse_weil_factors(n: int) -> ZetaFactorization:
     return local_zeta_factors(n)
 
 
-def check_functional_equation(n: int) -> bool:
-    """Whether the map e -> 2n - e sends each exponent multiset to itself,
-    the symbolic form of the functional equation s -> 2n - s."""
-    hw = hasse_weil_factors(n)
-    return all(sorted(2 * n - e for e in es) == list(es)
-               for es in (hw.numerator, hw.denominator))
+def check_functional_equation(z: ZetaFactorization) -> bool:
+    """Whether the map e -> 2n - e sends each exponent multiset of ``z`` to
+    itself, the symbolic form of the functional equation s -> 2n - s."""
+    return all(sorted(2 * z.n - e for e in es) == list(es)
+               for es in (z.numerator, z.denominator))
 
 
 def zeta_consistency_with_cn(n: int) -> ZetaFactorization:
-    """The cancelled factorization rebuilt from the coefficient formula for
-    the full count, a second route to ``local_zeta_factors(n).cancelled()``.
-
-    A coefficient c at q^e of the count is |c| terms q^e of its sign, read
-    in one pass over the support, which holds each e once: none cancels.
-    """
-    plus: list[int] = []
-    minus: list[int] = []
-    for e, c in cn_via_coeff_formula(n).support():
-        (plus if c > 0 else minus).extend([e] * abs(c))
-    return ZetaFactorization.of_terms(n, plus, minus)
+    """The cancelled factorization from the coefficient formula's terms, a
+    second route to ``local_zeta_factors(n).cancelled()``.  Its lists are
+    unsummed, so a term +q^e may meet a -q^e: ``cancelled`` removes both."""
+    return ZetaFactorization.of_terms(n, *cn_formula_exponents(n)).cancelled()
 
 
 # -- rendering ------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torusideals.intpoly import (
-    LAURENT_ZERO,
     IntPoly,
     LaurentPoly,
     NonDivisibleError,
@@ -126,12 +125,6 @@ class TestLaurentPoly:
         assert monomial(10 ** 6).eval_int(2) == 2 ** 10 ** 6  # one power
         with pytest.raises(ValueError):
             LaurentPoly(-1, (1,)).eval_int(2)
-
-    def test_support(self):
-        lp = LaurentPoly(-3, (2, 0, 0, -1, 0, 5))
-        assert list(lp.support()) == [(-3, 2), (0, -1), (2, 5)]
-        assert list(LaurentPoly(2, (7,)).support()) == [(2, 7)]
-        assert list(LAURENT_ZERO.support()) == []
 
     def test_palindromic(self):
         assert LaurentPoly(0, (1, 1, 1)).is_palindromic()

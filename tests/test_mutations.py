@@ -25,6 +25,11 @@ def bump_term(k, by, at=None):
         coeffs=(*s.coeffs[:k], s.coeffs[k] + by, *s.coeffs[k + 1:])), at)
 
 
+def shift_plus(pm):
+    """(plus, minus) exponent lists with the first +q^e moved up to q^(e+1)."""
+    return [pm[0][0] + 1, *pm[0][1:]], pm[1]
+
+
 def overflow():
     """Raise what ``unpack_balanced`` raises on a value too wide for its
     slots."""
@@ -71,9 +76,10 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
     (hilbert, "cn_via_coeff_formula", wrong(monomial(7), 7),
      "cn two-route n=7"),
     # the exponent lists behind C_n's runs, its --eval values and zeta
-    (hilbert, "cn_exponents", wrong(lambda pm: ([pm[0][0] + 1, *pm[0][1:]],
-                                                pm[1]), 7),
-     "cn two-route n=7"),
+    (hilbert, "cn_exponents", wrong(shift_plus, 7), "cn two-route n=7"),
+    # the coefficient formula's terms as zeta reads them
+    (zeta, "cn_formula_exponents", wrong(shift_plus, 7),
+     "coefficient consistency n=7"),
     # a zero run at the top, which the carriers strip and JSON and CSV print
     (hilbert, "cn_runs", wrong(lambda runs: [*runs, (0, 1)], 7),
      "cn palindromic monic deg 2n n=7"),
@@ -103,6 +109,8 @@ SHOWN = {
     "cn palindromic monic deg 2n n=7": lambda: str([*hilbert.cn_runs(7),
                                                     (0, 1)]),
     "pg sequence route n=8": lambda: str([*hilbert.pn_runs(8), (0, 1)]),
+    "coefficient consistency n=7": lambda: str(zeta.ZetaFactorization.of_terms(
+        7, *shift_plus(hilbert.cn_formula_exponents(7))).cancelled()),
 }
 
 

@@ -5,6 +5,7 @@ import json
 
 from torusideals.zeta import (
     ZetaFactorization,
+    check_functional_equation,
     format_local_zeta,
     hasse_weil_factors,
     local_zeta_factors,
@@ -39,6 +40,13 @@ def test_consistency_with_coefficients():
     assert zeta_consistency_with_cn(3) == \
         ZetaFactorization(3, (1, 2, 4, 5), (0, 3, 3, 6))
     assert zeta_consistency_with_cn(4) == local_zeta_factors(4).cancelled()
+
+
+def test_functional_equation_reads_the_factorization_given():
+    assert all(check_functional_equation(local_zeta_factors(n))
+               for n in range(1, 51))
+    # 2n - e sends the numerator (1, 2) of n = 2 to (2, 3)
+    assert not check_functional_equation(ZetaFactorization(2, (1, 2), (0, 4)))
 
 
 def test_cancellation():
