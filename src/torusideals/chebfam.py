@@ -12,13 +12,14 @@ sweep rolls itself) so they can cross-validate one another.  The closed
 forms are the production route, as coefficient streams that make one
 coefficient at a time from the last, in either order (``tcheb_coeffs``,
 ``fpoly_coeffs`` from two runs of ``ucheb_run``, and ``fpoly_sum`` for
-signed sums of F_k), which the dense ``tcheb`` and ``fpoly`` collect;
-values come from Lucas-sequence doubling (``tcheb_value``,
-``fpoly_value``) or, for a whole sweep, the value recurrence
-(``fpoly_stream``, which ``hilbert.fpoly_blocks`` cuts into blocks at
-|x| > 2), for any number type: the CLI prints values computed in
-``decimal_radix`` (linear-time ``str()``).  At x = -2, -1, 0 and 1 the
-values repeat in k (``fpoly_period``).  Nothing is cached.
+signed sums of F_k); the dense ``tcheb`` and ``fpoly`` are the streams
+collected, k = 0 and the refusal of k < 0 included.  Values come from
+Lucas-sequence doubling (``tcheb_value``, ``fpoly_value``) or, for a
+whole sweep, the value recurrence (``fpoly_stream``, which
+``hilbert.fpoly_blocks`` cuts into blocks at |x| > 2), for any number
+type: the CLI prints values computed in ``decimal_radix`` (linear-time
+``str()``).  At x = -2, -1, 0 and 1 the values repeat in k
+(``fpoly_period``).  Nothing is cached.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from itertools import chain, islice, repeat, zip_longest
 from operator import add, mul
 from decimal import Decimal, localcontext
 
-from .intpoly import EXACT, ONE, TWO, IntPoly, slot_width, unpack_balanced
+from .intpoly import EXACT, TWO, IntPoly, slot_width, unpack_balanced
 
 MAX_DIGITS = 10 ** 8  #: the most digits an answer (summed over a sweep) may have
 #: the most values one sweep may have: the indices of ``oeis-check``, the
@@ -83,25 +84,21 @@ def value_digits(k: int, x: int, count: int = 1) -> int:
 
 
 def tcheb(k: int) -> IntPoly:
-    """Monic Chebyshev polynomial of degree k: V_0 = 2, else the closed form.
+    """Monic Chebyshev polynomial of degree k, ``tcheb_coeffs`` collected.
 
     >>> print(tcheb(4))
     X^4 - 4*X^2 + 2
     """
-    if k < 0:
-        raise ValueError("tcheb index must be non-negative")
-    return tcheb_closed(k) if k else TWO
+    return IntPoly(tuple(tcheb_coeffs(k)))
 
 
 def fpoly(k: int) -> IntPoly:
-    """The running sum 1 + V_1 + ... + V_k; monic of degree k.
+    """The running sum 1 + V_1 + ... + V_k, ``fpoly_coeffs`` collected.
 
     >>> print(fpoly(2))
     X^2 + X - 1
     """
-    if k < 0:
-        raise ValueError("fpoly index must be non-negative")
-    return fpoly_closed(k) if k else ONE
+    return IntPoly(tuple(fpoly_coeffs(k)))
 
 
 def _lucas_pair(k: int, x: int) -> tuple[int, int]:
@@ -208,7 +205,7 @@ def tcheb_coeffs(k: int, descending: bool = False) -> Iterator[int]:
     if k < 0:
         raise ValueError("tcheb index must be non-negative")
     if not k:
-        return iter(TWO.coeffs)  # V_0, as ``tcheb`` returns it
+        return iter(TWO.coeffs)  # V_0 = 2
     return _interleave(k, _binomial_run(k, 1, descending), repeat(0),
                        descending)
 
@@ -269,18 +266,18 @@ def fpoly_sum(terms: Iterable[tuple[int, int]],
 
 
 def tcheb_closed(k: int) -> IntPoly:
-    """Closed form of tcheb(k) for k >= 1: the coefficient of X^{k-2m} is
-    (-1)^m * (C(k-m, m) + C(k-m-1, m-1)), i.e. V_k = U_k - U_{k-2};
-    ``tcheb_coeffs`` collected."""
+    """Closed form of tcheb(k) for k >= 1, V_k = U_k - U_{k-2}: (-1)^m
+    (C(k-m, m) + C(k-m-1, m-1)) at X^{k-2m}.  No caller in the library;
+    kept for the ``chebfam.oracle`` tracer layer (ROADMAP item 15)."""
     if k < 1:
         raise ValueError("closed form is stated for k >= 1")
     return IntPoly(tuple(tcheb_coeffs(k)))
 
 
 def fpoly_closed(k: int) -> IntPoly:
-    """Closed form of fpoly(k) for k >= 1 as two interleaved binomial sums:
-    sum (-1)^m C(k-m, m) X^{k-2m}  +  sum (-1)^m C(k-m-1, m) X^{k-2m-1},
-    i.e. F_k = U_k + U_{k-1}; ``fpoly_coeffs`` collected."""
+    """Closed form of fpoly(k) for k >= 1, F_k = U_k + U_{k-1}: the sum of
+    (-1)^m C(k-m, m) X^{k-2m} and (-1)^m C(k-m-1, m) X^{k-2m-1}.  Kept,
+    as ``tcheb_closed`` is, for the tracer layer only."""
     if k < 1:
         raise ValueError("closed form is stated for k >= 1")
     return IntPoly(tuple(fpoly_coeffs(k)))

@@ -57,7 +57,11 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
 def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
     """The CSV lines of ``rows``, one at a time, quoted as Python 3.11's
     ``csv.writer`` quotes them with the line terminator "\\n": a cell with a
-    comma, a quote or a newline, and a row's only cell when it is empty."""
+    comma, a quote or a newline, and a row's only cell when it is empty.
+
+    >>> list(_csv_lines([["n", "1, 2"], [""]]))
+    ['n,"1, 2"\\n', '""\\n']
+    """
     for row in rows:
         yield ",".join('"' + c.replace('"', '""') + '"'
                        if "," in c or '"' in c or "\n" in c

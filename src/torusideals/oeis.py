@@ -88,7 +88,12 @@ class SequenceSpec(namedtuple("SequenceSpec", "key point min_index values")):
 
     def point_at(self, at: int | None) -> int:
         """The sweep's x: the fixed ``point``, or ``at`` for a sequence
-        without one; ``at`` is refused where it does not apply."""
+        without one; ``at`` is refused where it does not apply.
+
+        >>> SEQUENCES["sigma"].point_at(3)
+        Traceback (most recent call last):
+        ValueError: --at does not apply to sigma
+        """
         if self.point is None and at is None:
             raise ValueError(f"sequence {self.key!r} requires --at")
         if self.point is not None and at is not None:

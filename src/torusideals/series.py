@@ -15,8 +15,8 @@ A series of order N keeps exactly the coefficients of t^0..t^N.  Any factor
 product needs only the factors with i <= N.  The product is expanded by
 multiplying out the integer numerator and then dividing it in place by one
 sparse denominator factor at a time, on packed integers (O(N^2) bigint
-steps); the dense ``series_div`` serves the two rational families and
-``series_inverse``.
+steps); the dense ``series_div`` serves ``series_inverse`` and the two
+rational families, whose one expansion writes 1 - Xt + t^2 once.
 """
 from __future__ import annotations
 
@@ -57,10 +57,6 @@ def series_from_terms(order: int, terms: dict[int, IntPoly]) -> TruncatedSeries:
         if k <= order:
             cs[k] = p
     return TruncatedSeries(order, tuple(cs))
-
-
-def series_one(order: int) -> TruncatedSeries:
-    return series_from_terms(order, {0: ONE})
 
 
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
@@ -106,10 +102,8 @@ def series_div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
 
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     """The series b with a * b == 1 through t^order; a must have constant
-    term 1 (every denominator expanded here does)."""
-    if a.coeffs[0] != ONE:
-        raise ValueError("constant term must be 1 to invert")
-    return series_div(series_one(a.order), a)
+    term 1, as ``series_div`` requires of its denominator."""
+    return series_div(series_from_terms(a.order, {0: ONE}), a)
 
 
 def expand_pg_product(order: int) -> TruncatedSeries:
@@ -181,21 +175,21 @@ def pg_from_series(order: int,
     return [expansion.coeffs[n] // _X_MINUS_2 for n in range(1, order + 1)]
 
 
+def _over_chebyshev(order: int, num: dict[int, IntPoly]) -> TruncatedSeries:
+    """num/(1 - Xt + t^2) through t^order, num a t-power -> coefficient map."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    return series_div(series_from_terms(order, num),
+                      series_from_terms(order, {0: ONE, 1: -X, 2: ONE}))
+
+
 def expand_f_gf(order: int) -> TruncatedSeries:
     """Expansion of (1 + t)/(1 - Xt + t^2); coefficient of t^k is the
     degree-k running-sum polynomial."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    num = series_from_terms(order, {0: ONE, 1: ONE})
-    den = series_from_terms(order, {0: ONE, 1: -X, 2: ONE})
-    return series_div(num, den)
+    return _over_chebyshev(order, {0: ONE, 1: ONE})
 
 
 def expand_tcheb_gf(order: int) -> TruncatedSeries:
     """Expansion of (2 - Xt)/(1 - Xt + t^2); coefficient of t^k is the
     monic Chebyshev polynomial of degree k."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    num = series_from_terms(order, {0: TWO, 1: -X})
-    den = series_from_terms(order, {0: ONE, 1: -X, 2: ONE})
-    return series_div(num, den)
+    return _over_chebyshev(order, {0: TWO, 1: -X})

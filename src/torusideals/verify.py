@@ -404,12 +404,8 @@ def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
     nonzero and otherwise has the largest such index as its degree.  Only
     a failed law expands them, by ``hilbert.approx_defect``."""
     rep = VerifySuiteReport("special", max_n)
-    top = min(max_n, 1000)
-    listed = [None]  # the odd-divisor terms of n <= top, by n
     for n in range(1, max_n + 1):
         terms = divisors.odd_divisor_terms(n)
-        if n <= top:
-            listed.append(terms)
         kind = hilbert.defect_kind(terms)
         f0 = next((t.sign for t in terms if t.f_index == 0), 0)
         f1 = next((t.sign for t in terms if t.f_index == 1), 0)
@@ -418,19 +414,20 @@ def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
                    _sign_of(divisors.triangular_index(n)),
                    _sign_of(divisors.near_triangular_index(n))),
                   (kind, f0, f1))
-        if n >= 2:
-            is_pow2 = n & (n - 1) == 0
-            rep.check(f"power-of-two law n={n}",
-                      (kind == "zero") == is_pow2,
-                      "zero" if is_pow2 else "nonzero", kind)
-    for n in range(2, top + 1):
+        if n < 2:
+            continue
+        is_pow2 = n & (n - 1) == 0
+        rep.check(f"power-of-two law n={n}", (kind == "zero") == is_pow2,
+                  "zero" if is_pow2 else "nonzero", kind)
+        if n > 1000:
+            continue
         defect = _merged(hilbert.defect_terms(n))
-        if n & (n - 1) == 0:
+        if is_pow2:
             ok, expected = not defect, ZERO
         else:  # the last index is the degree
             ok = bool(defect) and 2 * defect[-1][1] < n - 2
             expected = f"nonzero of degree < {n - 2}/2"
-        odd = _merged((t.sign, t.f_index) for t in listed[n] if t.d > 1)
+        odd = _merged((t.sign, t.f_index) for t in terms if t.d > 1)
         rep.check_all(f"defect degree bound n={n}",
                       (ok, expected, None if ok else hilbert.approx_defect(n)),
                       (defect == odd, odd, defect))

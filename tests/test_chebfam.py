@@ -65,9 +65,14 @@ class TestCoefficientStreams:
         assert tuple(tcheb_coeffs(k, descending=True)) == want[::-1]
 
     def test_negative_index_refused(self):
-        for stream in (tcheb_coeffs, fpoly_coeffs):
-            with pytest.raises(ValueError, match="must be non-negative"):
-                stream(-1)
+        # the dense views refuse through their streams (V_0 and F_0 are
+        # in the reference rows)
+        for name, stream, dense in (("tcheb", tcheb_coeffs, tcheb),
+                                    ("fpoly", fpoly_coeffs, fpoly)):
+            for make in (stream, dense):
+                with pytest.raises(ValueError, match=f"^{name} index must "
+                                   "be non-negative$"):
+                    make(-1)
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 60)),
                     max_size=40))

@@ -47,6 +47,11 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
     (chebfam, "_binomial_run", lambda genuine: lambda n, shift, down: (
         map(add, genuine(n, shift, down), (0, 0, 1, 0, 0)) if down and n == 9
         else genuine(n, shift, down)), "tcheb closed k=9"),
+    # the ascending run of V_9: the stream JSON and CSV print, and tcheb
+    (chebfam, "_binomial_run", lambda genuine: lambda n, shift, down: (
+        map(add, genuine(n, shift, down), (0, 1, 0, 0, 0))
+        if not down and n == 9 and shift == 1
+        else genuine(n, shift, down)), "tcheb gf k=9"),
     (IntPoly, "eval_q_plus_qinv", wrong(monomial(0), chebfam.tcheb(7)),
      "tcheb substitution k=7"),
     (series, "expand_f_gf", bump_term(7, ONE), "f gf k=7"),
