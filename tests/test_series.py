@@ -56,7 +56,7 @@ class TestSeriesArithmetic:
         assert inv.coeffs == (ONE, X, X * X - ONE)
 
     def test_inverse_requires_unit_constant(self):
-        # refused by series_div, which makes the check for both
+        # the refusal is series_div's, which series_inverse calls
         for a in (series_from_terms(2, {0: TWO}),
                   series_from_terms(2, {1: ONE})):
             with pytest.raises(ValueError,
