@@ -4,12 +4,12 @@ run verification sweeps, and cross-check sequences against OEIS b-files.
 Exit codes: 0 full pass, 1 verification/comparison failure, 2 usage or I/O
 error, or a size past a work limit.  Output is deterministic: stable
 orderings, no timestamps, large integers always rendered as decimal strings.
+Each ``_cmd_*`` handler returns its exit code and answer (None for none) or
+raises ``ValueError``; ``main`` is the one place that writes either.
 """
 from __future__ import annotations
 
 import json
-import os
-import stat
 import sys
 from collections.abc import Iterable, Iterator
 from decimal import localcontext
@@ -20,38 +20,10 @@ from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
 from .intpoly import (decimal_strs, format_terms, lead_term, spell_terms,
                       term_str)
-from .oeis import SEQUENCES, check_sequence, emit_bfile
+from .oeis import SEQUENCES, check_sequence, emit_bfile, write_file
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
 TABLE_DEFAULTS = {"values": 16, "pg": 12, "tcheb": 12, "fpoly": 11, "decomp": 16}
-
-
-def _emit(pieces: Iterable[str], out: str | None) -> None:
-    """Write the ``pieces`` one after another to stdout or the file
-    ``out``.  A regular file is replaced only once every piece is written:
-    they go to a temporary file beside it, which then takes its mode and
-    its name, so that a command that fails leaves the file as it was."""
-    if not out:
-        sys.stdout.writelines(pieces)
-        return
-    with open(out, "a", encoding="utf-8") as fh:  # refuses a bad path by name
-        mode = os.fstat(fh.fileno()).st_mode
-        if not stat.S_ISREG(mode):  # a device or a pipe
-            fh.writelines(pieces)
-            return
-    import tempfile  # at module level it loads some 40 modules at start-up
-
-    path = os.path.realpath(out)  # a link keeps pointing at the file
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                               dir=os.path.dirname(path))
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-        os.chmod(tmp, stat.S_IMODE(mode))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _csv_lines(rows: Iterable[list[str]]) -> Iterator[str]:
@@ -96,7 +68,7 @@ def _text_table(headers: list[str], rows: Iterable[dict]) -> Iterator[str]:
     file, and the padded lines are written from it, so no cell may hold a
     tab or a newline.  The spill is never larger than the table's own
     text."""
-    import tempfile  # not at start-up (see _emit)
+    import tempfile  # not at start-up (see oeis.write_file)
 
     widths = list(map(len, headers))
     with tempfile.TemporaryFile("w+", encoding="utf-8") as spill:
@@ -161,20 +133,16 @@ def _record(kind: str, fields: dict, text: str, fmt: str) -> Iterable[str]:
     return [text + "\n"]
 
 
-def _cmd_compute(args: SimpleNamespace) -> int:
+def _cmd_compute(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     kind, n, fmt = args.object, args.n, args.format
     min_n = _FIRST.get(kind, 1)
     if n < min_n:
-        print(f"error: --n must be >= {min_n} for {kind}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--n must be >= {min_n} for {kind}")
     if kind == "zeta":
         if args.eval is not None:
-            print("error: --eval does not apply to zeta", file=sys.stderr)
-            return 2
+            raise ValueError("--eval does not apply to zeta")
         z = zeta.local_zeta_factors(n)
-        _emit(_record(kind, z.to_json(), zeta.format_local_zeta(z), fmt),
-              args.out)
-        return 0
+        return 0, _record(kind, z.to_json(), zeta.format_local_zeta(z), fmt)
 
     if args.eval is not None:
         x = args.eval
@@ -183,9 +151,8 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         with chebfam.decimal_radix(x) as point:
             value = (hilbert.eval_runs(_RUNS[kind](n), point) if kind in _RUNS
                      else _VALUES[kind](n, point))
-        _emit(_record(kind, {"n": n, "eval_at": x, "value": str(value)},
-                      str(value), fmt), args.out)
-        return 0
+        return 0, _record(kind, {"n": n, "eval_at": x, "value": str(value)},
+                          str(value), fmt)
 
     if kind in _RUNS:
         runs = _RUNS[kind](n)
@@ -196,10 +163,8 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         chebfam.check_digits(_DIGIT_RATE[kind] * n * n // 40)
         # only the stream that is read is made
         text, fields, pieces = _terms(kind, n), {}, _coeff_pieces(kind, n)
-    _emit(chain(text, ["\n"]) if fmt == "text" else
-          _whole_polys(fmt, [({"kind": kind, "n": n, **fields}, pieces)]),
-          args.out)
-    return 0
+    return 0, (chain(text, ["\n"]) if fmt == "text" else
+               _whole_polys(fmt, [({"kind": kind, "n": n, **fields}, pieces)]))
 
 
 def _terms(kind: str, n: int) -> Iterator[str]:
@@ -418,20 +383,18 @@ def _points(text: str) -> list[int]:
     return points
 
 
-def _cmd_table(args: SimpleNamespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     which = args.which
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULTS[which]
     if max_n < _FIRST.get(which, 1):
-        print("error: --max-n out of range", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n out of range")
 
     if which == "values":
         points = _points(args.points)
         headers = ["n", *(f"{c}_{x}" for x in points
                           for c in ("pg", "f", "rel"))]
-        _emit(_cell_table(which, headers, values_rows(max_n, points),
-                          args.format), args.out)
-        return 0
+        return 0, _cell_table(which, headers, values_rows(max_n, points),
+                              args.format)
 
     if which == "decomp":
         # characters per n^2: the csv and json have about 3 (194,223,598 at
@@ -441,9 +404,8 @@ def _cmd_table(args: SimpleNamespace) -> int:
                              * max_n * max_n, "characters")
         rows = ({"n": n, "tsum": tsum_string(n), "fdecomp": fdecomp_string(n)}
                 for n in range(1, max_n + 1))
-        _emit(_cell_table(which, ["n", "tsum", "fdecomp"], rows, args.format),
-              args.out)
-        return 0
+        return 0, _cell_table(which, ["n", "tsum", "fdecomp"], rows,
+                              args.format)
 
     # polynomial tables
     ns = range(_FIRST.get(which, 1), max_n + 1)
@@ -460,46 +422,45 @@ def _cmd_table(args: SimpleNamespace) -> int:
             last = sum(map(len, _terms(which, max_n)))
             texts = ("".join(_terms(which, n)) for n in ns)
         widths = [len(str(max_n)), max(len(which), last)]
-        _emit(_padded(widths, chain([["n", which]], (
-            [str(n), text] for n, text in zip(ns, texts)))), args.out)
-    else:
-        rows = (({"n": n}, _coeff_pieces(which, n)) for n in ns)
-        _emit(_whole_polys(args.format, rows, which), args.out)
-    return 0
+        return 0, _padded(widths, chain([["n", which]], (
+            [str(n), text] for n, text in zip(ns, texts))))
+    rows = (({"n": n}, _coeff_pieces(which, n)) for n in ns)
+    return 0, _whole_polys(args.format, rows, which)
 
 
 # -- verify -----------------------------------------------------------------------
 
-def _cmd_verify(args: SimpleNamespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     if args.max_n is not None and args.max_n < 1:
-        print("error: --max-n must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.max_n)
+    rows = [r.to_json() for r in reports]
+    code = 0 if all(r.ok for r in reports) else 1
     if args.format == "json":
-        _emit(_json_pieces([r.to_json() for r in reports]), args.out)
-    elif args.format == "csv":
-        _emit(_cell_table("verify", ["suite", "max_n", "passed", "failed"],
-                          [r.to_json() for r in reports], "csv"), args.out)
-    else:
-        lines = []
-        for r in reports:
-            status = "PASS" if r.ok else "FAIL"
-            lines.append(f"suite {r.suite}: n <= {r.max_n}: "
-                         f"{r.passed} checks passed, {r.failed} failed: {status}")
-            for f in r.failures[:20]:
-                lines.append("  {case}: expected {expected}, got {actual}"
-                             .format(**f))
-            if len(r.failures) > 20:
-                lines.append(f"  ... and {len(r.failures) - 20} more")
-        _emit((line + "\n" for line in lines), args.out)
-    return 0 if all(r.ok for r in reports) else 1
+        return code, _json_pieces(rows)
+    if args.format == "csv":
+        return code, _cell_table("verify", ["suite", "max_n", "passed",
+                                            "failed"], rows, "csv")
+    lines = []
+    for r in reports:
+        status = "PASS" if r.ok else "FAIL"
+        lines.append(f"suite {r.suite}: n <= {r.max_n}: "
+                     f"{r.passed} checks passed, {r.failed} failed: {status}")
+        for f in r.failures[:20]:
+            lines.append("  {case}: expected {expected}, got {actual}"
+                         .format(**f))
+        if len(r.failures) > 20:
+            lines.append(f"  ... and {len(r.failures) - 20} more")
+    return code, (line + "\n" for line in lines)
 
 
 # -- oeis-check --------------------------------------------------------------------
 
-def _cmd_oeis_check(args: SimpleNamespace) -> int:
+def _cmd_oeis_check(args: SimpleNamespace) -> tuple[int, Iterable | None]:
     SEQUENCES[args.sequence].point_at(args.at)  # refused before any write
+    if args.bfile is None and not args.emit:
+        raise ValueError("provide a b-file to check against, or --emit")
     if args.emit:
         count = emit_bfile(args.sequence, args.emit, at=args.at,
                            max_index=100 if args.max_n is None else args.max_n)
@@ -507,31 +468,25 @@ def _cmd_oeis_check(args: SimpleNamespace) -> int:
         print(f"wrote {count} terms to {args.emit}",
               file=sys.stdout if args.format == "text" else sys.stderr)
         if args.bfile is None:
-            return 0
-    if args.bfile is None:
-        print("error: provide a b-file to check against, or --emit",
-              file=sys.stderr)
-        return 2
+            return 0, None
     report = check_sequence(args.sequence, args.bfile, at=args.at,
                             max_index=args.max_n)
     shown = list(islice(report.mismatches, 20))  # the rest not held
+    code = 1 if shown else 0
     if args.format == "json":  # every mismatch, written as it is found
-        _emit(_json_list(report.to_json(), "mismatches", (
+        return code, _json_list(report.to_json(), "mismatches", (
             [f'{{\n      "index": {idx},\n      "expected": '
              f'{json.dumps(str(expected))},\n      "computed": '
              f'{json.dumps(str(computed))}\n    }}']
-            for idx, expected, computed in chain(shown, report.mismatches))),
-            args.out)
-        return 1 if shown else 0
+            for idx, expected, computed in chain(shown, report.mismatches)))
     mismatched = len(shown) + sum(1 for _ in report.mismatches)
     lines = [f"{report.sequence} vs {report.bfile_id}: {report.compared} "
              f"terms compared, {mismatched} mismatches: "
              f"{'FAIL' if mismatched else 'PASS'}",
              *(f"  index {idx}: b-file {expected}, computed {computed}"
                for idx, expected, computed in shown)]
-    _emit(_record("oeis", {**report.to_json(), "mismatches": mismatched},
-                  "\n".join(lines), args.format), args.out)
-    return 1 if shown else 0
+    fields = {**report.to_json(), "mismatches": mismatched}
+    return code, _record("oeis", fields, "\n".join(lines), args.format)
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -661,7 +616,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse(argv) or _argparse_args(argv)
     try:
-        return args.fn(args)
+        code, pieces = args.fn(args)
+        if pieces is not None and args.out:
+            write_file(pieces, args.out)
+        elif pieces is not None:
+            sys.stdout.writelines(pieces)
+        return code
     except (OSError, ValueError) as exc:  # BFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,12 +23,13 @@ Neither a b-file nor a sweep nor the list of mismatches is held whole:
 they are read a line or a block at a time (``hilbert.pg_blocks``) and the
 mismatches found as they are read, and a sweep is refused before its
 first value past ``chebfam.MAX_DIGITS`` digits or ``chebfam.MAX_TERMS``
-terms.
+terms.  ``--emit``, like ``--out``, replaces its file only once it is whole.
 """
 from __future__ import annotations
 
 import os
 import re
+import stat
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
@@ -188,11 +189,36 @@ def check_sequence(key: str, path: str | os.PathLike, at: int | None = None,
 def emit_bfile(key: str, path: str | os.PathLike, at: int | None = None, *,
                max_index: int) -> int:
     """Write computed values in b-file format (candidate reference data for
-    sequences without one), one line at a time as the sweep's blocks come;
-    returns the number of lines written."""
+    sequences without one) through ``write_file``, one line at a time as
+    the sweep's blocks come; returns the number of lines written."""
     spec = SEQUENCES[key]
     top = max(max_index, spec.min_index - 1)  # no lines below min_index
     values = spec.sweep(at, top)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{i} {v}\n" for i, v in enumerate(values, spec.min_index))
+    write_file((f"{i} {v}\n" for i, v in enumerate(values, spec.min_index)),
+               path)
     return top - spec.min_index + 1
+
+
+def write_file(pieces: Iterable[str], path: str | os.PathLike) -> None:
+    """Write the ``pieces`` to the file ``path``: a regular file through a
+    temporary file beside it, which takes its mode and its name once every
+    piece is written, so that a write that fails leaves the file as it was;
+    a link is written through, and a pipe or a device in place."""
+    with open(path, "a", encoding="utf-8") as fh:  # refuses a bad path by name
+        mode = os.fstat(fh.fileno()).st_mode
+        if not stat.S_ISREG(mode):  # a device or a pipe
+            fh.writelines(pieces)
+            return
+    import tempfile  # at module level it loads some 40 modules at start-up
+
+    path = os.path.realpath(path)  # a link keeps pointing at the file
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               dir=os.path.dirname(path))
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

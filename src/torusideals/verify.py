@@ -103,11 +103,15 @@ def _quotient(route, n: int) -> object:
 
 def check_pg_routes(rep: VerifySuiteReport, n: int, series_pg: IntPoly) -> None:
     """Four routes to G_n agree (``series_pg`` is G_n read off the one
-    series expansion of the suite), G_n is monic of degree n - 1, and its
-    d = 1 term is +F_{n-1}."""
+    series expansion of the suite), and so does the descending stream that
+    text answers print; G_n is monic of degree n - 1, and its d = 1 term
+    is +F_{n-1}."""
     p_interval = hilbert.pg_via_interval(n)
-    rep.equal(f"pg interval=odd_divisors n={n}", p_interval,
-              hilbert.pg_via_odd_divisors(n))
+    odd, down = hilbert.pg_via_odd_divisors(n), list(p_interval.coeffs[::-1])
+    descending = list(hilbert.pg_coeffs(n, True))
+    rep.check_all(f"pg interval=odd_divisors n={n}",
+                  (odd == p_interval, p_interval, odd),
+                  (descending == down, down, descending))
     rep.equal(f"pg interval=roundtrip n={n}", p_interval,
               _quotient(hilbert.pg_roundtrip, n))
     rep.equal(f"pg interval=series n={n}", p_interval, series_pg)

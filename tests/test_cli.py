@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import fpoly_oracle, tcheb_oracle
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
-from torusideals import chebfam, cli, hilbert, verify, zeta
+from torusideals import chebfam, cli, hilbert, oeis, verify, zeta
 from torusideals.chebfam import (decimal_radix, fpoly_stream, fpoly_value,
                                  tcheb_value)
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
@@ -1131,8 +1131,9 @@ class TestOutputFile:
         assert code == 0 and out == ""
         assert target.read_text().strip() == "X^2 + X - 2"
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit"])
     def test_failed_command_keeps_the_out_file(self, monkeypatch, capsys,
-                                               tmp_path):
+                                               tmp_path, flag):
         # the answer goes to a temporary file beside the target, which is
         # replaced only when every piece is written
         target = tmp_path / "out.txt"
@@ -1141,33 +1142,79 @@ class TestOutputFile:
         def refuse(*args, **kwargs):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
-        code = main(["table", "decomp", "--out", str(target)])
-        assert (code, capsys.readouterr().out) == (2, "")
+        def sweep(x, top):  # two lines of the b-file, then a full disk
+            yield from (1, 3)
+            refuse()
+
+        if flag == "--out":
+            monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+            argv = ["table", "decomp"]
+        else:
+            monkeypatch.setitem(oeis.SEQUENCES, "sigma", oeis.SEQUENCES[
+                "sigma"]._replace(values=sweep))
+            argv = ["oeis-check", "sigma", "--max-n", "5"]
+        code = main([*argv, flag, str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: [Errno 28] No space left on device\n")
         assert target.read_text(encoding="utf-8") == "old"
         assert os.listdir(tmp_path) == ["out.txt"]
 
-    def test_out_file_keeps_its_mode_link_and_kind(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, flag, text, notice", [
+        (["compute", "pg", "--n", "3"], "--out", "X^2 + X - 2\n", ""),
+        (["oeis-check", "sigma", "--max-n", "3"], "--emit", "1 1\n2 3\n3 4\n",
+         "wrote 3 terms to {}\n"),
+    ], ids=["--out", "--emit"])
+    def test_out_file_keeps_its_mode_link_and_kind(self, capsys, tmp_path,
+                                                   argv, flag, text, notice):
         # the renamed file takes the mode of the one it replaces, a link
         # is written through, and a pipe (or a device) is written in place
         target, link = tmp_path / "out.txt", tmp_path / "link.txt"
         target.write_text("old", encoding="utf-8")
         target.chmod(0o604)
         link.symlink_to(target)
-        code, out = run(capsys, "compute", "pg", "--n", "3", "--out", str(link))
-        assert (code, out) == (0, "")
+        code, out = run(capsys, *argv, flag, str(link))
+        assert (code, out) == (0, notice.format(link))
         assert link.is_symlink() and target.stat().st_mode & 0o777 == 0o604
-        assert target.read_text(encoding="utf-8") == "X^2 + X - 2\n"
+        assert target.read_text(encoding="utf-8") == text
         fifo, got = tmp_path / "fifo", []
         os.mkfifo(fifo)
         reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
                                   daemon=True)
         reader.start()
-        code, out = run(capsys, "compute", "pg", "--n", "3", "--out", str(fifo))
+        code, out = run(capsys, *argv, flag, str(fifo))
         reader.join(10)
-        assert (code, out, got) == (0, "", ["X^2 + X - 2\n"])
+        assert (code, out, got) == (0, notice.format(fifo), [text])
         assert fifo.is_fifo()
         assert sorted(os.listdir(tmp_path)) == ["fifo", "link.txt", "out.txt"]
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["compute", "pg", "--n=0"], "--n must be >= 1 for pg"),
+        (["compute", "zeta", "--n=5", "--eval=2"],
+         "--eval does not apply to zeta"),
+        (["table", "pg", "--max-n=0"], "--max-n out of range"),
+        (["verify", "routes", "--max-n=0"], "--max-n must be >= 1"),
+        (["oeis-check", "sigma"],
+         "provide a b-file to check against, or --emit"),
+        # no refusal and no answer: the b-file is the command's only output
+        (["oeis-check", "sigma", "--emit", "E", "--max-n", "3"], None),
+    ], ids=["compute-n", "zeta-eval", "table-max-n", "verify-max-n",
+            "no-bfile", "emit-only"])
+    def test_refusal_or_no_answer_writes_no_out_file(
+            self, monkeypatch, capsys, tmp_path, argv, refusal):
+        # main writes an answer or a refusal, never both, and --out only
+        # for an answer
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--out", "F"])
+        captured = capsys.readouterr()
+        if refusal is None:
+            assert (code, captured.out, captured.err) == (
+                0, "wrote 3 terms to E\n", "")
+            assert (tmp_path / "E").read_text() == "1 1\n2 3\n3 4\n"
+        else:
+            assert (code, captured.out, captured.err) == (
+                2, "", f"error: {refusal}\n")
+        assert not (tmp_path / "F").exists()
 
     def test_determinism(self, capsys):
         _, first = run(capsys, "table", "values", "--max-n", "16")

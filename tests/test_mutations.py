@@ -30,6 +30,19 @@ def shift_plus(pm):
     return [pm[0][0] + 1, *pm[0][1:]], pm[1]
 
 
+def bump_descending_join(genuine):
+    """``fpoly_sum`` with 1 added at X^4 of the descending join of G_7's
+    terms, +F_6 - F_2, as ``pg_coeffs`` passes them: a generator, so they
+    are collected first."""
+    def fpoly_sum(terms, descending=False):
+        terms = list(terms)
+        sums = genuine(terms, descending)
+        if descending and terms == [(1, 6), (-1, 2)]:
+            return map(add, sums, (0, 0, 1, 0, 0, 0, 0))
+        return sums
+    return fpoly_sum
+
+
 def overflow():
     """Raise what ``unpack_balanced`` raises on a value too wide for its
     slots."""
@@ -76,6 +89,9 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
      "pg interval=odd_divisors n=7"),
     (hilbert, "a_intervals", wrong(lambda ranges: [*ranges, (6, 6)], 7),
      "defect degree bound n=7"),
+    # the descending join behind every text compute pg and table pg
+    (hilbert, "fpoly_sum", bump_descending_join,
+     "pg interval=odd_divisors n=7"),
     # G_7(x) as ``verify mult`` lists it once per point
     (hilbert, "pg_eval_int", wrong(1, 7), "mult x=-2 m=2 k=7"),
     (hilbert, "cn_via_coeff_formula", wrong(monomial(7), 7),
@@ -102,20 +118,25 @@ MUTANTS = [  # owner, name that verify calls, wrong version, case caught
 
 # The value a failed check prints as ``got`` where the check is not an
 # equality of one route's value: the mutated value, made from the genuine
-# route before it is replaced
+# route before it is replaced; keyed "name: case", as two rows may catch
+# one case with different values
 SHOWN = {
-    "truncation stability": lambda: (
+    "expand_pg_product: truncation stability": lambda: (
         f"t^5: {series.expand_pg_product(10).coeffs[5] + X}"),
-    "bijection n=7": lambda: str(sorted(
+    "representations: bijection n=7": lambda: str(sorted(
         (s.a, s.h) for s in divisors.representations(7)[:-1])),
-    "tcheb closed k=9": lambda: str([c + (i == 4) for i, c in  # X^5
-                                     enumerate(chebfam.tcheb_coeffs(9, True))]),
-    "defect degree bound n=16": lambda: "1",
-    "cn palindromic monic deg 2n n=7": lambda: str([*hilbert.cn_runs(7),
-                                                    (0, 1)]),
-    "pg sequence route n=8": lambda: str([*hilbert.pn_runs(8), (0, 1)]),
-    "coefficient consistency n=7": lambda: str(zeta.ZetaFactorization.of_terms(
-        7, *shift_plus(hilbert.cn_formula_exponents(7))).cancelled()),
+    "_binomial_run: tcheb closed k=9": lambda: str([  # X^5
+        c + (i == 4) for i, c in enumerate(chebfam.tcheb_coeffs(9, True))]),
+    "defect_terms: defect degree bound n=16": lambda: "1",
+    "cn_runs: cn palindromic monic deg 2n n=7": lambda: str(
+        [*hilbert.cn_runs(7), (0, 1)]),
+    "pn_runs: pg sequence route n=8": lambda: str(
+        [*hilbert.pn_runs(8), (0, 1)]),
+    "cn_formula_exponents: coefficient consistency n=7": lambda: str(
+        zeta.ZetaFactorization.of_terms(
+            7, *shift_plus(hilbert.cn_formula_exponents(7))).cancelled()),
+    "fpoly_sum: pg interval=odd_divisors n=7": lambda: str([  # X^4
+        c + (i == 2) for i, c in enumerate(hilbert.pg_coeffs(7, True))]),
 }
 
 
@@ -129,7 +150,8 @@ IDS = [f"{i} #{IDS[:k].count(i) + 1}" if i in IDS[:k] else i
 @pytest.mark.parametrize("owner, name, make, case", MUTANTS, ids=IDS)
 def test_verify_catches_the_wrong_route(monkeypatch, capsys, owner, name,
                                         make, case):
-    shown = SHOWN[case]() if case in SHOWN else None
+    key = f"{name}: {case}"
+    shown = SHOWN[key]() if key in SHOWN else None
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
     code = main(["verify", "all", "--max-n", "20"])
     out = capsys.readouterr().out
