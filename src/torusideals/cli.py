@@ -5,7 +5,9 @@ Exit codes: 0 full pass, 1 verification/comparison failure, 2 usage or I/O
 error, or a size past a work limit.  Output is deterministic: stable
 orderings, no timestamps, large integers always rendered as decimal strings.
 Each ``_cmd_*`` handler returns its exit code and answer (None for none) or
-raises ``ValueError``; ``main`` is the one place that writes either.
+raises ``ValueError``; ``main`` is the one place that writes either, but
+for the notice of ``oeis-check --emit``, which ``_cmd_oeis_check`` prints
+itself: to stdout as text, to stderr for json and csv.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ from types import SimpleNamespace
 
 from . import chebfam, hilbert, zeta
 from .divisors import a_coeffs, odd_divisor_terms
-from .intpoly import (decimal_strs, format_terms, lead_term, spell_terms,
-                      term_str)
+from .intpoly import decimal_strs, format_terms, spell_terms, sum_text
 from .oeis import SEQUENCES, check_sequence, emit_bfile, write_file
 from .verify import DEFAULT_RANGES, SUITES, run_suites
 
@@ -174,30 +175,18 @@ def _terms(kind: str, n: int) -> Iterator[str]:
                             _COEFFS[kind](n, True), "X")
 
 
-def _fpoly_texts(max_n: int) -> tuple[int, Iterator[str]]:
-    """The length of F_max_n's text, and the texts of F_0, ..., F_max_n
-    one by one.  F_k = U_k + U_{k-1}, and the run of U_k
-    (``chebfam.ucheb_run``) sits at the same powers in F_k and F_{k+1};
-    so each run's terms are rendered once, for two rows, and only the
-    previous run is kept.  The last row sizes the column: the runs of
-    U_{max_n-1} and U_max_n are rendered first and kept for it."""
-    def run(n: int) -> list[str]:
-        return spell_terms(list(chebfam.ucheb_run(n, True)), n, 2, "X")
-
-    def text(hi: list[str], lo: list[str]) -> str:
+def _fpoly_texts(max_n: int) -> Iterator[str]:
+    """The texts of F_0, ..., F_max_n one by one.  F_k = U_k + U_{k-1},
+    and the run of U_k (``chebfam.ucheb_run``) sits at the same powers in
+    F_k and F_{k+1}; so each run's terms are rendered once, for two rows,
+    and only the previous run is kept."""
+    lo: list[str] = []  # U_{-1} = 0
+    for k in range(max_n + 1):
+        hi = spell_terms(list(chebfam.ucheb_run(k, True)), k, 2, "X")
         # U_k leads with X^k, then the powers alternate between the runs
-        return "".join([lead_term(hi[0]), *chain.from_iterable(
-            zip_longest(lo, hi[1:], fillvalue=""))])
-
-    held = {n: run(n) for n in (max_n - 1, max_n)}
-
-    def texts() -> Iterator[str]:
-        lo: list[str] = []  # U_{-1} = 0
-        for k in range(max_n + 1):
-            hi = held.pop(k, None) or run(k)
-            yield text(hi, lo)
-            lo = hi
-    return len(text(held[max_n], held[max_n - 1])), texts()
+        yield "".join(sum_text(chain.from_iterable(
+            zip_longest(hi, lo, fillvalue=""))))
+        lo = hi
 
 
 def _coeff_pieces(kind: str, n: int) -> Iterator[tuple[list[str], int]]:
@@ -274,31 +263,29 @@ def _run_chars(runs: list[tuple[int, int]], fmt: str) -> int:
         if fmt != "text":
             size += k * (len(str(v)) + (8 if fmt == "json" else 1))
         elif v:
-            size += k * len(term_str(v, top - 1, "q", False))
+            size += k * len(spell_terms((v,), top - 1, 1, "q")[0])
     return size
 
 
 def _text_run_pieces(runs: list[tuple[int, int]]) -> Iterator[str]:
     """``str()`` of the runs as a ``LaurentPoly``, highest exponent first:
     the terms of a run past q^1 are one join over their exponents, with the
-    repeated prefix (sign, c*, q^) taken from ``term_str``."""
-    top = sum(k for _, k in runs)  # one past the highest exponent
-    first = True
-    for v, k in reversed(runs):
-        hi, top = top - 1, top - k  # the run covers exponents top..hi
-        if not v:
-            continue
-        if first:
-            yield term_str(v, hi, "q", True)
-            hi, first = hi - 1, False
-        prefix = term_str(v, 2, "q", False).removesuffix("2")
-        low = max(top, 2)
-        for start in range(hi, low - 1, -_PIECE):
-            yield prefix + prefix.join(
-                map(str, range(start, max(start - _PIECE, low - 1), -1)))
-        for e in (1, 0):
-            if top <= e <= hi:
-                yield term_str(v, e, "q", False)
+    repeated prefix (sign, c*, q^) taken from ``spell_terms``."""
+    def pieces() -> Iterator[str]:
+        top = sum(k for _, k in runs)  # one past the highest exponent
+        for v, k in reversed(runs):
+            hi, top = top - 1, top - k  # the run covers exponents top..hi
+            if not v:
+                continue
+            prefix = spell_terms((v,), 2, 1, "q")[0].removesuffix("2")
+            low = max(top, 2)
+            for start in range(hi, low - 1, -_PIECE):
+                yield prefix + prefix.join(
+                    map(str, range(start, max(start - _PIECE, low - 1), -1)))
+            for e in (1, 0):
+                if top <= e <= hi:
+                    yield spell_terms((v,), e, 1, "q")[0]
+    return sum_text(pieces())
 
 
 # -- table ----------------------------------------------------------------------
@@ -349,9 +336,9 @@ def tsum_string(n: int) -> str:
 def fdecomp_string(n: int) -> str:
     """The odd-divisor decomposition as a signed F-sum, highest index first,
     e.g. 'F14 - F6 + F3 + F0'."""
-    first, *rest = (f" {'-' if t.sign < 0 else '+'} F{t.f_index}" for t in
-                    sorted(odd_divisor_terms(n), key=lambda t: -t.f_index))
-    return lead_term(first) + "".join(rest)
+    return "".join(sum_text(
+        f" {'-' if t.sign < 0 else '+'} F{t.f_index}" for t in
+        sorted(odd_divisor_terms(n), key=lambda t: -t.f_index)))
 
 
 def _cell_table(which: str, headers: list[str], rows: Iterable[dict],
@@ -416,11 +403,9 @@ def _cmd_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
         # term maps to a term of the next row that is no shorter, and G_n,
         # F_{n-1} plus F-terms of lower index, is checked at every n the
         # digit guard admits (tests/test_cli.py)
-        if which == "fpoly":
-            last, texts = _fpoly_texts(max_n)
-        else:
-            last = sum(map(len, _terms(which, max_n)))
-            texts = ("".join(_terms(which, n)) for n in ns)
+        last = sum(map(len, _terms(which, max_n)))
+        texts = (_fpoly_texts(max_n) if which == "fpoly" else
+                 ("".join(_terms(which, n)) for n in ns))
         widths = [len(str(max_n)), max(len(which), last)]
         return 0, _padded(widths, chain([["n", which]], (
             [str(n), text] for n, text in zip(ns, texts))))
@@ -431,8 +416,6 @@ def _cmd_table(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 # -- verify -----------------------------------------------------------------------
 
 def _cmd_verify(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    if args.max_n is not None and args.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.max_n)
     rows = [r.to_json() for r in reports]

@@ -496,7 +496,7 @@ def spell_terms(cs: Sequence[int], top: int, step: int,
     """The terms c * var^e of the coefficients ``cs``, the i-th at
     e = top - i * step, one string each: ' + 3*q^5', ' - q^-2', ' + 3*q'
     at q^1, ' - 1' at q^0, and '' for a zero.  The one place the term
-    syntax is spelled; ``lead_term`` writes a polynomial's first term.
+    syntax is spelled; ``sum_text`` writes a sum's first term.
 
     One list comprehension renders the slice.  A coefficient past the
     int-to-str digit limit (4300 digits by default) makes it raise, and the
@@ -521,21 +521,24 @@ def spell_terms(cs: Sequence[int], top: int, step: int,
     return terms
 
 
-def lead_term(term: str) -> str:
-    """A term of ``spell_terms`` as the first of its polynomial, with no
-    separator: '3*q^5' for ' + 3*q^5', '-q^5' for ' - q^5'."""
-    return term[3:] if term[1] == "+" else f"-{term[3:]}"
+def sum_text(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of a sum whose terms come in ``pieces``, each piece some
+    terms that each lead with their separator, ' + ' or ' - ', as
+    ``spell_terms`` writes them: the pieces as they come, but the first
+    term with no separator ('3*q^5' for ' + 3*q^5', '-q^5' for ' - q^5'),
+    and '0' for a sum with no terms.  The one place a sum's first term is
+    written.
 
-
-def term_str(c: int, e: int, var: str, first: bool) -> str:
-    """The term c * var^e, c nonzero, as ``spell_terms`` writes it, or
-    ``lead_term`` when it comes ``first``.
-
-    >>> term_str(3, 5, "q", False), term_str(-1, 5, "q", True)
-    (' + 3*q^5', '-q^5')
+    >>> list(sum_text(["", " - q^5 + 1", " + q^-1"])), list(sum_text([""]))
+    (['-q^5 + 1', ' + q^-1'], ['0'])
     """
-    term, = spell_terms((c,), e, 1, var)
-    return lead_term(term) if first else term
+    pieces = iter(pieces)
+    for piece in pieces:
+        if piece:
+            yield piece[3:] if piece[1] == "+" else "-" + piece[3:]
+            yield from pieces
+            return
+    yield "0"
 
 
 def format_terms(top: int, cs: Iterable[int], var: str) -> Iterator[str]:
@@ -544,16 +547,7 @@ def format_terms(top: int, cs: Iterable[int], var: str) -> Iterator[str]:
     or '0'; the one rendering loop, behind both carriers and the CLI's
     streams."""
     cs = iter(cs)
-    first = True
-    while chunk := list(islice(cs, _SLICE)):
-        terms = spell_terms(chunk, top, 1, var)
-        top -= len(chunk)
-        if first:
-            i = next((i for i, t in enumerate(terms) if t), None)
-            if i is None:
-                continue
-            terms[i], first = lead_term(terms[i]), False
-        yield "".join(terms)
-    if first:
-        yield "0"
+    slices = iter(lambda: list(islice(cs, _SLICE)), [])
+    return sum_text("".join(spell_terms(chunk, top - i * _SLICE, 1, var))
+                    for i, chunk in enumerate(slices))
 

@@ -84,6 +84,20 @@ DEFAULT_RANGES = {
     "special": 10000,
 }
 
+#: The largest range each suite runs: a measured size at which it took at
+#: most about half a minute of CPU and 250 MB (Python 3.11, a shared 2-core
+#: host).  ``routes`` took 35.6 s and 140 MB at 1000, ``series`` 17.3 s and
+#: 223 MB at 1000 (the series expansion behind both grows faster than N^3
+#: in time), ``cheb`` 26.1 s at 700, ``mult`` 21.1 s at 800, ``zeta``
+#: 31.4 s at 300000 and ``special`` 18.0 s at 10^6, these four near 16 MB
+MAX_RANGES = {
+    "routes": 1000,
+    "cheb": 700,
+    "series": 1000,
+    "mult": 800,
+    "zeta": 300000,
+    "special": 1000000,
+}
 
 #: What a route raises on a wrong intermediate: a count that (q-1)^2 does
 #: not divide, a quotient that is not palindromic in the basis change, or a
@@ -199,7 +213,7 @@ def check_a_tail(rep: VerifySuiteReport, n: int) -> None:
               "all 1", tail)
 
 
-def verify_routes(max_n: int = DEFAULT_RANGES["routes"]) -> VerifySuiteReport:
+def verify_routes(max_n: int) -> VerifySuiteReport:
     """Every route to the same polynomial agrees, and the count structure
     holds: four ways to G_n, two ways to C_n, the monomial route to the
     centered quotient, and the run/divisor combinatorics behind them."""
@@ -212,7 +226,7 @@ def verify_routes(max_n: int = DEFAULT_RANGES["routes"]) -> VerifySuiteReport:
     return rep
 
 
-def verify_cheb(max_n: int = DEFAULT_RANGES["cheb"]) -> VerifySuiteReport:
+def verify_cheb(max_n: int) -> VerifySuiteReport:
     """Both polynomial families, built from their closed forms, agree with
     the three-term recurrence rolled here and with the matrix trace, and
     satisfy their recurrences and substitution identities."""
@@ -260,7 +274,7 @@ def verify_cheb(max_n: int = DEFAULT_RANGES["cheb"]) -> VerifySuiteReport:
     return rep
 
 
-def verify_series(max_n: int = DEFAULT_RANGES["series"]) -> VerifySuiteReport:
+def verify_series(max_n: int) -> VerifySuiteReport:
     """The generating-function expansions reproduce both families, replay
     the numerator identity, and are stable under deeper truncation."""
     rep = VerifySuiteReport("series", max_n)
@@ -306,7 +320,7 @@ def check_factor_identities(rep: VerifySuiteReport) -> None:
               [square.eval_int(x) for x in (0, -1, 2, -2)])
 
 
-def verify_mult(max_n: int = DEFAULT_RANGES["mult"]) -> VerifySuiteReport:
+def verify_mult(max_n: int) -> VerifySuiteReport:
     """|G_m(x)| * |G_k(x)| = |G_{mk}(x)| for coprime m, k at x in {-2, -1,
     0, 2}; at x = 1 the left side is 1, 2 or 4 times the right according to
     {m, k} mod 3 ({0, 2} -> 2, {2} -> 4, else 1).  Then the closed factor
@@ -341,7 +355,7 @@ def verify_mult(max_n: int = DEFAULT_RANGES["mult"]) -> VerifySuiteReport:
     return rep
 
 
-def verify_zeta(max_n: int = DEFAULT_RANGES["zeta"]) -> VerifySuiteReport:
+def verify_zeta(max_n: int) -> VerifySuiteReport:
     """Factor counts, exponent symmetry, the functional equation, and
     agreement with the factorization rebuilt from the coefficient formula."""
     rep = VerifySuiteReport("zeta", max_n)
@@ -394,7 +408,7 @@ def _merged(terms) -> list[tuple[int, int]]:
     return [(c, j) for j, c in sorted(sums.items()) if c]
 
 
-def verify_special(max_n: int = DEFAULT_RANGES["special"]) -> VerifySuiteReport:
+def verify_special(max_n: int) -> VerifySuiteReport:
     """The defect kind read off the odd-divisor terms against the shape of
     n, with the signs of any F_0 and F_1 term against n being triangular
     (n = r(r+1)/2) or near-triangular (n = r(r+3)/2), sign (-1)^{r+1}; the
@@ -449,9 +463,16 @@ SUITES = {
 
 
 def run_suites(names: list[str], max_n: int | None = None) -> list[VerifySuiteReport]:
-    """Run the named suites (each at its default range when max_n is None)."""
-    reports = []
-    for name in names:
-        bound = max_n if max_n is not None else DEFAULT_RANGES[name]
-        reports.append(SUITES[name](bound))
-    return reports
+    """Run the named suites, each at its default range when max_n is None;
+    the one place a range is chosen.  A max_n below 1, or past the
+    ``MAX_RANGES`` of any named suite, is refused before any suite runs,
+    the latter with the largest range that all of them accept."""
+    if max_n is not None:
+        name = min(names, key=MAX_RANGES.__getitem__)
+        if max_n < 1:
+            raise ValueError("--max-n must be >= 1")
+        if max_n > MAX_RANGES[name]:
+            raise ValueError(
+                f"--max-n must be <= {MAX_RANGES[name]} for {name}")
+    return [SUITES[name](DEFAULT_RANGES[name] if max_n is None else max_n)
+            for name in names]

@@ -20,7 +20,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import fpoly_oracle, tcheb_oracle
 from refdata import FDECOMP_TABLE, TSUM_TABLE, VALUES_TABLE
@@ -29,7 +29,8 @@ from torusideals.chebfam import (decimal_radix, fpoly_stream, fpoly_value,
                                  tcheb_value)
 from torusideals.cli import fdecomp_string, main, tsum_string, values_rows
 from torusideals.divisors import divisors, odd_divisors
-from torusideals.intpoly import IntPoly, LaurentPoly, exact_div, term_str
+from torusideals.intpoly import (IntPoly, LaurentPoly, exact_div, spell_terms,
+                                 sum_text)
 from torusideals.oeis import emit_bfile
 from torusideals.zeta import ZetaFactorization, local_zeta_factors
 
@@ -418,6 +419,26 @@ class TestWholeCounts:
                     (fmt, piece)
             assert printed(argv) == want["text"]
 
+    @given(st.lists(
+        st.tuples(st.sampled_from((0, 1, -1)) | st.integers(-10 ** 30, 10 ** 30),
+                  st.integers(1, 2 * cli._PIECE + 3))
+        | st.tuples(st.sampled_from((10 ** 4999 + 7, -(10 ** 4999))),
+                    st.integers(1, 3)),
+        max_size=6))
+    @example([])
+    @example([(0, 4), (0, cli._PIECE + 1)])
+    @example([(1, 1), (-7, 2), (0, 3)])
+    @example([(2, 3), (-1, 1)])
+    @example([(-(10 ** 4999), 2), (1, cli._PIECE + 2), (10 ** 4999 + 7, 1)])
+    @settings(max_examples=100, deadline=None)
+    def test_run_writer_prints_any_runs(self, runs):
+        # real C_n and P_n lead with +1 at q^0 and at their top, so these
+        # runs are what no count makes: a zero or negative top run, runs
+        # across q^1 and q^0, 5000-digit values, runs past a piece, and
+        # all zeros, which print '0'
+        assert "".join(cli._text_run_pieces(runs)) == \
+            str(LaurentPoly(0, hilbert.expand_runs(runs)))
+
     @pytest.mark.parametrize("n", [2 ** 11 + 1, 140000])
     def test_runs_longer_than_a_piece(self, n):
         # P_n's longest run is 2^10 + 1 at 2^11 + 1, where C_n's, a gap of
@@ -770,13 +791,15 @@ class TestTable:
     def test_fpoly_rows_share_their_runs(self, capsys):
         # F_k = U_k + U_{k-1}: the text table renders the run of each U_k
         # once, for rows k and k + 1, where a row of its own would make
-        # two runs; and each row is the dense rendering of F_k
+        # two runs; and each row is the dense rendering of F_k.  The
+        # column width is F_300's text, made from its own stream, which
+        # reads the runs of U_299 and U_300 once more
         with patch.object(chebfam, "_binomial_run",
                           wraps=chebfam._binomial_run) as runs:
             code, out = run(capsys, "table", "fpoly", "--max-n", "300")
         assert code == 0
         assert sorted(c.args[0] for c in runs.call_args_list) == \
-            list(range(301))
+            sorted([*range(301), 299, 300])
         lines = out.splitlines()
         assert lines[:2] == ["n    fpoly", "---  " + "-" * len(lines[-1][5:])]
         assert lines[2:] == [f"{k:<3}  {chebfam.fpoly(k)}"
@@ -829,6 +852,10 @@ class TestTable:
         # |d| = 1 = |c|, and the power only gains.  Row k + 1 may have
         # more terms (its constant); V_0 = 2 and V_1 = X print one
         # character each.
+        def term(c: int, e: int, first: bool) -> str:
+            text, = spell_terms((c,), e, 1, "X")
+            return next(sum_text([text])) if first else text
+
         coeffs = cli._COEFFS[kind]
         for k in range(kind == "tcheb", 400):
             first = True
@@ -836,8 +863,8 @@ class TestTable:
                                coeffs(k + 1, True)):
                 if c:
                     assert c * d > 0 and abs(d) >= abs(c), (k, e)
-                    assert len(term_str(d, e + 1, "X", first)) >= \
-                        len(term_str(c, e, "X", first)), (k, e)
+                    assert len(term(d, e + 1, first)) >= \
+                        len(term(c, e, first)), (k, e)
                     first = False
         lengths = [self.text_length(kind, k) for k in range(400)]
         assert all(a <= b for a, b in zip(lengths, lengths[1:]))
@@ -989,6 +1016,34 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: --max-n must be >= 1\n"
+
+    def test_range_past_a_suite_limit_is_refused_first(self, capsys,
+                                                        monkeypatch):
+        limits = verify.MAX_RANGES
+        assert all(verify.DEFAULT_RANGES[s] <= limits[s] for s in limits)
+        ran = []
+        for suite in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, suite,
+                                lambda max_n, s=suite: ran.append(s))
+        for suite, limit in limits.items():
+            code = main(["verify", suite, "--max-n", str(limit + 1)])
+            assert (code, capsys.readouterr().err) == \
+                (2, f"error: --max-n must be <= {limit} for {suite}\n")
+        # all: the least limit, named with its suite, before any suite runs
+        least = min(limits, key=limits.get)
+        code = main(["verify", "all", "--max-n", str(limits[least] + 1)])
+        assert (code, capsys.readouterr().err) == \
+            (2, f"error: --max-n must be <= {limits[least]} for {least}\n")
+        assert ran == []
+
+    def test_huge_range_exits_at_once(self):
+        # unlimited, the series expansion of routes ran out of 1 GB of
+        # address space at --max-n 3000
+        proc = run_limited(128, ("verify", "routes", "--max-n", "100000"),
+                           timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: --max-n must be <= " \
+            f"{verify.MAX_RANGES['routes']} for routes\n"
 
     def test_json_report(self, capsys):
         code, out = run(capsys, "verify", "zeta", "--max-n", "10",

@@ -24,7 +24,8 @@ from torusideals.intpoly import (
     laurent_to_x_basis,
     monomial,
     slot_width,
-    term_str,
+    spell_terms,
+    sum_text,
     unpack_balanced,
 )
 from torusideals.chebfam import tcheb, tcheb_value
@@ -246,8 +247,8 @@ class TestRendering:
         want = "".join(term_oracle(c, e, var, not i)
                        for i, (c, e) in enumerate(terms)) or "0"
         assert "".join(format_terms(top, cs, var)) == want
-        assert ("".join(term_str(c, e, var, not i)
-                        for i, (c, e) in enumerate(terms)) or "0") == want
+        assert "".join(sum_text(spell_terms((c,), e, 1, var)[0]
+                                for c, e in terms)) == want
         if not low:
             assert str(IntPoly(cs[::-1])) == want.replace(var, "X")
         assert str(LaurentPoly(low, cs[::-1])) == \
